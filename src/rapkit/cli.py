@@ -69,8 +69,8 @@ class RunReport:
     """Outcome of a single solver run.
 
     ``feasible`` always comes from re-verifying the produced solution,
-    never from the solver itself.  ``exact`` and ``ratio`` are absent when
-    no reference value is available.
+    never from the solver itself.  ``ratio`` is absent when the lower
+    bound is zero.
     """
 
     instance: str
@@ -79,9 +79,7 @@ class RunReport:
     cost: float
     feasible: bool
     iterations: Optional[int]
-    wall_ms: float
     lower_bound: float
-    exact: Optional[float] = None
     ratio: Optional[float] = None
 
     def line(self) -> str:
@@ -184,7 +182,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         cost=sol.cost,
         feasible=feasible,
         iterations=iters,
-        wall_ms=0.0,
         lower_bound=lb,
         ratio=ratio,
     )

@@ -14,12 +14,11 @@ from typing import Optional
 
 from .instance import (
     InstanceError,
-    NOMINAL_SCENARIO,
     RapInstance,
     Solution,
-    _pm_within,
     balanced_completion,
     check_feasible,
+    first_failing_scenario,
     solution_for,
 )
 from .lp import build_lp, solve_lp
@@ -60,27 +59,8 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
     if not check_feasible(work):
         raise InstanceError("infeasible instance")
 
-    g = work.graph
-    scenarios = sorted(work.vulnerable) if work.vulnerable else [NOMINAL_SCENARIO]
     all_ids = frozenset(range(m))
     order = sorted(range(m), key=lambda e: (-work.costs[e], e))
-
-    # One witness matching per scenario; still valid while fully inside the
-    # candidate edge set, recomputed (and kept) otherwise.  Growing the
-    # candidate set on backtrack can only keep old witnesses valid.
-    witness: dict[int, frozenset[int]] = {}
-
-    def feasible(active: frozenset[int]) -> bool:
-        for f in scenarios:
-            w = witness.get(f)
-            if w is not None and w <= active:
-                continue
-            avoid = None if f == NOMINAL_SCENARIO else f
-            w = _pm_within(g, active, avoid)
-            if w is None:
-                return False
-            witness[f] = w
-        return True
 
     deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
     nodes = 0
@@ -103,7 +83,7 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
             return
         e = order[depth]
         excluded.add(e)
-        if feasible(all_ids - excluded):
+        if first_failing_scenario(work, all_ids - excluded) is None:
             search(depth + 1, cost)
         excluded.remove(e)
         search(depth + 1, cost + work.costs[e])

@@ -86,28 +86,41 @@ def _match_arrays(
 
     R nodes are processed in ascending index and adjacency is scanned in
     ascending edge id, so the result is deterministic for a fixed input.
+    The depth-first search keeps its path on an explicit stack, so long
+    augmenting paths cannot overflow the interpreter's call stack.
     """
+    edges, adj_r = g.edges, g.adj_r
     match_r = [-1] * g.n_r
     match_t = [-1] * g.n_t
-
-    def augment(r: int, seen: set[int]) -> bool:
-        for eid in g.adj_r[r]:
-            if eid in forbidden:
-                continue
-            t = g.edges[eid][1]
-            if t in seen:
-                continue
-            seen.add(t)
-            other = match_t[t]
-            if other == -1 or augment(g.edges[other][0], seen):
-                match_t[t] = eid
-                match_r[r] = eid
-                return True
-        return False
-
-    for r in range(g.n_r):
-        if match_r[r] == -1:
-            augment(r, set())
+    for root in range(g.n_r):
+        if match_r[root] != -1:
+            continue
+        seen: set[int] = set()
+        # one frame per R node on the search path:
+        # [node, next adjacency position, edge taken from the node]
+        path = [[root, 0, -1]]
+        while path:
+            frame = path[-1]
+            adj = adj_r[frame[0]]
+            while frame[1] < len(adj):
+                eid = adj[frame[1]]
+                frame[1] += 1
+                t = edges[eid][1]
+                if eid in forbidden or t in seen:
+                    continue
+                seen.add(t)
+                frame[2] = eid
+                other = match_t[t]
+                if other == -1:
+                    for r, _, e in path:
+                        match_r[r] = e
+                        match_t[edges[e][1]] = e
+                    path.clear()
+                else:
+                    path.append([edges[other][0], 0, -1])
+                break
+            else:
+                path.pop()
     return match_r, match_t
 
 
@@ -141,37 +154,42 @@ def _restricted_forbidden(
     return frozenset(e for e in range(len(g.edges)) if e not in act)
 
 
-def _scc_of_pairs(
+def _pair_arcs(
     g: BipartiteMultigraph,
-    active: Sequence[int],
+    active: Iterable[int],
     match_r: list[int],
     match_t: list[int],
-) -> list[int]:
-    """Strongly connected components of the matched-pair digraph.
+) -> list[list[tuple[int, int]]]:
+    """The matched-pair digraph, as (edge id, head) arcs per r node.
 
     Each matched (r, t) pair is contracted to one vertex indexed by its r
     node. Every active non-matching edge (r, t) whose endpoints are both
-    matched becomes an arc from r's pair to the pair matched at t. Returns
-    scc ids indexed by r, -1 for unmatched r nodes.
+    matched becomes an arc from r's pair to the pair matched at t; an edge
+    parallel to a matching edge becomes a self-loop.
     """
-    arcs: list[list[int]] = [[] for _ in range(g.n_r)]
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
     for eid in active:
         r, t = g.edges[eid]
-        if match_r[r] == eid:
-            continue
-        if match_r[r] == -1 or match_t[t] == -1:
-            continue
-        arcs[r].append(g.edges[match_t[t]][0])
+        if match_r[r] not in (-1, eid) and match_t[t] != -1:
+            arcs[r].append((eid, g.edges[match_t[t]][0]))
+    return arcs
 
+
+def _scc_of_pairs(arcs: list[list[tuple[int, int]]], match_r: list[int]) -> list[int]:
+    """Strongly connected components of the matched-pair digraph ``arcs``.
+
+    Returns scc ids indexed by r, -1 for unmatched r nodes.
+    """
+    n = len(arcs)
     # Tarjan, iterative to keep deep digraphs off the call stack.
-    scc = [-1] * g.n_r
-    index = [-1] * g.n_r
-    low = [0] * g.n_r
-    on_stack = [False] * g.n_r
+    scc = [-1] * n
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     counter = 0
     n_sccs = 0
-    for root in range(g.n_r):
+    for root in range(n):
         if index[root] != -1 or match_r[root] == -1:
             continue
         work: list[list[int]] = [[root, 0]]
@@ -185,7 +203,7 @@ def _scc_of_pairs(
                 on_stack[v] = True
             recursed = False
             while frame[1] < len(arcs[v]):
-                w = arcs[v][frame[1]]
+                w = arcs[v][frame[1]][1]
                 frame[1] += 1
                 if index[w] == -1:
                     work.append([w, 0])
@@ -221,18 +239,10 @@ def _allowed_within(
     Valid for edges whose component is perfectly matched by the given arrays;
     edges incident to an unmatched node are reported as not allowed.
     """
-    scc = _scc_of_pairs(g, active, match_r, match_t)
-    allowed = set()
-    for eid in active:
-        r, t = g.edges[eid]
-        if match_r[r] == eid:
-            allowed.add(eid)
-            continue
-        if match_r[r] == -1 or match_t[t] == -1:
-            continue
-        head = g.edges[match_t[t]][0]
-        if scc[r] != -1 and scc[r] == scc[head]:
-            allowed.add(eid)
+    arcs = _pair_arcs(g, active, match_r, match_t)
+    scc = _scc_of_pairs(arcs, match_r)
+    allowed = {e for e in match_r if e != -1}
+    allowed.update(e for r, out in enumerate(arcs) for e, head in out if scc[r] == scc[head])
     return frozenset(allowed)
 
 
@@ -265,50 +275,33 @@ def components(
     Returns (r_nodes, t_nodes, edge_ids) triples ordered by first discovery
     when scanning R nodes in ascending index, then T nodes.
     """
-    act = set(g.edge_ids()) if active is None else set(active)
-    adj_r: list[list[int]] = [[] for _ in range(g.n_r)]
-    adj_t: list[list[int]] = [[] for _ in range(g.n_t)]
+    act = g.edge_ids() if active is None else set(active)
+    # node v < n_r is R node v, node n_r + j is T node j
+    n_r = g.n_r
+    incident: list[list[int]] = [[] for _ in range(n_r + g.n_t)]
     for eid in act:
         r, t = g.edges[eid]
-        adj_r[r].append(eid)
-        adj_t[t].append(eid)
-
-    seen_r = [False] * g.n_r
-    seen_t = [False] * g.n_t
+        incident[r].append(eid)
+        incident[n_r + t].append(eid)
+    seen = [False] * len(incident)
     out = []
-    starts = [("r", i) for i in range(g.n_r)] + [("t", j) for j in range(g.n_t)]
-    for side, start in starts:
-        if side == "r" and seen_r[start]:
+    for start in range(len(incident)):
+        if seen[start]:
             continue
-        if side == "t" and seen_t[start]:
-            continue
-        comp_r: set[int] = set()
-        comp_t: set[int] = set()
-        comp_e: set[int] = set()
-        queue = [(side, start)]
-        if side == "r":
-            seen_r[start] = True
-        else:
-            seen_t[start] = True
-        while queue:
-            sd, v = queue.pop()
-            if sd == "r":
-                comp_r.add(v)
-                for eid in adj_r[v]:
-                    comp_e.add(eid)
-                    t = g.edges[eid][1]
-                    if not seen_t[t]:
-                        seen_t[t] = True
-                        queue.append(("t", t))
-            else:
-                comp_t.add(v)
-                for eid in adj_t[v]:
-                    comp_e.add(eid)
-                    r = g.edges[eid][0]
-                    if not seen_r[r]:
-                        seen_r[r] = True
-                        queue.append(("r", r))
-        out.append((frozenset(comp_r), frozenset(comp_t), frozenset(comp_e)))
+        seen[start] = True
+        nodes, comp_e, stack = [start], set(), [start]
+        while stack:
+            for eid in incident[stack.pop()]:
+                comp_e.add(eid)
+                r, t = g.edges[eid]
+                for w in (r, n_r + t):
+                    if not seen[w]:
+                        seen[w] = True
+                        nodes.append(w)
+                        stack.append(w)
+        comp_r = frozenset(v for v in nodes if v < n_r)
+        comp_t = frozenset(v - n_r for v in nodes if v >= n_r)
+        out.append((comp_r, comp_t, frozenset(comp_e)))
     return out
 
 

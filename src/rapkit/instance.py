@@ -8,10 +8,19 @@ perfect matching (and X itself contains one when no edge is vulnerable).
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from rapkit.graph_core import BipartiteMultigraph, GraphError, max_matching
+from rapkit.graph_core import (
+    BipartiteMultigraph,
+    GraphError,
+    _pair_arcs,
+    _restricted_forbidden,
+    _scc_of_pairs,
+    max_matching,
+)
 
 # certificate key used for the plain perfect-matching requirement when the
 # vulnerable set is empty
@@ -43,6 +52,8 @@ class RapInstance:
         for eid in self.vulnerable:
             if not (0 <= eid < m):
                 raise InstanceError(f"vulnerable id {eid} is not an edge")
+        if not all(math.isfinite(c) for c in self.costs):
+            raise InstanceError("costs must be finite")
         if any(c < 0 for c in self.costs):
             raise InstanceError("costs must be non-negative")
 
@@ -139,82 +150,136 @@ def _require_balanced(inst: RapInstance) -> None:
 
 def check_feasible(inst: RapInstance) -> bool:
     """Whether the full edge set is feasible for every single-edge scenario."""
-    _require_balanced(inst)
+    return first_failing_scenario(inst) is None
+
+
+def _pair_digraph(
+    g: BipartiteMultigraph, pm: frozenset[int], active: Iterable[int]
+) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Matched edge per r node, and the matched-pair digraph of ``active``."""
+    match_r, match_t = [-1] * g.n_r, [-1] * g.n_t
+    for e in pm:
+        r, t = g.edges[e]
+        match_r[r] = match_t[t] = e
+    return match_r, _pair_arcs(g, active, match_r, match_t)
+
+
+def _scan(inst: RapInstance, active: frozenset[int]) -> tuple[frozenset[int], int | None]:
+    """One maximum matching M of ``active`` and the lowest failing scenario.
+
+    A non-matching edge lies in some perfect matching exactly when its arc
+    in the matched-pair digraph stays inside one strongly connected
+    component; an edge parallel to a matching edge is a self-loop there.
+    """
     g = inst.graph
-    if not inst.vulnerable:
-        return max_matching(g).perfect
-    return all(max_matching(g, (f,)).perfect for f in sorted(inst.vulnerable))
+    m = max_matching(g, _restricted_forbidden(g, active))
+    if not m.perfect:
+        return m.edge_ids, min(inst.vulnerable, default=NOMINAL_SCENARIO)
+    at_risk = m.edge_ids & inst.vulnerable
+    if not at_risk:
+        return m.edge_ids, None
+    match_r, arcs = _pair_digraph(g, m.edge_ids, active)
+    scc = _scc_of_pairs(arcs, match_r)
+    spare = {r for r, out in enumerate(arcs) if any(scc[r] == scc[h] for _, h in out)}
+    return m.edge_ids, min((f for f in at_risk if g.edges[f][0] not in spare), default=None)
 
 
-def _pm_within(
-    g: BipartiteMultigraph, active: frozenset[int], avoid: int | None
+def first_failing_scenario(
+    inst: RapInstance, active: Iterable[int] | None = None
+) -> int | None:
+    """Lowest scenario under which the edge set X = ``active`` fails, or None.
+
+    ``active`` defaults to every edge. With nothing vulnerable the answer is
+    ``NOMINAL_SCENARIO`` when X has no perfect matching. Otherwise, given one
+    perfect matching M of X, f fails exactly when f is in M and no other
+    edge of X at f's R node lies in a perfect matching (the mandatory-edge
+    characterization: Lovasz-Plummer, *Matching Theory*; Tassa, TCS 2012).
+    """
+    _require_balanced(inst)
+    act = frozenset(inst.graph.edge_ids() if active is None else active)
+    if act and (min(act) < 0 or max(act) >= inst.graph.n_edges):
+        raise InstanceError("active ids must be edges")
+    return _scan(inst, act)[1]
+
+
+def _cycle_swap(
+    g: BipartiteMultigraph, pm: frozenset[int], match_r: list[int], arcs: list, f: int
 ) -> frozenset[int] | None:
-    """Perfect matching using only ``active`` edges minus ``avoid``, or None."""
-    forbidden = set(range(g.n_edges)) - set(active)
-    if avoid is not None:
-        forbidden.add(avoid)
-    m = max_matching(g, forbidden)
-    return m.edge_ids if m.perfect else None
+    """M swapped along an alternating cycle through its edge f, or None.
+
+    The cycle is found by one breadth-first search from f's pair back to
+    it in the matched-pair digraph ``arcs``.
+    """
+    start = g.edges[f][0]
+    reached_by = {start: -1}  # pair -> non-matching edge that reached it
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for e, head in arcs[u]:
+            if head == start:
+                cycle = [e]
+                while u != start:
+                    cycle.append(reached_by[u])
+                    u = g.edges[reached_by[u]][0]
+                return (pm - {match_r[g.edges[c][0]] for c in cycle}) | set(cycle)
+            if head not in reached_by:
+                reached_by[head] = e
+                queue.append(head)
+    return None
 
 
 def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
-    """Check robust feasibility of ``x`` and return per-scenario witnesses."""
+    """Check robust feasibility of ``x`` and return per-scenario witnesses.
+
+    A scenario outside the oracle's perfect matching M is witnessed by M,
+    one inside M by M swapped along an alternating cycle through it. Each
+    witness is checked directly, and a failing scenario is confirmed by a
+    direct matching on ``x`` minus that edge, before either is reported.
+    """
     _require_balanced(inst)
+    g = inst.graph
     ids = x.edge_ids
     for e in ids:
-        if not (0 <= e < inst.graph.n_edges):
+        if not (0 <= e < g.n_edges):
             raise InstanceError(f"solution id {e} is not an edge")
-    matchings: dict[int, frozenset[int]] = {}
-    if not inst.vulnerable:
-        pm = _pm_within(inst.graph, ids, None)
-        if pm is None:
+    pm, failing = _scan(inst, ids)
+    if failing is not None:
+        if max_matching(g, _restricted_forbidden(g, ids - {failing})).perfect:
+            raise AssertionError(f"scenario {failing} reported failing but survives")
+        if failing == NOMINAL_SCENARIO:
             raise InfeasibleSolutionError(
                 "infeasible: no perfect matching in solution", NOMINAL_SCENARIO
             )
-        matchings[NOMINAL_SCENARIO] = pm
-        return Certificate(matchings)
-    for f in sorted(inst.vulnerable):
-        pm = _pm_within(inst.graph, ids, f)
-        if pm is None:
-            raise InfeasibleSolutionError(f"infeasible at scenario e{f}", f)
-        matchings[f] = pm
+        raise InfeasibleSolutionError(f"infeasible at scenario e{failing}", failing)
+    match_r, arcs = _pair_digraph(g, pm, sorted(ids))
+    matchings = {
+        f: _cycle_swap(g, pm, match_r, arcs, f) if f in pm else pm
+        for f in sorted(inst.vulnerable)
+    } or {NOMINAL_SCENARIO: pm}
+    for f, w in matchings.items():
+        ends = [g.edges[e] for e in w or ()]
+        perfect = len({r for r, _ in ends}) == len({t for _, t in ends}) == len(ends) == g.n_r
+        if w is None or f in w or not w <= ids or not perfect:
+            raise AssertionError(f"no valid witness for scenario {f}")
     return Certificate(matchings)
 
 
 def is_feasible_set(inst: RapInstance, edge_ids: Iterable[int]) -> bool:
     """Feasibility of an arbitrary edge set, without building a certificate."""
-    try:
-        verify_solution(inst, solution_for(inst, edge_ids))
-        return True
-    except InfeasibleSolutionError:
-        return False
+    return first_failing_scenario(inst, solution_for(inst, edge_ids).edge_ids) is None
 
 
 def prune_to_minimal(inst: RapInstance, x: Solution) -> Solution:
     """Shrink a feasible solution until no single edge can be dropped.
 
-    Edges are tried in descending cost, ties broken by descending id. The
-    per-scenario witness matchings are cached so a removal only recomputes
-    the scenarios whose witness used the removed edge.
+    Edges are tried in descending cost, ties broken by descending id; an
+    edge is dropped when the edges left without it are still feasible.
     """
-    cert = dict(verify_solution(inst, x).matchings)
+    verify_solution(inst, x)
     current = set(x.edge_ids)
-    order = sorted(current, key=lambda e: (-inst.costs[e], -e))
-    for e in order:
-        candidate = frozenset(current - {e})
-        stale = [f for f, pm in cert.items() if e in pm]
-        replacements: dict[int, frozenset[int]] = {}
-        ok = True
-        for f in stale:
-            avoid = None if f == NOMINAL_SCENARIO else f
-            pm = _pm_within(inst.graph, candidate, avoid)
-            if pm is None:
-                ok = False
-                break
-            replacements[f] = pm
-        if ok:
+    for e in sorted(current, key=lambda e: (-inst.costs[e], -e)):
+        if first_failing_scenario(inst, current - {e}) is None:
             current.discard(e)
-            cert.update(replacements)
     return solution_for(inst, current)
 
 

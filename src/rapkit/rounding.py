@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from rapkit.decompose import birkhoff_decompose, sample
-from rapkit.graph_core import components, matching_covered_components, max_matching
+from rapkit.graph_core import components, matching_covered_components
 from rapkit.instance import (
     NOMINAL_SCENARIO,
     InstanceError,
     InstanceMapping,
     RapInstance,
     Solution,
+    first_failing_scenario,
     prune_to_minimal,
     solution_for,
     uniformize,
@@ -71,46 +72,6 @@ class RoundPlan:
     fractional: FractionalSolution
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        self.count -= 1
-        return True
-
-
-def _components_uf(inst: RapInstance, x_set: frozenset[int]) -> _UnionFind:
-    g = inst.graph
-    uf = _UnionFind(g.n_r + g.n_t)
-    for e in x_set:
-        r, t = g.edges[e]
-        uf.union(r, g.n_r + t)
-    return uf
-
-
-def _uncovered_direct(inst: RapInstance, x_set: frozenset[int]) -> int | None:
-    g = inst.graph
-    outside = frozenset(range(g.n_edges)) - x_set
-    for f in sorted(inst.vulnerable):
-        if not max_matching(g, outside | {f}).perfect:
-            return f
-    return None
-
-
 def _uncovered_fast(inst: RapInstance, x_set: frozenset[int]) -> int | None:
     """Uncovered test relying on the loop invariant.
 
@@ -140,15 +101,15 @@ def uncovered_vulnerable_edge(
 
     Uses the structural fast path, which is valid whenever every
     edge-bearing component of the selection is matching-covered (always
-    true inside the rounding loop). ``debug`` re-runs the direct
-    per-scenario test and checks agreement.
+    true inside the rounding loop). ``debug`` re-runs the general
+    feasibility oracle and checks agreement.
     """
     fast = _uncovered_fast(inst, x_set)
-    if debug:
-        direct = _uncovered_direct(inst, x_set)
+    if debug and inst.vulnerable:
+        direct = first_failing_scenario(inst, x_set)
         if fast != direct:
             raise AssertionError(
-                f"fast uncovered test gave {fast}, direct test gave {direct}"
+                f"fast uncovered test gave {fast}, oracle gave {direct}"
             )
     return fast
 
@@ -167,7 +128,9 @@ def _sample_and_filter(
     combination = birkhoff_decompose(g, avoid, values)
     matched = sample(combination, rng)
 
-    uf = _components_uf(inst, x_set)
+    comps = components(g, x_set)
+    comp_of_r = {r: i for i, (r_nodes, _, _) in enumerate(comps) for r in r_nodes}
+    comp_of_t = {t: i for i, (_, t_nodes, _) in enumerate(comps) for t in t_nodes}
     rescue_pair: tuple[int, int] | None = None
     if avoid is not None and f in x_set:
         fr, ft = g.edges[f]
@@ -182,7 +145,7 @@ def _sample_and_filter(
     delta = set()
     for e in sorted(matched.edge_ids):
         r, t = g.edges[e]
-        if uf.find(r) != uf.find(g.n_r + t):
+        if comp_of_r[r] != comp_of_t[t]:
             delta.add(e)
         elif rescue_pair is not None and (r, t) == rescue_pair:
             delta.add(e)
@@ -254,32 +217,30 @@ def solve_lp_round(
     def next_scenario(xs: frozenset[int]) -> int | None:
         if not work.vulnerable:
             # nothing is vulnerable: done once the selection holds a matching
-            outside = frozenset(range(m)) - xs
-            return None if max_matching(work.graph, outside).perfect else NOMINAL_SCENARIO
+            return first_failing_scenario(work, xs)
         return uncovered_vulnerable_edge(work, xs, debug=debug)
 
     while (f := next_scenario(x_set)) is not None:
         if len(records) >= m:
             raise RuntimeError("rounding exceeded its iteration bound")
-        uf_before = _components_uf(work, x_set)
+        before = len(components(work.graph, x_set))
         delta, sampled = _sample_and_filter(work, x_set, frac, f, rng)
         x_set = x_set | delta
-        uf_after = _components_uf(work, x_set)
         records.append(
             IterationRecord(
                 scenario=f,
                 sampled=sampled,
                 added=delta,
-                components_before=uf_before.count,
-                components_after=uf_after.count,
+                components_before=before,
+                components_after=len(components(work.graph, x_set)),
             )
         )
         if debug:
             _assert_covered_components(work, x_set)
-            if f != NOMINAL_SCENARIO:
-                outside = frozenset(range(m)) - x_set
-                if not max_matching(work.graph, outside | {f}).perfect:
-                    raise AssertionError(f"scenario {f} still uncovered after its iteration")
+            # scenarios up to f were covered before; adding edges keeps them so
+            still = first_failing_scenario(work, x_set)
+            if still is not None and still <= f:
+                raise AssertionError(f"scenario {f} still uncovered after its iteration")
 
     decoded = plan.mapping.decode(x_set) if plan.mapping is not None else x_set
     pruned = prune_to_minimal(inst, solution_for(inst, decoded))

@@ -140,6 +140,12 @@ class TestSolve:
         assert rc == 2
         assert "infeasible instance" in capsys.readouterr().err
 
+    def test_non_finite_cost_exits_1(self, tmp_path, capsys):
+        path = write(tmp_path / "nan.txt", "rap 1\ngraph 1 1\nedge 0 0 nan v\n")
+        rc = main(["solve", "--algo", "exact", "--in", path])
+        assert rc == 1
+        assert "costs must be finite" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         rc = main(["solve", "--algo", "exact", "--in", str(tmp_path / "none.txt")])
         assert rc == 1

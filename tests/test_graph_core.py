@@ -90,6 +90,14 @@ class TestMaxMatching:
         with pytest.raises(GraphError):
             max_matching(c4(), forbidden={7})
 
+    def test_long_augmenting_paths(self):
+        # r(i+1) meets t(i) before t(i+1), so each new r node searches the
+        # whole chain below it: 3000 levels deep
+        n = 3000
+        edges = [(i + 1, i) for i in range(n - 1)] + [(i, i) for i in range(n)]
+        m = max_matching(BipartiteMultigraph(n, n, edges))
+        assert m.perfect and len(m) == n
+
     @settings(max_examples=120)
     @given(small_graph())
     def test_size_matches_brute_force(self, data):

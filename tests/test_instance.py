@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from strategies import small_instance
@@ -15,6 +16,7 @@ from rapkit.instance import (
     InstanceError,
     balanced_completion,
     check_feasible,
+    first_failing_scenario,
     format_instance,
     format_solution,
     is_feasible_set,
@@ -105,6 +107,59 @@ class TestVerifySolution:
         for ids in [set(range(len(edges))), set(range(0, len(edges), 2))]:
             expected = oracles.brute_feasible(n_r, n_t, edges, vulnerable, ids)
             assert is_feasible_set(inst, ids) == expected
+
+
+class TestFirstFailingScenario:
+    def test_c4(self):
+        inst = c4_uniform()
+        assert first_failing_scenario(inst) is None
+        assert first_failing_scenario(inst, {0, 2}) == 0
+        assert first_failing_scenario(inst, {0, 1, 2}) == 0
+        assert first_failing_scenario(inst, set()) == 0
+
+    def test_nominal(self):
+        inst = make_instance(2, 2, C4_EDGES, [], [1.0] * 4)
+        assert first_failing_scenario(inst, {0, 2}) is None
+        assert first_failing_scenario(inst, {0, 1}) == NOMINAL_SCENARIO
+
+    def test_parallel_copy_covers(self):
+        inst = uniform_instance(1, 1, [(0, 0), (0, 0)])
+        assert first_failing_scenario(inst) is None
+        assert first_failing_scenario(inst, {1}) == 1
+
+    def test_rejects_non_edge(self):
+        with pytest.raises(InstanceError):
+            first_failing_scenario(c4_uniform(), {0, 4})
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_instance(), st.data())
+    def test_matches_brute_force_and_certificates_hold(self, data, picks):
+        n_r, n_t, edges, vulnerable, costs = data
+        inst = make_instance(n_r, n_t, edges, vulnerable, costs)
+        x = picks.draw(st.sets(st.sampled_from(range(len(edges)))) if edges else st.just(set()))
+        if vulnerable:
+            failing = [
+                f
+                for f in sorted(vulnerable)
+                if not oracles.brute_has_pm_avoiding(n_r, n_t, edges, f, x)
+            ]
+            expected = failing[0] if failing else None
+        elif oracles.max_matching_size(n_r, n_t, edges, x) == n_r:
+            expected = None
+        else:
+            expected = NOMINAL_SCENARIO
+        assert first_failing_scenario(inst, x) == expected
+        assert (expected is None) == oracles.brute_feasible(n_r, n_t, edges, vulnerable, x)
+        if expected is not None:
+            with pytest.raises(InfeasibleSolutionError) as ei:
+                verify_solution(inst, solution_for(inst, x))
+            assert ei.value.scenario == expected
+            return
+        cert = verify_solution(inst, solution_for(inst, x))
+        assert set(cert.matchings) == (set(vulnerable) or {NOMINAL_SCENARIO})
+        for f, pm in cert.matchings.items():
+            assert f not in pm
+            assert pm in oracles.enumerate_perfect_matchings(n_r, n_t, edges, x)
 
 
 class TestPruneToMinimal:
@@ -272,6 +327,11 @@ class TestTextFormats:
     def test_parse_rejects_bad_flag(self):
         with pytest.raises(InstanceError, match="'v' or 'i'"):
             parse_instance("rap 1\ngraph 1 1\nedge 0 0 1 x\n")
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_cost(self, cost):
+        with pytest.raises(InstanceError, match="costs must be finite"):
+            make_instance(2, 2, C4_EDGES, [0], [1.0, cost, 1.0, 1.0])
 
     def test_parse_rejects_bad_endpoint(self):
         with pytest.raises(InstanceError):
