@@ -50,7 +50,7 @@ from .reductions import (
     parse_set_cover,
     random_instance,
 )
-from .rounding import format_trace, solve_lp_round
+from .rounding import format_trace, prepare, solve_lp_round
 
 __all__ = ["RunReport", "cmd_bench", "cmd_gen", "cmd_solve", "cmd_verify", "main"]
 
@@ -61,7 +61,9 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_REJECTED = 3
 
-CSV_COLUMNS = ("instance", "algo", "seed", "cost", "lb", "exact", "ratio", "iters", "ms")
+CSV_COLUMNS = (
+    "instance", "algo", "seed", "cost", "lb", "exact", "ratio", "iters", "ms", "error"
+)
 
 
 @dataclass(frozen=True)
@@ -124,22 +126,26 @@ def _completed(inst: RapInstance) -> tuple[Optional[InstanceMapping], RapInstanc
 
 def _run_solver(
     work: RapInstance, algo: str, seed: Optional[int], ear_order: str
-) -> tuple[Solution, Optional[int], str]:
+) -> tuple[Solution, Optional[int], str, Optional[float]]:
     """Run one algorithm on a balanced instance.
 
     Returns the solution, the iteration count when the algorithm has one,
-    and the trace text (one line per iteration or per ear; empty for the
-    exact solver).
+    the trace text (one line per iteration or per ear; empty for the exact
+    solver), and the relaxation value of ``work`` when the algorithm
+    solved exactly that model (lp-round on an instance it did not
+    uniformize), so the lower bound need not solve it again.
     """
     if algo == "exact":
-        return solve_exact(work), None, ""
+        return solve_exact(work), None, "", None
     if algo == "ear":
         decs: list[EarDecomposition] = []
         sol = solve_ear(work, ear_order=ear_order, trace=decs)
         text = "\n".join(format_ears(d) for d in decs)
-        return sol, None, text + ("\n" if text else "")
-    sol, rtrace = solve_lp_round(work, seed=seed if seed is not None else 0)
-    return sol, rtrace.iterations, format_trace(rtrace)
+        return sol, None, text + ("\n" if text else ""), None
+    plan = prepare(work)
+    sol, rtrace = solve_lp_round(work, seed=seed if seed is not None else 0, plan=plan)
+    relaxation = plan.fractional.objective if plan.mapping is None else None
+    return sol, rtrace.iterations, format_trace(rtrace), relaxation
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -160,7 +166,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo == "lp-round" and seed is None:
         seed = 0
     try:
-        sol, iters, trace_text = _run_solver(work, args.algo, seed, args.ear_order)
+        sol, iters, trace_text, relaxation = _run_solver(
+            work, args.algo, seed, args.ear_order
+        )
     except InstanceError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -173,7 +181,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except InfeasibleSolutionError as exc:
         print(f"solver output rejected: {exc}", file=sys.stderr)
         feasible = False
-    lb = lower_bounds(inst)
+    lb = lower_bounds(inst, relaxation=relaxation)
     ratio = sol.cost / lb if lb > 0 else None
     report = RunReport(
         instance=_instance_id(args.infile, text),
@@ -311,6 +319,12 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(text)]
 
 
+def _error_text(exc: BaseException) -> str:
+    """The exception class and the first line of its message."""
+    first = str(exc).partition("\n")[0]
+    return f"{type(exc).__name__}: {first}" if first else type(exc).__name__
+
+
 def _bench_one(
     label: str,
     inst: Optional[RapInstance],
@@ -318,8 +332,11 @@ def _bench_one(
     seed: int,
     lb: Optional[float],
     exact_cost: Optional[float],
+    errors: Sequence[str],
 ) -> dict[str, str]:
+    """One CSV row; ``errors`` names why the instance's shared cells are blank."""
     row = {col: "" for col in CSV_COLUMNS}
+    row["error"] = "; ".join(errors)
     row["instance"] = label
     row["algo"] = algo
     row["seed"] = str(seed)
@@ -332,11 +349,14 @@ def _bench_one(
     start = time.perf_counter()
     try:
         mapping, work = _completed(inst)
-        sol, iters, _ = _run_solver(work, algo, seed, "lowest")
+        sol, iters, _, _ = _run_solver(work, algo, seed, "lowest")
         verify_solution(work, sol)
-    except Exception:
+    except (AssertionError, RecursionError):
+        raise
+    except Exception as exc:
         # failed runs keep their row with the result cells blank
         row["ms"] = f"{(time.perf_counter() - start) * 1000:.1f}"
+        row["error"] = "; ".join([*errors, _error_text(exc)])
         return row
     row["ms"] = f"{(time.perf_counter() - start) * 1000:.1f}"
     row["cost"] = _num(sol.cost)
@@ -373,23 +393,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
     loaded: dict[str, Optional[RapInstance]] = {}
     lbs: dict[str, Optional[float]] = {}
     exacts: dict[str, Optional[float]] = {}
+    errors: dict[str, list[str]] = {}
     for label, _ in entries:
         if label in loaded:
             continue
+        loaded[label], lbs[label], exacts[label] = None, None, None
+        errors[label] = []
         try:
             inst, _ = _read_instance(str(base / label))
-        except (OSError, InstanceError):
-            loaded[label], lbs[label], exacts[label] = None, None, None
+        except (OSError, InstanceError) as exc:
+            errors[label].append(_error_text(exc))
             continue
         loaded[label] = inst
         try:
             lbs[label] = lower_bounds(inst)
-        except Exception:
-            lbs[label] = None
+        except (AssertionError, RecursionError):
+            raise
+        except Exception as exc:
+            errors[label].append(f"lb: {_error_text(exc)}")
         try:
             exacts[label] = solve_exact(inst).cost
-        except Exception:
-            exacts[label] = None
+        except (AssertionError, RecursionError):
+            raise
+        except Exception as exc:
+            errors[label].append(f"exact: {_error_text(exc)}")
 
     tasks = [
         (label, algo, seed) for (label, algo) in entries for seed in seeds
@@ -397,7 +424,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     def run(task: tuple[str, str, int]) -> dict[str, str]:
         label, algo, seed = task
-        return _bench_one(label, loaded[label], algo, seed, lbs[label], exacts[label])
+        return _bench_one(
+            label, loaded[label], algo, seed, lbs[label], exacts[label], errors[label]
+        )
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

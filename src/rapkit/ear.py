@@ -10,6 +10,8 @@ matching, which is exactly the structure a robust solution needs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -82,29 +84,50 @@ def _pick(items: Sequence[int], rng: Optional[np.random.Generator]) -> int:
 
 
 def _lex_min_pm(g: BipartiteMultigraph, active: frozenset[int]) -> set[int]:
-    """Lexicographically least perfect matching of the active edge set."""
-    every = frozenset(g.edge_ids())
-    full = len(max_matching(g, forbidden=every - active))
-    chosen: set[int] = set()
-    used_r: set[int] = set()
-    used_t: set[int] = set()
+    """Lexicographically least perfect matching of the active edge set.
+
+    ``active`` must have a perfect matching on the nodes it touches. Edges
+    are tried in ascending id, and an edge is fixed when some perfect
+    matching holds it together with every pair fixed so far. One matching M
+    is kept up to date: an edge e = (r, t) outside M qualifies exactly when
+    an alternating cycle through e avoids the fixed pairs (Lovasz-Plummer,
+    *Matching Theory*), found by a breadth-first search in the matched-pair
+    digraph from the pair at t back to r, and M is then swapped along it.
+    A skipped edge stays skipped, since fixing pairs only removes matchings.
+    """
+    edges = g.edges
+    pm = max_matching(g, forbidden=frozenset(g.edge_ids()) - active).edge_ids
+    match_r = {edges[e][0]: e for e in pm}
+    match_t = {edges[e][1]: e for e in pm}
+    out: dict[int, list[int]] = {r: [] for r in match_r}
     for e in sorted(active):
-        if len(chosen) == full:
-            break
-        r, t = g.edges[e]
-        if r in used_r or t in used_t:
+        out[edges[e][0]].append(e)
+    fixed: set[int] = set()  # pairs, named by their r node
+    for e in sorted(active):
+        r, t = edges[e]
+        target = edges[match_t[t]][0]
+        if r in fixed or target in fixed:
             continue
-        rest = frozenset(
-            a
-            for a in active
-            if g.edges[a][0] not in used_r and g.edges[a][0] != r
-            and g.edges[a][1] not in used_t and g.edges[a][1] != t
-        )
-        if len(max_matching(g, forbidden=every - rest)) == full - len(chosen) - 1:
-            chosen.add(e)
-            used_r.add(r)
-            used_t.add(t)
-    return chosen
+        if match_r[r] != e:
+            # an edge (u, t') is an arc from pair u to the pair matched at t'
+            reached_by = {target: e}  # pair -> arc that reached it
+            queue = deque([target])
+            while queue and r not in reached_by:
+                u = queue.popleft()
+                for a in out[u]:
+                    head = edges[match_t[edges[a][1]]][0]
+                    if head not in fixed and head not in reached_by:
+                        reached_by[head] = a
+                        queue.append(head)
+            if r not in reached_by:
+                continue
+            v, a = r, -1
+            while a != e:
+                a = reached_by[v]
+                v = edges[a][0]
+                match_r[v] = match_t[edges[a][1]] = a
+        fixed.add(r)
+    return set(match_r.values())
 
 
 def ear_decomposition(
@@ -216,6 +239,18 @@ def ear_decomposition(
 
     used = [False] * len(arcs)
     in_h: set[int] = set()
+    frontier: list[int] = []  # unused arcs whose tail is in in_h, ascending
+
+    def attach(path: Sequence[int]) -> None:
+        for idx in path:
+            used[idx] = True
+        for idx in path:
+            for pair in arcs[idx][1:]:
+                if pair not in in_h:
+                    in_h.add(pair)
+                    for j in out_arcs[pair]:
+                        if not used[j]:
+                            insort(frontier, j)
 
     incident = [i for i in range(len(arcs)) if start_pair in (arcs[i][1], arcs[i][2])]
     first = _pick(incident, rng)
@@ -226,30 +261,22 @@ def ear_decomposition(
         cycle = [first] + deep_path(head, {start_pair})
     else:
         cycle = deep_path(start_pair, {tail}) + [first]
-    for idx in cycle:
-        used[idx] = True
-        in_h.add(arcs[idx][1])
-        in_h.add(arcs[idx][2])
+    attach(cycle)
     ears.append(Ear(expand(cycle), trivial=len(cycle) == 1))
 
-    while True:
-        candidates = [i for i in range(len(arcs)) if not used[i] and arcs[i][1] in in_h]
-        if not candidates:
-            if not all(used):
-                raise GraphError("component not matching-covered")
-            break
-        idx = _pick(candidates, rng)
+    while frontier:
+        idx = _pick(frontier, rng)
+        del frontier[bisect_left(frontier, idx)]
         head = arcs[idx][2]
         if head in in_h:
             used[idx] = True
             ears.append(Ear((arcs[idx][0],), trivial=True))
             continue
-        path = [idx] + deep_path(head, set(in_h))
-        for step in path:
-            used[step] = True
-            in_h.add(arcs[step][1])
-            in_h.add(arcs[step][2])
+        path = [idx] + deep_path(head, in_h)
+        attach(path)
         ears.append(Ear(expand(path), trivial=False))
+    if not all(used):
+        raise GraphError("component not matching-covered")
 
     return EarDecomposition(ears=tuple(ears))
 

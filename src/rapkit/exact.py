@@ -96,12 +96,14 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
     return solution_for(inst, chosen)
 
 
-def lower_bounds(inst: RapInstance) -> float:
+def lower_bounds(inst: RapInstance, relaxation: Optional[float] = None) -> float:
     """Best known lower bound on the optimal cost.
 
     Combines the counting bounds for unit costs (any solution contains a
     matching covering the smaller side; with every edge vulnerable each of
     those nodes needs two incident edges) with the LP relaxation value.
+    A caller that has already solved the relaxation of the balanced
+    instance passes its value as ``relaxation`` instead of solving it again.
     """
     work = inst
     if not inst.graph.balanced:
@@ -113,6 +115,8 @@ def lower_bounds(inst: RapInstance) -> float:
         bounds.append(float(n))
         if inst.uniform:
             bounds.append(2.0 * n)
-    if check_feasible(work):
-        bounds.append(solve_lp(build_lp(work)).objective)
+    if relaxation is None and check_feasible(work):
+        relaxation = solve_lp(build_lp(work)).objective
+    if relaxation is not None:
+        bounds.append(relaxation)
     return max(bounds)

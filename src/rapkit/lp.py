@@ -368,8 +368,12 @@ class _SimplexState:
             if abs(pivot) < piv_tol:
                 raise LpError("numerically singular pivot")
             self.b_inv[leave_row, :] /= pivot
-            others = np.arange(self.n_rows) != leave_row
-            self.b_inv[others, :] -= np.outer(d[others], self.b_inv[leave_row, :])
+            # subtract d times the pivot row from every row in place; the
+            # pivot row itself takes d = 0 and is written back unchanged
+            row = self.b_inv[leave_row, :].copy()
+            d[leave_row] = 0.0
+            self.b_inv -= np.multiply.outer(d, row)
+            self.b_inv[leave_row, :] = row
 
             self._since_refactor += 1
             if self._since_refactor >= self.cfg.refactor_every:

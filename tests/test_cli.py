@@ -4,10 +4,15 @@ Every command runs in-process through ``main`` so exit codes and output
 can be asserted directly.
 """
 
+import csv
+import io
+
 import pytest
 
+import rapkit.cli
 from rapkit.cli import main
 from rapkit.instance import (
+    InstanceError,
     format_instance,
     make_instance,
     parse_instance,
@@ -293,7 +298,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert rc == 0
         lines = out.splitlines()
-        assert lines[0] == "instance,algo,seed,cost,lb,exact,ratio,iters,ms"
+        assert lines[0] == "instance,algo,seed,cost,lb,exact,ratio,iters,ms,error"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 6
         assert all(float(row[6]) <= 1.5 for row in rows)
@@ -330,7 +335,7 @@ class TestBench:
         rc = main(["bench", manifest])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out == "instance,algo,seed,cost,lb,exact,ratio,iters,ms\n"
+        assert out == "instance,algo,seed,cost,lb,exact,ratio,iters,ms,error\n"
 
     def test_broken_instance_keeps_row(self, tmp_path, capsys):
         write(tmp_path / "junk.txt", "not an instance\n")
@@ -343,6 +348,43 @@ class TestBench:
         assert len(rows) == 2
         assert rows[1][0] == "junk.txt" and rows[1][3] == ""
         assert rows[0][0] == "g3.txt" and rows[0][3] == "9"
+
+    def test_error_column_names_failures(self, tmp_path, capsys, monkeypatch):
+        def no_memory(inst, relaxation=None):
+            raise MemoryError("dense LP too large\nsecond line")
+
+        monkeypatch.setattr(rapkit.cli, "lower_bounds", no_memory)
+        write(tmp_path / "junk.txt", "not an instance\n")
+        write(tmp_path / "g3.txt", format_instance(gk_family(3)))
+        manifest = write(tmp_path / "m.txt", "junk.txt ear\ng3.txt ear\n")
+        assert main(["bench", manifest]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        by_name = {row["instance"]: row for row in rows}
+        assert by_name["junk.txt"]["error"].startswith("InstanceError: ")
+        assert by_name["g3.txt"]["error"] == "lb: MemoryError: dense LP too large"
+        assert by_name["g3.txt"]["lb"] == "" and by_name["g3.txt"]["cost"] == "9"
+
+        def infeasible(*args, **kwargs):
+            raise InstanceError("infeasible instance")
+
+        monkeypatch.setattr(rapkit.cli, "solve_ear", infeasible)
+        assert main(["bench", manifest]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        g3 = next(row for row in rows if row["instance"] == "g3.txt")
+        assert g3["cost"] == ""
+        assert g3["error"] == (
+            "lb: MemoryError: dense LP too large; InstanceError: infeasible instance"
+        )
+
+    @pytest.mark.parametrize("fault", [AssertionError, RecursionError])
+    def test_faults_fail_the_run(self, tmp_path, monkeypatch, fault):
+        def broken(*args, **kwargs):
+            raise fault("broken invariant")
+
+        monkeypatch.setattr(rapkit.cli, "solve_ear", broken)
+        manifest = self.gk_manifest(tmp_path, ["ear"], ks=(3,))
+        with pytest.raises(fault, match="broken invariant"):
+            main(["bench", manifest])
 
     def test_csv_written_to_file(self, tmp_path, capsys):
         manifest = self.gk_manifest(tmp_path, ["exact"], ks=(3,))

@@ -1,11 +1,14 @@
 """Ear decomposition and the sparse solver built on it."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from rapkit.ear import (
     Ear,
+    _lex_min_pm,
     ear_decomposition,
     format_ears,
     parse_ear_order,
@@ -16,6 +19,7 @@ from rapkit.graph_core import (
     GraphError,
     allowed_edges,
     matching_covered_components,
+    max_matching,
 )
 from rapkit.instance import (
     InstanceError,
@@ -23,8 +27,9 @@ from rapkit.instance import (
     uniform_instance,
     verify_solution,
 )
+from rapkit.reductions import gk_family, random_instance
 
-from oracles import brute_feasible, max_matching_size
+from oracles import brute_feasible, enumerate_perfect_matchings, max_matching_size
 from strategies import small_instance
 from test_graph_core import C4_EDGES, gk_graph
 
@@ -262,3 +267,96 @@ def test_decomposition_structure_and_ear_count(data):
         dec = ear_decomposition(g, comp.edge_ids)
         check_decomposition(g, comp, dec)
         assert len(dec.nontrivial()) <= max(len(comp.t_nodes) - 1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instance())
+def test_lex_min_pm_is_least_perfect_matching(data):
+    n_r, n_t, edges, _, _ = data
+    g = BipartiteMultigraph(n_r, n_t, edges)
+    for comp in matching_covered_components(g):
+        rs, ts = sorted(comp.r_nodes), sorted(comp.t_nodes)
+        ids = sorted(comp.edge_ids)
+        # the component on its own nodes; local ids keep the global order
+        local = [(rs.index(edges[e][0]), ts.index(edges[e][1])) for e in ids]
+        pms = enumerate_perfect_matchings(len(rs), len(ts), local)
+        if not ids or not pms:
+            continue
+        least = min(tuple(sorted(ids[i] for i in pm)) for pm in pms)
+        assert tuple(sorted(_lex_min_pm(g, comp.edge_ids))) == least
+
+
+# sha256 of the solve_ear edge set ("3,5,8") and of its format_ears trace,
+# recorded before the least-matching and ear-frontier rewrite, which had to
+# keep the output byte for byte
+PINNED_EAR_DIGESTS = {
+    ("rand40", "lowest"): (
+        "63cf2947e2efa5269fb3aa61fb45775cf72b4278c8475feeb68d2a42f1bf4420",
+        "b3db3001f81c66bb6021757573b3b540678194b0a88c614d98dfdad540d8ccbf",
+    ),
+    ("rand40", "random:1"): (
+        "ffb623c6574f0f0b6133d926ba8b706a0dd395af1305e626c2b3aa9844ebb50b",
+        "c76e2f37da630ebc7f92a905703773d6ba5ce0285d50330284edf2f06e7b2fb9",
+    ),
+    ("rand80", "lowest"): (
+        "419241335b159328c4098afd8644760d6756789e9737c59dc2e67c87f9e3e959",
+        "51cffcf3b9361425c64af4289baeac8c03e6d7ba62ef92f4f758b5bdfe30a0cf",
+    ),
+    ("rand80", "random:1"): (
+        "1731fc248c0be457f6e7ccaac8232b15402da746d3b14719eb7e3c5d104bac6c",
+        "6f853ff3d67c2ed699d17ea5553be3ad95267fc7e5b43dce53ca803bb0ffd15f",
+    ),
+    ("gk10", "lowest"): (
+        "e4fc396376f8b6f009428e72c586447826646f7c1ff04feee354f5aa07ce702b",
+        "c026e7504228f112bc4888e63306b21e0dbab04232c4933ebb6501942f089eb4",
+    ),
+    ("gk10", "random:1"): (
+        "2fac2fb3c47ddc733485c0e00fdc178fd081faf573962f6ceebabb25be68fcf9",
+        "1701cda0f74ede36e07c6fa356657e979937c55d9dea6a19f965fcbc88ac80e8",
+    ),
+    ("gk25", "lowest"): (
+        "753db2670cc34eac707a0ca7590c40187931423050e8f1c222c43085d4a2799b",
+        "d232701f52dba684658241cc3244cf0e17354c5c3dffc5e895aaf9c6c0329de2",
+    ),
+    ("gk25", "random:1"): (
+        "68aa3ff5a159a3a03a96567631278b11034934e939db7b83065820dc735da5c8",
+        "3534a3459d50a81cb6f5ececbbd04a37344e189c66d498ab76a54f09a547e583",
+    ),
+}
+
+
+def _pinned_case(name):
+    if name.startswith("gk"):
+        return gk_family(int(name[2:]))
+    n = int(name[4:])
+    return random_instance(n, n, {40: 0.2, 80: 0.12}[n], 0.5, (1, 1), seed=n)
+
+
+@pytest.mark.parametrize("name,order", sorted(PINNED_EAR_DIGESTS))
+def test_ear_output_pinned(name, order):
+    decs = []
+    sol = solve_ear(_pinned_case(name), ear_order=order, trace=decs)
+    edge_text = ",".join(map(str, sorted(sol.edge_ids)))
+    trace_text = "\n".join(format_ears(d) for d in decs)
+    got = tuple(hashlib.sha256(t.encode()).hexdigest() for t in (edge_text, trace_text))
+    assert got == PINNED_EAR_DIGESTS[name, order]
+
+
+def test_long_cycle_needs_full_swap():
+    # even cycle r_i - t_i (edge a_i) - r_i - t_(i+1) (edge b_i); b_0 gets the
+    # lowest id, so the least perfect matching is every b_i, while the
+    # matching routine settles on every a_i and one swap must turn the
+    # whole cycle
+    n = 3000
+    edges = [(0, 1), (0, 0)]
+    for i in range(1, n):
+        edges += [(i, i), (i, (i + 1) % n)]
+    g = BipartiteMultigraph(n, n, edges)
+    b_ids = {0} | {2 * i + 1 for i in range(1, n)}
+    a_ids = set(range(2 * n)) - b_ids
+    assert max_matching(g).edge_ids == a_ids
+    active = frozenset(g.edge_ids())
+    assert _lex_min_pm(g, active) == b_ids
+    dec = ear_decomposition(g)
+    assert len(dec.ears) == 2 and len(dec.ears[1]) == 2 * n - 1
+    check_decomposition(g, matching_covered_components(g)[0], dec)

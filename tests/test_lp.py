@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,7 @@ from hypothesis import given, settings
 import oracles
 from strategies import small_instance
 
+import rapkit
 from rapkit.instance import InstanceError, make_instance, uniform_instance
 from rapkit.lp import EPS_FEAS, build_lp, dump_lp, solve_lp
 
@@ -125,6 +131,26 @@ class TestSolveLp:
         sol = solve_lp(build_lp(inst))
         assert sol.objective == pytest.approx(3.0, abs=1e-6)
         assert round(sol.objective) == 3
+
+    def test_pivot_path_pinned(self):
+        # A threaded BLAS sums the pricing products in another order and
+        # can take another pivot path (gk_family(4): 637 pivots on two
+        # threads), so the solves run in a child with one BLAS thread.
+        code = (
+            "from rapkit import gk_family\n"
+            "from rapkit.lp import build_lp, solve_lp\n"
+            "for k in (3, 4):\n"
+            "    sol = solve_lp(build_lp(gk_family(k)))\n"
+            "    print(k, sol.iterations, repr(sol.objective))\n"
+        )
+        src = str(Path(rapkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines() == ["3 356 7.000000000000002", "4 598 8.5"]
 
 
 class TestDumpLp:
