@@ -15,7 +15,7 @@ import io
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -50,7 +50,7 @@ from .reductions import (
     parse_set_cover,
     random_instance,
 )
-from .rounding import format_trace, prepare, solve_lp_round
+from .rounding import RoundPlan, format_trace, prepare, solve_lp_round
 
 __all__ = ["RunReport", "cmd_bench", "cmd_gen", "cmd_solve", "cmd_verify", "main"]
 
@@ -125,7 +125,11 @@ def _completed(inst: RapInstance) -> tuple[Optional[InstanceMapping], RapInstanc
 
 
 def _run_solver(
-    work: RapInstance, algo: str, seed: Optional[int], ear_order: str
+    work: RapInstance,
+    algo: str,
+    seed: Optional[int],
+    ear_order: str,
+    plan: Optional[RoundPlan] = None,
 ) -> tuple[Solution, Optional[int], str, Optional[float]]:
     """Run one algorithm on a balanced instance.
 
@@ -133,7 +137,8 @@ def _run_solver(
     the trace text (one line per iteration or per ear; empty for the exact
     solver), and the relaxation value of ``work`` when the algorithm
     solved exactly that model (lp-round on an instance it did not
-    uniformize), so the lower bound need not solve it again.
+    uniformize), so the lower bound need not solve it again. lp-round
+    solves the relaxation unless ``plan``, prepared from ``work``, is given.
     """
     if algo == "exact":
         return solve_exact(work), None, "", None
@@ -142,7 +147,8 @@ def _run_solver(
         sol = solve_ear(work, ear_order=ear_order, trace=decs)
         text = "\n".join(format_ears(d) for d in decs)
         return sol, None, text + ("\n" if text else ""), None
-    plan = prepare(work)
+    if plan is None:
+        plan = prepare(work)
     sol, rtrace = solve_lp_round(work, seed=seed if seed is not None else 0, plan=plan)
     relaxation = plan.fractional.objective if plan.mapping is None else None
     return sol, rtrace.iterations, format_trace(rtrace), relaxation
@@ -325,44 +331,56 @@ def _error_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {first}" if first else type(exc).__name__
 
 
-def _bench_one(
-    label: str,
-    inst: Optional[RapInstance],
-    algo: str,
-    seed: int,
-    lb: Optional[float],
-    exact_cost: Optional[float],
-    errors: Sequence[str],
-) -> dict[str, str]:
-    """One CSV row; ``errors`` names why the instance's shared cells are blank."""
+@dataclass
+class _BenchShared:
+    """Per-instance work shared by all of the instance's bench rows.
+
+    ``failure`` is an exception raised while completing the instance or,
+    for an instance with lp-round rows, solving its relaxation; each row
+    that needed that work reports it. ``errors`` names why the lb and
+    exact cells are blank.
+    """
+
+    inst: Optional[RapInstance] = None
+    work: Optional[RapInstance] = None
+    plan: Optional[RoundPlan] = None
+    failure: Optional[Exception] = None
+    lb: Optional[float] = None
+    exact: Optional[float] = None
+    errors: list[str] = field(default_factory=list)
+
+
+def _bench_one(label: str, shared: _BenchShared, algo: str, seed: int) -> dict[str, str]:
+    """One CSV row; ``ms`` leaves out the work in ``shared``."""
     row = {col: "" for col in CSV_COLUMNS}
-    row["error"] = "; ".join(errors)
+    row["error"] = "; ".join(shared.errors)
     row["instance"] = label
     row["algo"] = algo
     row["seed"] = str(seed)
-    if lb is not None:
-        row["lb"] = _num(lb)
-    if exact_cost is not None:
-        row["exact"] = _num(exact_cost)
-    if inst is None:
+    if shared.lb is not None:
+        row["lb"] = _num(shared.lb)
+    if shared.exact is not None:
+        row["exact"] = _num(shared.exact)
+    if shared.inst is None:
         return row
     start = time.perf_counter()
     try:
-        mapping, work = _completed(inst)
-        sol, iters, _, _ = _run_solver(work, algo, seed, "lowest")
-        verify_solution(work, sol)
+        if shared.failure is not None and (shared.work is None or algo == "lp-round"):
+            raise shared.failure
+        sol, iters, _, _ = _run_solver(shared.work, algo, seed, "lowest", shared.plan)
+        verify_solution(shared.work, sol)
     except (AssertionError, RecursionError):
         raise
     except Exception as exc:
         # failed runs keep their row with the result cells blank
         row["ms"] = f"{(time.perf_counter() - start) * 1000:.1f}"
-        row["error"] = "; ".join([*errors, _error_text(exc)])
+        row["error"] = "; ".join([*shared.errors, _error_text(exc)])
         return row
     row["ms"] = f"{(time.perf_counter() - start) * 1000:.1f}"
     row["cost"] = _num(sol.cost)
     if iters is not None:
         row["iters"] = str(iters)
-    reference = exact_cost if exact_cost is not None else lb
+    reference = shared.exact if shared.exact is not None else shared.lb
     if reference:
         row["ratio"] = f"{sol.cost / reference:.4f}"
     return row
@@ -389,34 +407,43 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"expected '<instance path> <algo>', got {raw!r}")
         entries.append((parts[0], parts[1]))
 
-    # per-instance work shared by all of its rows
-    loaded: dict[str, Optional[RapInstance]] = {}
-    lbs: dict[str, Optional[float]] = {}
-    exacts: dict[str, Optional[float]] = {}
-    errors: dict[str, list[str]] = {}
+    # one completion, one relaxation and one set of references per instance
+    lp_labels = {label for label, algo in entries if algo == "lp-round"}
+    shared: dict[str, _BenchShared] = {}
     for label, _ in entries:
-        if label in loaded:
+        if label in shared:
             continue
-        loaded[label], lbs[label], exacts[label] = None, None, None
-        errors[label] = []
+        ref = shared[label] = _BenchShared()
         try:
             inst, _ = _read_instance(str(base / label))
         except (OSError, InstanceError) as exc:
-            errors[label].append(_error_text(exc))
+            ref.errors.append(_error_text(exc))
             continue
-        loaded[label] = inst
+        ref.inst = inst
         try:
-            lbs[label] = lower_bounds(inst)
+            _, ref.work = _completed(inst)
+            if label in lp_labels:
+                ref.plan = prepare(ref.work)
         except (AssertionError, RecursionError):
             raise
         except Exception as exc:
-            errors[label].append(f"lb: {_error_text(exc)}")
+            ref.failure = exc
+        # a plan that did not uniformize solved the lower bound's model
+        relaxation = None
+        if ref.plan is not None and ref.plan.mapping is None:
+            relaxation = ref.plan.fractional.objective
         try:
-            exacts[label] = solve_exact(inst).cost
+            ref.lb = lower_bounds(inst, relaxation=relaxation)
         except (AssertionError, RecursionError):
             raise
         except Exception as exc:
-            errors[label].append(f"exact: {_error_text(exc)}")
+            ref.errors.append(f"lb: {_error_text(exc)}")
+        try:
+            ref.exact = solve_exact(inst).cost
+        except (AssertionError, RecursionError):
+            raise
+        except Exception as exc:
+            ref.errors.append(f"exact: {_error_text(exc)}")
 
     tasks = [
         (label, algo, seed) for (label, algo) in entries for seed in seeds
@@ -424,9 +451,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     def run(task: tuple[str, str, int]) -> dict[str, str]:
         label, algo, seed = task
-        return _bench_one(
-            label, loaded[label], algo, seed, lbs[label], exacts[label], errors[label]
-        )
+        return _bench_one(label, shared[label], algo, seed)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

@@ -9,7 +9,10 @@ lower-bounds every robust solution.
 
 Solving goes through a small solver contract so an external LP engine could
 be swapped in; the built-in engine is a bounded-variable revised primal
-simplex on a dense basis inverse.
+simplex on a dense basis inverse. The model is nearly all zeros and every
+coefficient is +-1, so the engine prices over the matrix's nonzeros and
+updates the basis inverse only where it changes. On one BLAS thread
+neither moves the pivot path or the returned point of the dense method.
 """
 
 from __future__ import annotations
@@ -166,6 +169,12 @@ class LpSolver(Protocol):
 
 
 _AT_LB, _AT_UB, _BASIC = 0, 1, 2
+# update the whole basis inverse once the touched block exceeds a quarter
+# of it: gathering and scattering a large block costs more
+_FULL_UPDATE_RATIO = 4
+# rows per slice of a basis-inverse update; bounding the temporaries keeps
+# variously sized blocks from fragmenting the heap and raising peak memory
+_UPDATE_ROWS = 64
 
 
 class SimplexSolver:
@@ -175,6 +184,21 @@ class SimplexSolver:
     refactorization. Pricing is Dantzig's rule with first-index tie breaks;
     after a run of degenerate pivots it falls back to Bland's rule until a
     positive step is taken, which guarantees termination.
+
+    The working matrix (structurals, then one slack or artificial column
+    per row) is stored once, column-major, as an (n_cols, n_rows) array,
+    with its nonzeros as (col, row, val) arrays sorted by column and row.
+    Pricing sums each column's nonzero terms in ascending row order; the
+    coefficients are +-1, so the products are exact and the sums match the
+    dense one-thread product bit for bit. A pivot updates the basis inverse
+    only on the rows where the entering column is nonzero and the columns
+    where the pivot row is nonzero, or in full when that block exceeds a
+    quarter of the matrix, in slices of rows either way so that no pivot
+    allocates a temporary as large as the matrix. The two paths differ only
+    in the sign of a zero, and each phase ends with a refactorization, so
+    the returned point does not depend on the choice. A threaded BLAS sums
+    the dual and FTRAN products in another order and can take another
+    pivot path.
     """
 
     def __init__(
@@ -198,12 +222,11 @@ class SimplexSolver:
         n_slack, n_art = len(l_rows), len(e_rows)
         n_cols = n_struct + n_slack + n_art
 
-        a = np.zeros((n_rows, n_cols))
-        a[:, :n_struct] = lp.a_matrix
-        for j, i in enumerate(l_rows):
-            a[i, n_struct + j] = 1.0
-        for j, i in enumerate(e_rows):
-            a[i, n_struct + n_slack + j] = 1.0
+        # column j of the working matrix is row j of a_cols
+        a_cols = np.zeros((n_cols, n_rows))
+        a_cols[:n_struct] = lp.a_matrix.T
+        a_cols[np.arange(n_struct, n_struct + n_slack), l_rows] = 1.0
+        a_cols[np.arange(n_struct + n_slack, n_cols), e_rows] = 1.0
 
         inf = np.inf
         lower = np.concatenate([lp.lower, np.zeros(n_slack + n_art)])
@@ -218,7 +241,7 @@ class SimplexSolver:
             basic[i] = n_struct + n_slack + j
         status[basic] = _BASIC
 
-        state = _SimplexState(a, lp.rhs.copy(), lower, upper, basic, status, self)
+        state = _SimplexState(a_cols, lp.rhs.copy(), lower, upper, basic, status, self)
 
         phase1_cost = np.zeros(n_cols)
         phase1_cost[n_struct + n_slack :] = 1.0
@@ -237,15 +260,18 @@ class SimplexSolver:
 
 
 class _SimplexState:
-    def __init__(self, a, rhs, lower, upper, basic, status, cfg: SimplexSolver):
-        self.a = a
+    def __init__(self, a_cols, rhs, lower, upper, basic, status, cfg: SimplexSolver):
+        self.a_cols = a_cols
+        # nonzeros sorted by column, then row
+        self.nz_col, self.nz_row = np.nonzero(a_cols)
+        self.nz_val = a_cols[self.nz_col, self.nz_row]
         self.rhs = rhs
         self.lower = lower
         self.upper = upper
         self.basic = basic
         self.status = status
         self.cfg = cfg
-        self.n_rows, self.n_cols = a.shape
+        self.n_cols, self.n_rows = a_cols.shape
         self.b_inv = np.eye(self.n_rows)
         self.iterations = 0
         self._since_refactor = 0
@@ -257,11 +283,12 @@ class _SimplexState:
         return vals
 
     def _recompute_basics(self) -> np.ndarray:
+        # nonbasic values sit at 0/1 bounds, so these sums are exact
         vals = self._nonbasic_values()
-        return self.b_inv @ (self.rhs - self.a @ vals)
+        return self.b_inv @ (self.rhs - vals @ self.a_cols)
 
     def _refactorize(self) -> None:
-        b = self.a[:, self.basic]
+        b = self.a_cols[self.basic].T
         try:
             self.b_inv = np.linalg.inv(b)
         except np.linalg.LinAlgError as exc:
@@ -287,7 +314,13 @@ class _SimplexState:
         for _ in range(max_iter):
             self.iterations += 1
             y_dual = cost[self.basic] @ self.b_inv
-            reduced = cost - y_dual @ self.a
+            # each column's terms summed in ascending row order, as the
+            # single-thread dense product does
+            reduced = cost - np.bincount(
+                self.nz_col,
+                weights=y_dual[self.nz_row] * self.nz_val,
+                minlength=self.n_cols,
+            )
 
             viol = np.where(
                 self.status == _AT_LB,
@@ -309,7 +342,7 @@ class _SimplexState:
                     self._refactorize()
                     return
 
-            d = self.b_inv @ self.a[:, j]
+            d = self.b_inv @ self.a_cols[j]
             sigma = 1.0 if self.status[j] == _AT_LB else -1.0
             dd = sigma * d
 
@@ -368,12 +401,21 @@ class _SimplexState:
             if abs(pivot) < piv_tol:
                 raise LpError("numerically singular pivot")
             self.b_inv[leave_row, :] /= pivot
-            # subtract d times the pivot row from every row in place; the
-            # pivot row itself takes d = 0 and is written back unchanged
+            # subtract d times the pivot row from every other row (the pivot
+            # row takes d = 0); see the class docstring for the two paths
             row = self.b_inv[leave_row, :].copy()
             d[leave_row] = 0.0
-            self.b_inv -= np.multiply.outer(d, row)
-            self.b_inv[leave_row, :] = row
+            ri = np.flatnonzero(d)
+            ci = np.flatnonzero(row)
+            if _FULL_UPDATE_RATIO * ri.size * ci.size > self.n_rows * self.n_rows:
+                for s in range(0, self.n_rows, _UPDATE_ROWS):
+                    part = slice(s, s + _UPDATE_ROWS)
+                    self.b_inv[part] -= np.multiply.outer(d[part], row)
+                self.b_inv[leave_row, :] = row
+            else:
+                for s in range(0, ri.size, _UPDATE_ROWS):
+                    rs = ri[s : s + _UPDATE_ROWS]
+                    self.b_inv[np.ix_(rs, ci)] -= np.multiply.outer(d[rs], row[ci])
 
             self._since_refactor += 1
             if self._since_refactor >= self.cfg.refactor_every:

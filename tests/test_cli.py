@@ -317,6 +317,35 @@ class TestBench:
         assert [row[2] for row in rows] == [str(s) for s in range(20)]
         assert all(row[3] for row in rows)
 
+    def test_lp_round_seeds_share_one_relaxation(self, tmp_path, capsys, monkeypatch):
+        plans, relaxations = [], []
+        real_prepare, real_lower_bounds = rapkit.cli.prepare, rapkit.cli.lower_bounds
+
+        def counting_prepare(work):
+            plans.append(real_prepare(work))
+            return plans[-1]
+
+        def recording_lower_bounds(inst, relaxation=None):
+            relaxations.append(relaxation)
+            return real_lower_bounds(inst, relaxation=relaxation)
+
+        monkeypatch.setattr(rapkit.cli, "prepare", counting_prepare)
+        monkeypatch.setattr(rapkit.cli, "lower_bounds", recording_lower_bounds)
+        manifest = self.gk_manifest(tmp_path, ["lp-round"], ks=(3,))
+        assert main(["bench", manifest, "--seeds", "0..2"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(plans) == 1 and plans[0].mapping is None
+        assert relaxations == [plans[0].fractional.objective]
+        # each row matches a solve that prepares its own relaxation
+        for row in rows:
+            argv = ["solve", "--algo", "lp-round", "--seed", row["seed"],
+                    "--in", str(tmp_path / "g3.txt")]
+            assert main(argv) == 0
+            report = capsys.readouterr().out
+            assert f"cost={row['cost']} " in report and f"iters={row['iters']} " in report
+            assert f"lb={row['lb']} " in report
+        assert len(plans) == 4
+
     def test_jobs_do_not_change_rows(self, tmp_path, capsys):
         manifest = self.gk_manifest(tmp_path, ["ear", "exact"])
         outputs = []
@@ -375,6 +404,17 @@ class TestBench:
         assert g3["error"] == (
             "lb: MemoryError: dense LP too large; InstanceError: infeasible instance"
         )
+
+    def test_exact_size_guard_names_the_error(self, tmp_path, capsys):
+        # within max_edges as given, over it once completed to 6 x 6
+        edges = [(r, t) for r in range(6) for t in range(2)]
+        inst = make_instance(6, 2, edges, [], [1] * len(edges))
+        write(tmp_path / "wide.txt", format_instance(inst))
+        manifest = write(tmp_path / "m.txt", "wide.txt ear\n")
+        assert main(["bench", manifest]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["error"] == "exact: ExactError: instance too large for exact solver"
+        assert row["exact"] == "" and row["cost"] and row["lb"]
 
     @pytest.mark.parametrize("fault", [AssertionError, RecursionError])
     def test_faults_fail_the_run(self, tmp_path, monkeypatch, fault):

@@ -84,6 +84,15 @@ def test_guard_rejects_large_instances():
         solve_exact(inst, BnbConfig(time_limit=0.0))
 
 
+def test_guard_counts_the_completed_edges():
+    # 12 edges fit under max_edges, but completing 6 x 2 adds 6 x 4 dummies
+    edges = [(r, t) for r in range(6) for t in range(2)]
+    inst = make_instance(6, 2, edges, vulnerable=[], costs=[1] * len(edges))
+    assert len(edges) <= BnbConfig().max_edges < len(edges) + 6 * 4
+    with pytest.raises(ExactError, match="instance too large for exact solver"):
+        solve_exact(inst)
+
+
 def test_determinism():
     g = gk_graph(3)
     inst = uniform_instance(g.n_r, g.n_t, list(g.edges))

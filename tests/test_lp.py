@@ -152,6 +152,39 @@ class TestSolveLp:
         ).stdout
         assert out.splitlines() == ["3 356 7.000000000000002", "4 598 8.5"]
 
+    def test_solution_bytes_pinned(self):
+        # Digests of the y vector and the x blocks (in block order), recorded
+        # with the dense-pricing, full-update simplex on one BLAS thread. The
+        # uniformized random instance takes both basis-inverse update paths.
+        code = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from rapkit import gk_family, random_instance\n"
+            "from rapkit.instance import uniformize\n"
+            "from rapkit.lp import build_lp, solve_lp\n"
+            "rand = random_instance(5, 5, 0.6, 0.5, (1, 10), seed=0)\n"
+            "cases = [('gk3', gk_family(3)), ('gk4', gk_family(4)),\n"
+            "         ('rand5', uniformize(rand).instance)]\n"
+            "for name, inst in cases:\n"
+            "    sol = solve_lp(build_lp(inst))\n"
+            "    y = np.asarray(sol.y).tobytes()\n"
+            "    x = np.asarray([sol.x[f] for f in sorted(sol.x)]).tobytes()\n"
+            "    print(name, sol.iterations, hashlib.sha256(y).hexdigest()[:16],\n"
+            "          hashlib.sha256(x).hexdigest()[:16])\n"
+        )
+        src = str(Path(rapkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines() == [
+            "gk3 356 03918a38af8d9f61 e707fe34cf42e2ca",
+            "gk4 598 18d02790ce0a5078 f9dbafeaff97695f",
+            "rand5 1055 649a4783c46382a8 f6b6c9ecf2122f13",
+        ]
+
 
 class TestDumpLp:
     def test_sections_and_fixing(self):
