@@ -15,7 +15,9 @@ import io
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -335,7 +337,7 @@ def _error_text(exc: BaseException) -> str:
 class _BenchShared:
     """Per-instance work shared by all of the instance's bench rows.
 
-    ``failure`` is an exception raised while completing the instance or,
+    ``failure`` names an error raised while completing the instance or,
     for an instance with lp-round rows, solving its relaxation; each row
     that needed that work reports it. ``errors`` names why the lb and
     exact cells are blank.
@@ -344,10 +346,46 @@ class _BenchShared:
     inst: Optional[RapInstance] = None
     work: Optional[RapInstance] = None
     plan: Optional[RoundPlan] = None
-    failure: Optional[Exception] = None
+    failure: Optional[str] = None
     lb: Optional[float] = None
     exact: Optional[float] = None
     errors: list[str] = field(default_factory=list)
+
+
+def _bench_shared(path: Path, lp_round: bool) -> _BenchShared:
+    """Read and complete one instance, and solve its references."""
+    ref = _BenchShared()
+    try:
+        inst, _ = _read_instance(str(path))
+    except (OSError, InstanceError) as exc:
+        ref.errors.append(_error_text(exc))
+        return ref
+    ref.inst = inst
+    try:
+        _, ref.work = _completed(inst)
+        if lp_round:
+            ref.plan = prepare(ref.work)
+    except (AssertionError, RecursionError):
+        raise
+    except Exception as exc:
+        ref.failure = _error_text(exc)
+    # a plan that did not uniformize solved the lower bound's model
+    relaxation = None
+    if ref.plan is not None and ref.plan.mapping is None:
+        relaxation = ref.plan.fractional.objective
+    try:
+        ref.lb = lower_bounds(inst, relaxation=relaxation)
+    except (AssertionError, RecursionError):
+        raise
+    except Exception as exc:
+        ref.errors.append(f"lb: {_error_text(exc)}")
+    try:
+        ref.exact = solve_exact(inst).cost
+    except (AssertionError, RecursionError):
+        raise
+    except Exception as exc:
+        ref.errors.append(f"exact: {_error_text(exc)}")
+    return ref
 
 
 def _bench_one(label: str, shared: _BenchShared, algo: str, seed: int) -> dict[str, str]:
@@ -363,10 +401,12 @@ def _bench_one(label: str, shared: _BenchShared, algo: str, seed: int) -> dict[s
         row["exact"] = _num(shared.exact)
     if shared.inst is None:
         return row
+    if shared.failure is not None and (shared.work is None or algo == "lp-round"):
+        row["ms"] = "0.0"
+        row["error"] = "; ".join([*shared.errors, shared.failure])
+        return row
     start = time.perf_counter()
     try:
-        if shared.failure is not None and (shared.work is None or algo == "lp-round"):
-            raise shared.failure
         sol, iters, _, _ = _run_solver(shared.work, algo, seed, "lowest", shared.plan)
         verify_solution(shared.work, sol)
     except (AssertionError, RecursionError):
@@ -407,57 +447,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"expected '<instance path> <algo>', got {raw!r}")
         entries.append((parts[0], parts[1]))
 
-    # one completion, one relaxation and one set of references per instance
-    lp_labels = {label for label, algo in entries if algo == "lp-round"}
-    shared: dict[str, _BenchShared] = {}
-    for label, _ in entries:
-        if label in shared:
-            continue
-        ref = shared[label] = _BenchShared()
-        try:
-            inst, _ = _read_instance(str(base / label))
-        except (OSError, InstanceError) as exc:
-            ref.errors.append(_error_text(exc))
-            continue
-        ref.inst = inst
-        try:
-            _, ref.work = _completed(inst)
-            if label in lp_labels:
-                ref.plan = prepare(ref.work)
-        except (AssertionError, RecursionError):
-            raise
-        except Exception as exc:
-            ref.failure = exc
-        # a plan that did not uniformize solved the lower bound's model
-        relaxation = None
-        if ref.plan is not None and ref.plan.mapping is None:
-            relaxation = ref.plan.fractional.objective
-        try:
-            ref.lb = lower_bounds(inst, relaxation=relaxation)
-        except (AssertionError, RecursionError):
-            raise
-        except Exception as exc:
-            ref.errors.append(f"lb: {_error_text(exc)}")
-        try:
-            ref.exact = solve_exact(inst).cost
-        except (AssertionError, RecursionError):
-            raise
-        except Exception as exc:
-            ref.errors.append(f"exact: {_error_text(exc)}")
-
-    tasks = [
-        (label, algo, seed) for (label, algo) in entries for seed in seeds
-    ]
-
-    def run(task: tuple[str, str, int]) -> dict[str, str]:
-        label, algo, seed = task
-        return _bench_one(label, shared[label], algo, seed)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(task) for task in tasks]
+    # one completion, one relaxation and one set of references per
+    # instance; an instance's rows all run, and its shared work is dropped,
+    # before the next instance is read
+    rows: list[dict[str, str]] = []
+    pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext()
+    with pool:
+        run = pool.map if args.jobs > 1 else map
+        for label in dict.fromkeys(label for label, _ in entries):
+            algos = [algo for other, algo in entries if other == label]
+            rows.extend(
+                run(
+                    _bench_one,
+                    repeat(label),
+                    repeat(_bench_shared(base / label, "lp-round" in algos)),
+                    [algo for algo in algos for _ in seeds],
+                    seeds * len(algos),
+                )
+            )
     rows.sort(key=lambda row: (row["instance"], row["algo"], int(row["seed"])))
 
     out = io.StringIO()

@@ -5,7 +5,9 @@ can be asserted directly.
 """
 
 import csv
+import gc
 import io
+import weakref
 
 import pytest
 
@@ -21,6 +23,7 @@ from rapkit.instance import (
     verify_solution,
     solution_for,
 )
+from rapkit.lp import LpError
 from rapkit.reductions import gk_family
 
 
@@ -345,6 +348,43 @@ class TestBench:
             assert f"cost={row['cost']} " in report and f"iters={row['iters']} " in report
             assert f"lb={row['lb']} " in report
         assert len(plans) == 4
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_relaxation_held_at_a_time(self, tmp_path, capsys, monkeypatch, jobs):
+        held = []
+        real_prepare = rapkit.cli.prepare
+
+        def tracking_prepare(work):
+            gc.collect()
+            assert all(ref() is None for ref in held), "an earlier plan is still held"
+            plan = real_prepare(work)
+            held.append(weakref.ref(plan))
+            return plan
+
+        monkeypatch.setattr(rapkit.cli, "prepare", tracking_prepare)
+        manifest = self.gk_manifest(tmp_path, ["lp-round", "ear"], ks=(3, 4))
+        assert main(["bench", manifest, "--seeds", "0..1", "--jobs", jobs]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(held) == 2 and len(rows) == 8
+        assert all(row["cost"] and not row["error"] for row in rows)
+
+    def test_shared_failure_reported_in_each_row_that_needs_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def failing_prepare(work):
+            raise LpError("LP infeasible\nsecond line")
+
+        monkeypatch.setattr(rapkit.cli, "prepare", failing_prepare)
+        manifest = self.gk_manifest(tmp_path, ["lp-round", "ear"], ks=(3,))
+        assert main(["bench", manifest, "--seeds", "0..2", "--jobs", "2"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 6
+        for row in rows:
+            if row["algo"] == "lp-round":
+                assert row["error"] == "LpError: LP infeasible"
+                assert row["cost"] == "" and row["iters"] == ""
+            else:
+                assert row["error"] == "" and row["cost"] == "9"
 
     def test_jobs_do_not_change_rows(self, tmp_path, capsys):
         manifest = self.gk_manifest(tmp_path, ["ear", "exact"])

@@ -156,6 +156,10 @@ class TestSolveLp:
         # Digests of the y vector and the x blocks (in block order), recorded
         # with the dense-pricing, full-update simplex on one BLAS thread. The
         # uniformized random instance takes both basis-inverse update paths.
+        # The bytes depend on the BLAS build and the CPU kernel it picks, not
+        # only on the thread count: these were recorded with numpy 2.4.6 and
+        # its bundled OpenBLAS 0.3.31 on its SkylakeX kernel, and another
+        # build or kernel may sum the dense products in another order.
         code = (
             "import hashlib\n"
             "import numpy as np\n"
