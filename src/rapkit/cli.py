@@ -14,10 +14,7 @@ import hashlib
 import io
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -451,20 +448,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # instance; an instance's rows all run, and its shared work is dropped,
     # before the next instance is read
     rows: list[dict[str, str]] = []
-    pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext()
-    with pool:
-        run = pool.map if args.jobs > 1 else map
-        for label in dict.fromkeys(label for label, _ in entries):
-            algos = [algo for other, algo in entries if other == label]
-            rows.extend(
-                run(
-                    _bench_one,
-                    repeat(label),
-                    repeat(_bench_shared(base / label, "lp-round" in algos)),
-                    [algo for algo in algos for _ in seeds],
-                    seeds * len(algos),
-                )
-            )
+    for label in dict.fromkeys(label for label, _ in entries):
+        algos = [algo for other, algo in entries if other == label]
+        shared = _bench_shared(base / label, "lp-round" in algos)
+        rows.extend(_bench_one(label, shared, algo, seed) for algo in algos for seed in seeds)
+        del shared
     rows.sort(key=lambda row: (row["instance"], row["algo"], int(row["seed"])))
 
     out = io.StringIO()
@@ -539,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lines of '<instance path> <algo>'")
     bench.add_argument("--seeds", default="0..0", metavar="A..B",
                        help="inclusive seed range, or a single seed")
-    bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", metavar="FILE", help="write the CSV here")
     bench.set_defaults(func=cmd_bench)
     return parser

@@ -11,7 +11,6 @@ matching, which is exactly the structure a robust solution needs.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -20,16 +19,14 @@ import numpy as np
 from .graph_core import (
     BipartiteMultigraph,
     GraphError,
-    allowed_edges,
-    matching_covered_components,
-    max_matching,
+    PairAnalysis,
 )
 from .instance import (
     InstanceError,
     RapInstance,
     Solution,
+    _scan,
     balanced_completion,
-    check_feasible,
     solution_for,
     verify_solution,
 )
@@ -83,51 +80,35 @@ def _pick(items: Sequence[int], rng: Optional[np.random.Generator]) -> int:
     return items[int(rng.integers(len(items)))]
 
 
-def _lex_min_pm(g: BipartiteMultigraph, active: frozenset[int]) -> set[int]:
-    """Lexicographically least perfect matching of the active edge set.
+def _lex_min_pm(pairs: PairAnalysis) -> set[int]:
+    """Lexicographically least perfect matching of the analysed edge set.
 
-    ``active`` must have a perfect matching on the nodes it touches. Edges
-    are tried in ascending id, and an edge is fixed when some perfect
-    matching holds it together with every pair fixed so far. One matching M
-    is kept up to date: an edge e = (r, t) outside M qualifies exactly when
-    an alternating cycle through e avoids the fixed pairs (Lovasz-Plummer,
-    *Matching Theory*), found by a breadth-first search in the matched-pair
-    digraph from the pair at t back to r, and M is then swapped along it.
-    A skipped edge stays skipped, since fixing pairs only removes matchings.
+    The analysis' matching M must be perfect on the nodes the edge set
+    touches. Edges are tried in ascending id, and an edge is fixed when
+    some perfect matching holds it together with every pair fixed so far.
+    M is kept up to date: an edge e = (r, t) outside M qualifies exactly
+    when an alternating cycle through e avoids the fixed pairs
+    (Lovasz-Plummer, *Matching Theory*), that is when e is parallel to r's
+    matching edge or a path leads from the pair at t back to r, and M is
+    then swapped along it. A skipped edge stays skipped, since fixing pairs
+    only removes matchings.
     """
-    edges = g.edges
-    pm = max_matching(g, forbidden=frozenset(g.edge_ids()) - active).edge_ids
-    match_r = {edges[e][0]: e for e in pm}
-    match_t = {edges[e][1]: e for e in pm}
-    out: dict[int, list[int]] = {r: [] for r in match_r}
-    for e in sorted(active):
-        out[edges[e][0]].append(e)
+    edges = pairs.graph.edges
+    match_r, match_t = list(pairs.matching.match_r), list(pairs.matching.match_t)
     fixed: set[int] = set()  # pairs, named by their r node
-    for e in sorted(active):
+    for e in pairs.edge_list:
         r, t = edges[e]
         target = edges[match_t[t]][0]
         if r in fixed or target in fixed:
             continue
         if match_r[r] != e:
-            # an edge (u, t') is an arc from pair u to the pair matched at t'
-            reached_by = {target: e}  # pair -> arc that reached it
-            queue = deque([target])
-            while queue and r not in reached_by:
-                u = queue.popleft()
-                for a in out[u]:
-                    head = edges[match_t[edges[a][1]]][0]
-                    if head not in fixed and head not in reached_by:
-                        reached_by[head] = a
-                        queue.append(head)
-            if r not in reached_by:
+            path = [] if target == r else pairs.alternating_path(match_t, target, r, fixed)
+            if path is None:
                 continue
-            v, a = r, -1
-            while a != e:
-                a = reached_by[v]
-                v = edges[a][0]
-                match_r[v] = match_t[edges[a][1]] = a
+            for a in [e, *path]:
+                match_r[edges[a][0]] = match_t[edges[a][1]] = a
         fixed.add(r)
-    return set(match_r.values())
+    return {e for e in match_r if e != -1}
 
 
 def ear_decomposition(
@@ -147,11 +128,13 @@ def ear_decomposition(
         active = frozenset(g.edge_ids())
     else:
         active = frozenset(component_edges)
-    comps = [c for c in matching_covered_components(g, active) if c.edge_ids]
-    if len(comps) != 1 or not comps[0].matching_covered:
+    # matching-covered: every edge allowed (so every node it touches is
+    # matched) and every pair in one strongly connected component
+    pairs = PairAnalysis(g, active)
+    if not active <= pairs.allowed or len({pairs.scc[g.edges[e][0]] for e in active}) != 1:
         raise GraphError("component not matching-covered")
 
-    matching = _lex_min_pm(g, active)
+    matching = _lex_min_pm(pairs)
     match_r: dict[int, int] = {}
     match_t: dict[int, int] = {}
     for e in sorted(matching):
@@ -315,22 +298,24 @@ def solve_ear(
     if not inst.graph.balanced:
         mapping = balanced_completion(inst)
         work = mapping.instance
-    if not check_feasible(work):
+    pairs, failing = _scan(work, None)
+    if failing is not None:
         raise InstanceError("infeasible instance")
+    # the components of the allowed subgraph, each matching-covered; the
+    # whole-graph analysis is dropped before the per-component ones
+    comps = pairs.allowed_components()
+    del pairs
 
-    allowed = allowed_edges(work.graph)
     chosen: set[int] = set()
-    for comp in matching_covered_components(work.graph, allowed):
-        if not comp.edge_ids:
-            continue
-        dec = ear_decomposition(work.graph, comp.edge_ids, rng)
+    for comp_edges in comps:
+        dec = ear_decomposition(work.graph, comp_edges, rng)
         if trace is not None:
             trace.append(dec)
         kept: set[int] = set(dec.ears[0].edge_ids)
         for ear in dec.nontrivial():
             kept.update(ear.edge_ids)
         if len(kept) == 1 and next(iter(kept)) in work.vulnerable:
-            spares = sorted(comp.edge_ids - kept)
+            spares = sorted(comp_edges - kept)
             if spares:
                 kept.add(spares[0])
         chosen.update(kept)

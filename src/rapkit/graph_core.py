@@ -7,8 +7,9 @@ All operations are pure functions; graphs and matchings never mutate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Collection, Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -17,10 +18,16 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Matching:
-    """Pairwise non-adjacent edges; ``perfect`` means every node is covered."""
+    """Pairwise non-adjacent edges; ``perfect`` means every node is covered.
+
+    ``max_matching`` also fills ``match_r`` and ``match_t``, the matched
+    edge id at each R and T node, or -1.
+    """
 
     edge_ids: frozenset[int]
     perfect: bool
+    match_r: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    match_t: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -130,10 +137,10 @@ def max_matching(g: BipartiteMultigraph, forbidden: Iterable[int] = ()) -> Match
     for eid in forb:
         if not (0 <= eid < len(g.edges)):
             raise GraphError(f"forbidden id {eid} is not an edge")
-    match_r, _ = _match_arrays(g, forb)
+    match_r, match_t = _match_arrays(g, forb)
     ids = frozenset(e for e in match_r if e != -1)
     perfect = g.balanced and len(ids) == g.n_r
-    return Matching(ids, perfect)
+    return Matching(ids, perfect, tuple(match_r), tuple(match_t))
 
 
 def has_pm_avoiding(g: BipartiteMultigraph, f: int) -> bool:
@@ -145,105 +152,130 @@ def has_pm_avoiding(g: BipartiteMultigraph, f: int) -> bool:
     return max_matching(g, (f,)).perfect
 
 
-def _restricted_forbidden(
-    g: BipartiteMultigraph, active: Iterable[int] | None
-) -> frozenset[int]:
-    if active is None:
-        return frozenset()
-    act = set(active)
-    return frozenset(e for e in range(len(g.edges)) if e not in act)
-
-
-def _pair_arcs(
-    g: BipartiteMultigraph,
-    active: Iterable[int],
-    match_r: list[int],
-    match_t: list[int],
-) -> list[list[tuple[int, int]]]:
-    """The matched-pair digraph, as (edge id, head) arcs per r node.
-
-    Each matched (r, t) pair is contracted to one vertex indexed by its r
-    node. Every active non-matching edge (r, t) whose endpoints are both
-    matched becomes an arc from r's pair to the pair matched at t; an edge
-    parallel to a matching edge becomes a self-loop.
-    """
-    arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
-    for eid in active:
-        r, t = g.edges[eid]
-        if match_r[r] not in (-1, eid) and match_t[t] != -1:
-            arcs[r].append((eid, g.edges[match_t[t]][0]))
-    return arcs
-
-
-def _scc_of_pairs(arcs: list[list[tuple[int, int]]], match_r: list[int]) -> list[int]:
+def _scc_of_pairs(arcs: list[list[tuple[int, int]]], match_r: Sequence[int]) -> list[int]:
     """Strongly connected components of the matched-pair digraph ``arcs``.
 
     Returns scc ids indexed by r, -1 for unmatched r nodes.
     """
     n = len(arcs)
-    # Tarjan, iterative to keep deep digraphs off the call stack.
+    # Tarjan, iterative to keep deep digraphs off the call stack; a visited
+    # node is on Tarjan's stack exactly while it has no scc id
     scc = [-1] * n
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     counter = 0
     n_sccs = 0
     for root in range(n):
         if index[root] != -1 or match_r[root] == -1:
             continue
-        work: list[list[int]] = [[root, 0]]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(arcs[root]))]
         while work:
-            frame = work[-1]
-            v = frame[0]
-            if frame[1] == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recursed = False
-            while frame[1] < len(arcs[v]):
-                w = arcs[v][frame[1]][1]
-                frame[1] += 1
+            v, out = work[-1]
+            for _, w in out:
                 if index[w] == -1:
-                    work.append([w, 0])
-                    recursed = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(arcs[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recursed:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc[w] = n_sccs
-                    if w == v:
-                        break
-                n_sccs += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if scc[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        scc[w] = n_sccs
+                        if w == v:
+                            break
+                    n_sccs += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return scc
 
 
-def _allowed_within(
-    g: BipartiteMultigraph,
-    active: Sequence[int],
-    match_r: list[int],
-    match_t: list[int],
-) -> frozenset[int]:
-    """Edges of ``active`` lying in some perfect matching of their component.
+class PairAnalysis:
+    """One maximum matching of an edge set and its matched-pair digraph.
 
-    Valid for edges whose component is perfectly matched by the given arrays;
-    edges incident to an unmatched node are reported as not allowed.
+    The edge set is ``active`` (every edge by default) on the full node
+    set, kept in ascending order as ``edge_list``. Its ``matching`` is
+    maximum, not necessarily perfect.
+
+    Each matched (r, t) pair is one vertex, named by its r node.
+    ``arcs[r]`` lists, in ascending id, every edge of the set at r whose
+    two ends are matched, as (edge id, head pair): an edge (r, t) leads to
+    the pair matched at t, so r's matching edge and any edge parallel to it
+    are self-loops. ``scc[r]`` names the strongly connected component of
+    pair r, -1 for an unmatched r. ``allowed`` holds the edges whose arc
+    stays inside one component. On a part of the graph that the matching
+    covers perfectly, these are exactly the edges lying in some perfect
+    matching of that part, and each component, with the allowed edges of
+    its pairs, is one connected component of the allowed subgraph
+    (Lovasz-Plummer, *Matching Theory*; Tassa, TCS 2012).
     """
-    arcs = _pair_arcs(g, active, match_r, match_t)
-    scc = _scc_of_pairs(arcs, match_r)
-    allowed = {e for e in match_r if e != -1}
-    allowed.update(e for r, out in enumerate(arcs) for e, head in out if scc[r] == scc[head])
-    return frozenset(allowed)
+
+    def __init__(self, g: BipartiteMultigraph, active: Iterable[int] | None = None):
+        act = frozenset(g.edge_ids() if active is None else active)
+        self.graph = g
+        self.edge_list = sorted(act)
+        self.matching = max_matching(g, frozenset(g.edge_ids()) - act)
+        edges, match_r, match_t = g.edges, self.matching.match_r, self.matching.match_t
+        self.arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
+        for eid in self.edge_list:
+            r, t = edges[eid]
+            if match_r[r] != -1 and match_t[t] != -1:
+                self.arcs[r].append((eid, edges[match_t[t]][0]))
+        self.scc = scc = _scc_of_pairs(self.arcs, match_r)
+        self.allowed = frozenset(
+            [e for r, out in enumerate(self.arcs) for e, h in out if scc[r] == scc[h]]
+        )
+
+    def allowed_components(self) -> list[frozenset[int]]:
+        """The allowed edges of each component, ordered by lowest r node."""
+        groups: dict[int, set[int]] = {}
+        for r, out in enumerate(self.arcs):
+            if self.scc[r] != -1:
+                group = groups.setdefault(self.scc[r], set())
+                group.update(e for e, head in out if self.scc[head] == self.scc[r])
+        return [frozenset(group) for group in groups.values()]
+
+    def alternating_path(
+        self, match_t: Sequence[int], source: int, goal: int, fixed: Collection[int] = ()
+    ) -> list[int] | None:
+        """Non-matching edges of a shortest path from pair ``source`` to ``goal``.
+
+        Breadth-first over ``arcs``, scanning each pair's edges in ascending
+        id. Heads are read from ``match_t``, the current matching, so the
+        search stays valid after the matching is swapped along earlier
+        paths. Each pair's own matching edge is skipped, and so is every
+        pair in ``fixed``. With ``source == goal`` the path is an
+        alternating cycle through that pair. Edges are listed from the goal
+        back to the source; None when there is no path.
+        """
+        edges, arcs = self.graph.edges, self.arcs
+        reached_by = {source: -1}  # pair -> edge that reached it
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for e, _ in arcs[u]:
+                mate = match_t[edges[e][1]]
+                if mate == e:
+                    continue
+                head = edges[mate][0]
+                if head == goal:
+                    path = [e]
+                    while u != source:
+                        path.append(reached_by[u])
+                        u = edges[path[-1]][0]
+                    return path
+                if head not in reached_by and head not in fixed:
+                    reached_by[head] = e
+                    queue.append(head)
+        return None
 
 
 def allowed_edges(
@@ -252,19 +284,14 @@ def allowed_edges(
     """Edge ids contained in at least one perfect matching.
 
     With ``active`` given, the question is asked of the subgraph formed by
-    those edges on the full node set. One perfect matching is computed, the
-    matched pairs are contracted, and a non-matching edge is allowed exactly
-    when its endpoints' pairs share a strongly connected component of the
-    resulting digraph. Matching edges are always allowed.
+    those edges on the full node set (see ``PairAnalysis``).
     """
     if not g.balanced:
         raise GraphError("not balanced")
-    forb = _restricted_forbidden(g, active)
-    match_r, match_t = _match_arrays(g, forb)
-    if sum(1 for e in match_r if e != -1) != g.n_r:
+    pairs = PairAnalysis(g, active)
+    if not pairs.matching.perfect:
         raise GraphError("no perfect matching")
-    act = sorted(set(active)) if active is not None else list(range(len(g.edges)))
-    return _allowed_within(g, act, match_r, match_t)
+    return pairs.allowed
 
 
 def components(
@@ -314,16 +341,12 @@ def matching_covered_components(
     node set and every one of its edges lies in some perfect matching of the
     component. An isolated edge qualifies; an isolated node does not.
     """
-    forb = _restricted_forbidden(g, active)
-    match_r, match_t = _match_arrays(g, forb)
-    act = sorted(set(active)) if active is not None else list(range(len(g.edges)))
-    allowed = _allowed_within(g, act, match_r, match_t)
-    comps = components(g, act)
+    active = None if active is None else frozenset(active)  # read twice below
+    pairs = PairAnalysis(g, active)
+    match_r = pairs.matching.match_r
     out = []
-    for comp_r, comp_t, comp_e in comps:
-        matchable = len(comp_r) == len(comp_t) and all(
-            match_r[r] != -1 for r in comp_r
-        )
-        covered = bool(comp_e) and matchable and comp_e <= allowed
+    for comp_r, comp_t, comp_e in components(g, active):
+        matchable = len(comp_r) == len(comp_t) and all(match_r[r] != -1 for r in comp_r)
+        covered = bool(comp_e) and matchable and comp_e <= pairs.allowed
         out.append(Component(comp_r, comp_t, comp_e, covered))
     return out

@@ -9,16 +9,13 @@ perfect matching (and X itself contains one when no edge is vulnerable).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from rapkit.graph_core import (
     BipartiteMultigraph,
     GraphError,
-    _pair_arcs,
-    _restricted_forbidden,
-    _scc_of_pairs,
+    PairAnalysis,
     max_matching,
 )
 
@@ -153,35 +150,19 @@ def check_feasible(inst: RapInstance) -> bool:
     return first_failing_scenario(inst) is None
 
 
-def _pair_digraph(
-    g: BipartiteMultigraph, pm: frozenset[int], active: Iterable[int]
-) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """Matched edge per r node, and the matched-pair digraph of ``active``."""
-    match_r, match_t = [-1] * g.n_r, [-1] * g.n_t
-    for e in pm:
-        r, t = g.edges[e]
-        match_r[r] = match_t[t] = e
-    return match_r, _pair_arcs(g, active, match_r, match_t)
+def _scan(inst: RapInstance, active: Iterable[int] | None) -> tuple[PairAnalysis, int | None]:
+    """Pair analysis of ``active`` and its lowest failing scenario.
 
-
-def _scan(inst: RapInstance, active: frozenset[int]) -> tuple[frozenset[int], int | None]:
-    """One maximum matching M of ``active`` and the lowest failing scenario.
-
-    A non-matching edge lies in some perfect matching exactly when its arc
-    in the matched-pair digraph stays inside one strongly connected
-    component; an edge parallel to a matching edge is a self-loop there.
+    ``first_failing_scenario`` states the rule.
     """
     g = inst.graph
-    m = max_matching(g, _restricted_forbidden(g, active))
-    if not m.perfect:
-        return m.edge_ids, min(inst.vulnerable, default=NOMINAL_SCENARIO)
-    at_risk = m.edge_ids & inst.vulnerable
-    if not at_risk:
-        return m.edge_ids, None
-    match_r, arcs = _pair_digraph(g, m.edge_ids, active)
-    scc = _scc_of_pairs(arcs, match_r)
-    spare = {r for r, out in enumerate(arcs) if any(scc[r] == scc[h] for _, h in out)}
-    return m.edge_ids, min((f for f in at_risk if g.edges[f][0] not in spare), default=None)
+    pairs = PairAnalysis(g, active)
+    pm = pairs.matching
+    if not pm.perfect:
+        return pairs, min(inst.vulnerable, default=NOMINAL_SCENARIO)
+    spare = {g.edges[e][0] for e in pairs.allowed - pm.edge_ids}
+    at_risk = pm.edge_ids & inst.vulnerable
+    return pairs, min((f for f in at_risk if g.edges[f][0] not in spare), default=None)
 
 
 def first_failing_scenario(
@@ -202,30 +183,13 @@ def first_failing_scenario(
     return _scan(inst, act)[1]
 
 
-def _cycle_swap(
-    g: BipartiteMultigraph, pm: frozenset[int], match_r: list[int], arcs: list, f: int
-) -> frozenset[int] | None:
-    """M swapped along an alternating cycle through its edge f, or None.
-
-    The cycle is found by one breadth-first search from f's pair back to
-    it in the matched-pair digraph ``arcs``.
-    """
-    start = g.edges[f][0]
-    reached_by = {start: -1}  # pair -> non-matching edge that reached it
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for e, head in arcs[u]:
-            if head == start:
-                cycle = [e]
-                while u != start:
-                    cycle.append(reached_by[u])
-                    u = g.edges[reached_by[u]][0]
-                return (pm - {match_r[g.edges[c][0]] for c in cycle}) | set(cycle)
-            if head not in reached_by:
-                reached_by[head] = e
-                queue.append(head)
-    return None
+def _cycle_swap(pairs: PairAnalysis, f: int) -> frozenset[int] | None:
+    """The analysis' matching swapped along an alternating cycle through f."""
+    pm, edges = pairs.matching, pairs.graph.edges
+    cycle = pairs.alternating_path(pm.match_t, edges[f][0], edges[f][0])
+    if cycle is None:
+        return None
+    return (pm.edge_ids - {pm.match_r[edges[e][0]] for e in cycle}) | set(cycle)
 
 
 def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
@@ -242,19 +206,18 @@ def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
     for e in ids:
         if not (0 <= e < g.n_edges):
             raise InstanceError(f"solution id {e} is not an edge")
-    pm, failing = _scan(inst, ids)
+    pairs, failing = _scan(inst, ids)
     if failing is not None:
-        if max_matching(g, _restricted_forbidden(g, ids - {failing})).perfect:
+        if max_matching(g, frozenset(g.edge_ids()).difference(ids - {failing})).perfect:
             raise AssertionError(f"scenario {failing} reported failing but survives")
         if failing == NOMINAL_SCENARIO:
             raise InfeasibleSolutionError(
                 "infeasible: no perfect matching in solution", NOMINAL_SCENARIO
             )
         raise InfeasibleSolutionError(f"infeasible at scenario e{failing}", failing)
-    match_r, arcs = _pair_digraph(g, pm, sorted(ids))
+    pm = pairs.matching.edge_ids
     matchings = {
-        f: _cycle_swap(g, pm, match_r, arcs, f) if f in pm else pm
-        for f in sorted(inst.vulnerable)
+        f: _cycle_swap(pairs, f) if f in pm else pm for f in sorted(inst.vulnerable)
     } or {NOMINAL_SCENARIO: pm}
     for f, w in matchings.items():
         ends = [g.edges[e] for e in w or ()]

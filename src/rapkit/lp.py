@@ -7,18 +7,17 @@ matching polytope, so each block contributes one equality per node and one
 coupling inequality x <= y per edge. Minimizing c*y over these constraints
 lower-bounds every robust solution.
 
-Solving goes through a small solver contract so an external LP engine could
-be swapped in; the built-in engine is a bounded-variable revised primal
-simplex on a dense basis inverse. The model is nearly all zeros and every
-coefficient is +-1, so the engine prices over the matrix's nonzeros and
-updates the basis inverse only where it changes. On one BLAS thread
-neither moves the pivot path or the returned point of the dense method.
+The solver is a bounded-variable revised primal simplex on a dense basis
+inverse. The model is nearly all zeros and every coefficient is +-1, so
+the solver prices over the matrix's nonzeros and updates the basis
+inverse only where it changes. On one BLAS thread neither moves the pivot
+path or the returned point of the dense method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Mapping
 
 import numpy as np
 
@@ -67,9 +66,6 @@ class RapLp:
     @property
     def n_rows(self) -> int:
         return self.a_matrix.shape[0]
-
-    def y_index(self, e: int) -> int:
-        return e
 
     def x_index(self, block_pos: int, e: int) -> int:
         return (block_pos + 1) * self.instance.graph.n_edges + e
@@ -160,14 +156,6 @@ def build_lp(inst: RapInstance) -> RapLp:
     )
 
 
-class LpSolver(Protocol):
-    """Contract for pluggable LP engines."""
-
-    def solve(self, lp: RapLp, tol: float) -> tuple[np.ndarray, float, int]:
-        """Return (variable values, objective, iteration count)."""
-        ...
-
-
 _AT_LB, _AT_UB, _BASIC = 0, 1, 2
 # Update the whole basis inverse once the touched block exceeds 1/4 of it:
 # gathering and scattering a large block costs more than a dense pass. On
@@ -179,12 +167,19 @@ _FULL_UPDATE_RATIO = 4
 # rows per slice of a full update; bounding its temporaries keeps peak
 # memory from growing through heap fragmentation
 _UPDATE_ROWS = 64
+# smallest pivot magnitude accepted by the ratio test and the update
+_PIVOT_TOL = 1e-9
+# pivots between refactorizations of the basis inverse
+_REFACTOR_EVERY = 100
+# degenerate pivots in a row before pricing falls back to Bland's rule
+_DEGENERATE_SWITCH = 50
 
 
-class SimplexSolver:
+def _simplex(lp: RapLp) -> tuple[np.ndarray, float, int]:
     """Two-phase bounded-variable revised primal simplex.
 
-    Dense basis inverse with product-form pivot updates and periodic
+    Returns the variable values, the objective and the pivot count. Dense
+    basis inverse with product-form pivot updates and periodic
     refactorization. Pricing is Dantzig's rule with first-index tie breaks;
     after a run of degenerate pivots it falls back to Bland's rule until a
     positive step is taken, which guarantees termination.
@@ -203,67 +198,55 @@ class SimplexSolver:
     the dual and FTRAN products in another order and can take another
     pivot path.
     """
+    n_rows, n_struct = lp.a_matrix.shape
+    if n_rows == 0:
+        values = lp.lower.copy()
+        return values, float(lp.objective @ values), 0
 
-    def __init__(
-        self,
-        pivot_tol: float = 1e-9,
-        refactor_every: int = 100,
-        degenerate_switch: int = 50,
-    ):
-        self.pivot_tol = pivot_tol
-        self.refactor_every = refactor_every
-        self.degenerate_switch = degenerate_switch
+    l_rows = [i for i, s in enumerate(lp.senses) if s == "L"]
+    e_rows = [i for i, s in enumerate(lp.senses) if s == "E"]
+    n_slack, n_art = len(l_rows), len(e_rows)
+    n_cols = n_struct + n_slack + n_art
 
-    def solve(self, lp: RapLp, tol: float) -> tuple[np.ndarray, float, int]:
-        n_rows, n_struct = lp.a_matrix.shape
-        if n_rows == 0:
-            values = lp.lower.copy()
-            return values, float(lp.objective @ values), 0
+    # column j of the working matrix is row j of a_cols
+    a_cols = np.zeros((n_cols, n_rows))
+    a_cols[:n_struct] = lp.a_matrix.T
+    a_cols[np.arange(n_struct, n_struct + n_slack), l_rows] = 1.0
+    a_cols[np.arange(n_struct + n_slack, n_cols), e_rows] = 1.0
 
-        l_rows = [i for i, s in enumerate(lp.senses) if s == "L"]
-        e_rows = [i for i, s in enumerate(lp.senses) if s == "E"]
-        n_slack, n_art = len(l_rows), len(e_rows)
-        n_cols = n_struct + n_slack + n_art
+    inf = np.inf
+    lower = np.concatenate([lp.lower, np.zeros(n_slack + n_art)])
+    upper = np.concatenate([lp.upper, np.full(n_slack, inf), np.full(n_art, inf)])
 
-        # column j of the working matrix is row j of a_cols
-        a_cols = np.zeros((n_cols, n_rows))
-        a_cols[:n_struct] = lp.a_matrix.T
-        a_cols[np.arange(n_struct, n_struct + n_slack), l_rows] = 1.0
-        a_cols[np.arange(n_struct + n_slack, n_cols), e_rows] = 1.0
+    # start: slacks and artificials basic, structurals at lower bound
+    status = np.full(n_cols, _AT_LB, dtype=np.int8)
+    basic = np.empty(n_rows, dtype=np.int64)
+    for j, i in enumerate(l_rows):
+        basic[i] = n_struct + j
+    for j, i in enumerate(e_rows):
+        basic[i] = n_struct + n_slack + j
+    status[basic] = _BASIC
 
-        inf = np.inf
-        lower = np.concatenate([lp.lower, np.zeros(n_slack + n_art)])
-        upper = np.concatenate([lp.upper, np.full(n_slack, inf), np.full(n_art, inf)])
+    state = _SimplexState(a_cols, lp.rhs.copy(), lower, upper, basic, status)
 
-        # start: slacks and artificials basic, structurals at lower bound
-        status = np.full(n_cols, _AT_LB, dtype=np.int8)
-        basic = np.empty(n_rows, dtype=np.int64)
-        for j, i in enumerate(l_rows):
-            basic[i] = n_struct + j
-        for j, i in enumerate(e_rows):
-            basic[i] = n_struct + n_slack + j
-        status[basic] = _BASIC
+    phase1_cost = np.zeros(n_cols)
+    phase1_cost[n_struct + n_slack :] = 1.0
+    state.run(phase1_cost)
+    if state.objective(phase1_cost) > 1e-7:
+        raise LpError("LP infeasible")
 
-        state = _SimplexState(a_cols, lp.rhs.copy(), lower, upper, basic, status, self)
+    # pin artificials at zero for the optimality phase
+    state.upper[n_struct + n_slack :] = 0.0
+    phase2_cost = np.zeros(n_cols)
+    phase2_cost[:n_struct] = lp.objective
+    state.run(phase2_cost)
 
-        phase1_cost = np.zeros(n_cols)
-        phase1_cost[n_struct + n_slack :] = 1.0
-        state.run(phase1_cost)
-        if state.objective(phase1_cost) > 1e-7:
-            raise LpError("LP infeasible")
-
-        # pin artificials at zero for the optimality phase
-        state.upper[n_struct + n_slack :] = 0.0
-        phase2_cost = np.zeros(n_cols)
-        phase2_cost[:n_struct] = lp.objective
-        state.run(phase2_cost)
-
-        values = state.values()[:n_struct]
-        return values, float(lp.objective @ values), state.iterations
+    values = state.values()[:n_struct]
+    return values, float(lp.objective @ values), state.iterations
 
 
 class _SimplexState:
-    def __init__(self, a_cols, rhs, lower, upper, basic, status, cfg: SimplexSolver):
+    def __init__(self, a_cols, rhs, lower, upper, basic, status):
         self.a_cols = a_cols
         # nonzeros sorted by column, then row
         self.nz_col, self.nz_row = np.nonzero(a_cols)
@@ -273,7 +256,6 @@ class _SimplexState:
         self.upper = upper
         self.basic = basic
         self.status = status
-        self.cfg = cfg
         self.n_cols, self.n_rows = a_cols.shape
         self.b_inv = np.eye(self.n_rows)
         self.iterations = 0
@@ -309,7 +291,6 @@ class _SimplexState:
 
     def run(self, cost: np.ndarray) -> None:
         max_iter = 200 + 100 * (self.n_rows + self.n_cols)
-        piv_tol = self.cfg.pivot_tol
         degenerate_run = 0
         bland = False
         fixed = self.upper - self.lower <= 0
@@ -353,9 +334,9 @@ class _SimplexState:
             # basic variable hits one of its bounds
             cols = self.basic
             t_rows = np.full(self.n_rows, np.inf)
-            pos = dd > piv_tol
+            pos = dd > _PIVOT_TOL
             t_rows[pos] = (self.x_b[pos] - self.lower[cols[pos]]) / dd[pos]
-            neg = (dd < -piv_tol) & (self.upper[cols] != np.inf)
+            neg = (dd < -_PIVOT_TOL) & (self.upper[cols] != np.inf)
             t_rows[neg] = (self.x_b[neg] - self.upper[cols[neg]]) / dd[neg]
             np.maximum(t_rows, 0.0, out=t_rows)
 
@@ -378,7 +359,7 @@ class _SimplexState:
             step = max(t_best, 0.0)
             if step <= 1e-12:
                 degenerate_run += 1
-                if degenerate_run >= self.cfg.degenerate_switch:
+                if degenerate_run >= _DEGENERATE_SWITCH:
                     bland = True
             else:
                 degenerate_run = 0
@@ -401,7 +382,7 @@ class _SimplexState:
             self.basic[leave_row] = j
 
             pivot = d[leave_row]
-            if abs(pivot) < piv_tol:
+            if abs(pivot) < _PIVOT_TOL:
                 raise LpError("numerically singular pivot")
             self.b_inv[leave_row, :] /= pivot
             # subtract d times the pivot row from every other row (the pivot
@@ -419,22 +400,19 @@ class _SimplexState:
                 self.b_inv[np.ix_(ri, ci)] -= np.multiply.outer(d[ri], row[ci])
 
             self._since_refactor += 1
-            if self._since_refactor >= self.cfg.refactor_every:
+            if self._since_refactor >= _REFACTOR_EVERY:
                 self._refactorize()
 
         raise LpError("iteration limit")
 
 
-def solve_lp(
-    lp: RapLp, tol: float = EPS_FEAS, solver: LpSolver | None = None
-) -> FractionalSolution:
+def solve_lp(lp: RapLp, tol: float = EPS_FEAS) -> FractionalSolution:
     """Solve the relaxation to optimality and validate the returned point.
 
     The point is checked against every row and bound with residual at most
     ``tol``; a violation means the engine misbehaved and raises ``LpError``.
     """
-    engine = solver if solver is not None else SimplexSolver()
-    values, objective, iters = engine.solve(lp, tol)
+    values, objective, iters = _simplex(lp)
 
     residual = lp.a_matrix @ values - lp.rhs
     for i, sense in enumerate(lp.senses):

@@ -114,14 +114,20 @@ def uncovered_vulnerable_edge(
     return fast
 
 
-def _sample_and_filter(
+def rounding_iteration(
     inst: RapInstance,
     x_set: frozenset[int],
     frac: FractionalSolution,
     f: int,
     rng: np.random.Generator,
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Core of one iteration; returns (kept edges, full sampled matching)."""
+    """Sample a matching avoiding f and keep its component-merging edges.
+
+    Components are those of (nodes, x_set), fixed for the whole scan. A
+    sampled edge parallel to an isolated-edge f is kept as well (see the
+    module note); everything else inside a single component is dropped.
+    Returns the kept edges and the whole sampled matching.
+    """
     g = inst.graph
     avoid = None if f == NOMINAL_SCENARIO else f
     values = [0.0 if v < TRUNCATE_EPS else v for v in frac.x[f]]
@@ -150,23 +156,6 @@ def _sample_and_filter(
         elif rescue_pair is not None and (r, t) == rescue_pair:
             delta.add(e)
     return frozenset(delta), matched.edge_ids
-
-
-def rounding_iteration(
-    inst: RapInstance,
-    x_set: frozenset[int],
-    frac: FractionalSolution,
-    f: int,
-    rng: np.random.Generator,
-) -> frozenset[int]:
-    """Sample a matching avoiding f and keep its component-merging edges.
-
-    Components are those of (nodes, x_set), fixed for the whole scan. A
-    sampled edge parallel to an isolated-edge f is kept as well (see the
-    module note); everything else inside a single component is dropped.
-    """
-    delta, _ = _sample_and_filter(inst, x_set, frac, f, rng)
-    return delta
 
 
 def prepare(inst: RapInstance) -> RoundPlan:
@@ -224,7 +213,7 @@ def solve_lp_round(
         if len(records) >= m:
             raise RuntimeError("rounding exceeded its iteration bound")
         before = len(components(work.graph, x_set))
-        delta, sampled = _sample_and_filter(work, x_set, frac, f, rng)
+        delta, sampled = rounding_iteration(work, x_set, frac, f, rng)
         x_set = x_set | delta
         records.append(
             IterationRecord(

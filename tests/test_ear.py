@@ -17,6 +17,7 @@ from rapkit.ear import (
 from rapkit.graph_core import (
     BipartiteMultigraph,
     GraphError,
+    PairAnalysis,
     allowed_edges,
     matching_covered_components,
     max_matching,
@@ -269,6 +270,22 @@ def test_decomposition_structure_and_ear_count(data):
         assert len(dec.nontrivial()) <= max(len(comp.t_nodes) - 1, 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_instance())
+def test_trace_follows_allowed_components(data):
+    # one decomposition per edge-bearing component of the allowed subgraph,
+    # in the order the components are found
+    n_r, n_t, edges, vulnerable, costs = data
+    if not brute_feasible(n_r, n_t, edges, vulnerable, set(range(len(edges)))):
+        return
+    inst = make_instance(n_r, n_t, edges, vulnerable=vulnerable, costs=costs)
+    decs = []
+    solve_ear(inst, trace=decs)
+    g = inst.graph
+    comps = matching_covered_components(g, allowed_edges(g))
+    assert [d.edge_set() for d in decs] == [c.edge_ids for c in comps if c.edge_ids]
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_instance())
 def test_lex_min_pm_is_least_perfect_matching(data):
@@ -283,7 +300,7 @@ def test_lex_min_pm_is_least_perfect_matching(data):
         if not ids or not pms:
             continue
         least = min(tuple(sorted(ids[i] for i in pm)) for pm in pms)
-        assert tuple(sorted(_lex_min_pm(g, comp.edge_ids))) == least
+        assert tuple(sorted(_lex_min_pm(PairAnalysis(g, comp.edge_ids)))) == least
 
 
 # sha256 of the solve_ear edge set ("3,5,8") and of its format_ears trace,
@@ -356,7 +373,7 @@ def test_long_cycle_needs_full_swap():
     a_ids = set(range(2 * n)) - b_ids
     assert max_matching(g).edge_ids == a_ids
     active = frozenset(g.edge_ids())
-    assert _lex_min_pm(g, active) == b_ids
+    assert _lex_min_pm(PairAnalysis(g, active)) == b_ids
     dec = ear_decomposition(g)
     assert len(dec.ears) == 2 and len(dec.ears[1]) == 2 * n - 1
     check_decomposition(g, matching_covered_components(g)[0], dec)

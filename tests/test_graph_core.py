@@ -203,6 +203,10 @@ class TestMatchingCoveredComponents:
         comps = matching_covered_components(p4())
         assert len(comps) == 1 and not comps[0].matching_covered
 
+    def test_active_may_be_any_iterable(self):
+        listed = matching_covered_components(c4(), [0, 1, 2, 3])
+        assert matching_covered_components(c4(), (e for e in range(4))) == listed
+
     def test_isolated_node_not_covered(self):
         g = BipartiteMultigraph(2, 2, [(0, 0)])
         comps = matching_covered_components(g)

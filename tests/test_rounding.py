@@ -57,7 +57,7 @@ class TestRoundingIteration:
     def test_empty_selection_takes_whole_matching(self):
         inst = c4_uniform()
         plan = prepare(inst)
-        delta = rounding_iteration(
+        delta, _ = rounding_iteration(
             inst, frozenset(), plan.fractional, 0, np.random.default_rng(0)
         )
         assert delta == frozenset({1, 3})
@@ -65,13 +65,13 @@ class TestRoundingIteration:
     def test_merging_edges_added(self):
         inst = c4_uniform()
         plan = prepare(inst)
-        delta = rounding_iteration(
+        delta, _ = rounding_iteration(
             inst, frozenset({0, 2}), plan.fractional, 1, np.random.default_rng(0)
         )
         # avoiding edge 1 forces matching {0, 2}; both its edges lie inside
         # existing components, so nothing crosses
         assert delta == frozenset()
-        delta = rounding_iteration(
+        delta, _ = rounding_iteration(
             inst, frozenset({1, 3}), plan.fractional, 1, np.random.default_rng(0)
         )
         assert delta == frozenset({0, 2})
@@ -79,7 +79,7 @@ class TestRoundingIteration:
     def test_parallel_edge_rescued_for_isolated_scenario(self):
         inst = uniform_instance(1, 1, [(0, 0), (0, 0)])
         plan = prepare(inst)
-        delta = rounding_iteration(
+        delta, _ = rounding_iteration(
             inst, frozenset({0}), plan.fractional, 0, np.random.default_rng(0)
         )
         # the only matching avoiding edge 0 is its parallel twin, which
