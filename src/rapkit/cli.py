@@ -37,7 +37,6 @@ from .instance import (
     parse_instance,
     parse_solution,
     solution_for,
-    uniformize,
     verify_solution,
 )
 from .lp import build_lp, dump_lp
@@ -128,29 +127,23 @@ def _run_solver(
     algo: str,
     seed: Optional[int],
     ear_order: str,
-    plan: Optional[RoundPlan] = None,
-) -> tuple[Solution, Optional[int], str, Optional[float]]:
+    plan: Optional[RoundPlan],
+) -> tuple[Solution, Optional[int], str]:
     """Run one algorithm on a balanced instance.
 
     Returns the solution, the iteration count when the algorithm has one,
-    the trace text (one line per iteration or per ear; empty for the exact
-    solver), and the relaxation value of ``work`` when the algorithm
-    solved exactly that model (lp-round on an instance it did not
-    uniformize), so the lower bound need not solve it again. lp-round
-    solves the relaxation unless ``plan``, prepared from ``work``, is given.
+    and the trace text (one line per iteration or per ear; empty for the
+    exact solver). lp-round rounds ``plan``, prepared from ``work``.
     """
     if algo == "exact":
-        return solve_exact(work), None, "", None
+        return solve_exact(work), None, ""
     if algo == "ear":
         decs: list[EarDecomposition] = []
         sol = solve_ear(work, ear_order=ear_order, trace=decs)
         text = "\n".join(format_ears(d) for d in decs)
-        return sol, None, text + ("\n" if text else ""), None
-    if plan is None:
-        plan = prepare(work)
+        return sol, None, text + ("\n" if text else "")
     sol, rtrace = solve_lp_round(work, seed=seed if seed is not None else 0, plan=plan)
-    relaxation = plan.fractional.objective if plan.mapping is None else None
-    return sol, rtrace.iterations, format_trace(rtrace), relaxation
+    return sol, rtrace.iterations, format_trace(rtrace)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -170,10 +163,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     seed = args.seed
     if args.algo == "lp-round" and seed is None:
         seed = 0
+    plan = None
     try:
-        sol, iters, trace_text, relaxation = _run_solver(
-            work, args.algo, seed, args.ear_order
-        )
+        if args.algo == "lp-round":
+            plan = prepare(work)
+        sol, iters, trace_text = _run_solver(work, args.algo, seed, args.ear_order, plan)
     except InstanceError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -186,7 +180,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except InfeasibleSolutionError as exc:
         print(f"solver output rejected: {exc}", file=sys.stderr)
         feasible = False
-    lb = lower_bounds(inst, relaxation=relaxation)
+    lb = lower_bounds(inst, plan=plan)
     ratio = sol.cost / lb if lb > 0 else None
     report = RunReport(
         instance=_instance_id(args.infile, text),
@@ -206,9 +200,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.trace:
             Path(args.trace).write_text(trace_text)
         if args.dump_lp:
-            target = work
-            if args.algo == "lp-round" and work.vulnerable and not work.uniform:
-                target = uniformize(work).instance
+            # lp-round dumps the model it rounded, uniformized if it had to be
+            target = plan.work if plan is not None else work
             Path(args.dump_lp).write_text(dump_lp(build_lp(target)))
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
@@ -366,12 +359,8 @@ def _bench_shared(path: Path, lp_round: bool) -> _BenchShared:
         raise
     except Exception as exc:
         ref.failure = _error_text(exc)
-    # a plan that did not uniformize solved the lower bound's model
-    relaxation = None
-    if ref.plan is not None and ref.plan.mapping is None:
-        relaxation = ref.plan.fractional.objective
     try:
-        ref.lb = lower_bounds(inst, relaxation=relaxation)
+        ref.lb = lower_bounds(inst, plan=ref.plan)
     except (AssertionError, RecursionError):
         raise
     except Exception as exc:
@@ -404,7 +393,7 @@ def _bench_one(label: str, shared: _BenchShared, algo: str, seed: int) -> dict[s
         return row
     start = time.perf_counter()
     try:
-        sol, iters, _, _ = _run_solver(shared.work, algo, seed, "lowest", shared.plan)
+        sol, iters, _ = _run_solver(shared.work, algo, seed, "lowest", shared.plan)
         verify_solution(shared.work, sol)
     except (AssertionError, RecursionError):
         raise

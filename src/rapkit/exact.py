@@ -22,6 +22,7 @@ from .instance import (
     solution_for,
 )
 from .lp import build_lp, solve_lp
+from .rounding import RoundPlan
 
 __all__ = ["BnbConfig", "ExactError", "lower_bounds", "solve_exact"]
 
@@ -96,14 +97,15 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
     return solution_for(inst, chosen)
 
 
-def lower_bounds(inst: RapInstance, relaxation: Optional[float] = None) -> float:
+def lower_bounds(inst: RapInstance, plan: Optional[RoundPlan] = None) -> float:
     """Best known lower bound on the optimal cost.
 
     Combines the counting bounds for unit costs (any solution contains a
     matching covering the smaller side; with every edge vulnerable each of
     those nodes needs two incident edges) with the LP relaxation value.
-    A caller that has already solved the relaxation of the balanced
-    instance passes its value as ``relaxation`` instead of solving it again.
+    ``plan``, prepared from the balanced completion of ``inst``, lends its
+    relaxation value when it solved the same model (it did not uniformize);
+    otherwise the relaxation is solved here.
     """
     work = inst
     if not inst.graph.balanced:
@@ -115,8 +117,8 @@ def lower_bounds(inst: RapInstance, relaxation: Optional[float] = None) -> float
         bounds.append(float(n))
         if inst.uniform:
             bounds.append(2.0 * n)
-    if relaxation is None and check_feasible(work):
-        relaxation = solve_lp(build_lp(work)).objective
-    if relaxation is not None:
-        bounds.append(relaxation)
+    if plan is not None and plan.mapping is None:
+        bounds.append(plan.fractional.objective)
+    elif check_feasible(work):
+        bounds.append(solve_lp(build_lp(work)).objective)
     return max(bounds)

@@ -12,7 +12,9 @@ isolated edge of the current selection and the sampled matching covers f's
 endpoints with an edge parallel to f, that edge merges nothing yet must be
 kept, otherwise f would never become covered. The parallel pair then forms
 its own two-node component, which is matching-covered, so the loop
-invariant is unaffected.
+invariant (every edge-bearing component of the selection matching-covered)
+is unaffected. The invariant is checked on every iteration, on the same
+oracle analysis (``instance._scan``) that finds the next f.
 """
 
 from __future__ import annotations
@@ -22,20 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from rapkit.decompose import birkhoff_decompose, sample
-from rapkit.graph_core import components, matching_covered_components
+from rapkit.graph_core import components
 from rapkit.instance import (
     NOMINAL_SCENARIO,
     InstanceError,
     InstanceMapping,
     RapInstance,
     Solution,
-    first_failing_scenario,
+    _scan,
     prune_to_minimal,
     solution_for,
     uniformize,
     verify_solution,
 )
-from rapkit.lp import FractionalSolution, RapLp, build_lp, solve_lp
+from rapkit.lp import FractionalSolution, build_lp, solve_lp
 
 TRUNCATE_EPS = 1e-9
 
@@ -68,50 +70,7 @@ class RoundPlan:
     original: RapInstance
     mapping: InstanceMapping | None
     work: RapInstance
-    lp: RapLp
     fractional: FractionalSolution
-
-
-def _uncovered_fast(inst: RapInstance, x_set: frozenset[int]) -> int | None:
-    """Uncovered test relying on the loop invariant.
-
-    When every edge-bearing component of the selection is matching-covered,
-    a vulnerable edge is uncovered exactly when some node is still isolated
-    (then nothing is covered) or when the edge is alone in its component.
-    """
-    if not inst.vulnerable:
-        return None
-    lowest = min(inst.vulnerable)
-    comps = components(inst.graph, x_set)
-    candidates = []
-    for r_nodes, t_nodes, edge_ids in comps:
-        if len(r_nodes) + len(t_nodes) == 1:
-            return lowest
-        if len(edge_ids) == 1:
-            (e,) = edge_ids
-            if e in inst.vulnerable:
-                candidates.append(e)
-    return min(candidates, default=None)
-
-
-def uncovered_vulnerable_edge(
-    inst: RapInstance, x_set: frozenset[int], debug: bool = False
-) -> int | None:
-    """Lowest-id vulnerable edge f with no perfect matching in x_set minus f.
-
-    Uses the structural fast path, which is valid whenever every
-    edge-bearing component of the selection is matching-covered (always
-    true inside the rounding loop). ``debug`` re-runs the general
-    feasibility oracle and checks agreement.
-    """
-    fast = _uncovered_fast(inst, x_set)
-    if debug and inst.vulnerable:
-        direct = first_failing_scenario(inst, x_set)
-        if fast != direct:
-            raise AssertionError(
-                f"fast uncovered test gave {fast}, oracle gave {direct}"
-            )
-    return fast
 
 
 def rounding_iteration(
@@ -167,69 +126,54 @@ def prepare(inst: RapInstance) -> RoundPlan:
     if inst.vulnerable and not inst.uniform:
         mapping = uniformize(inst)
         work = mapping.instance
-    lp = build_lp(work)
-    frac = solve_lp(lp)
-    return RoundPlan(
-        original=inst, mapping=mapping, work=work, lp=lp, fractional=frac
-    )
-
-
-def _assert_covered_components(inst: RapInstance, x_set: frozenset[int]) -> None:
-    for comp in matching_covered_components(inst.graph, x_set):
-        if comp.edge_ids and not comp.matching_covered:
-            raise AssertionError(
-                f"component with edges {sorted(comp.edge_ids)} is not matching-covered"
-            )
+    frac = solve_lp(build_lp(work))
+    return RoundPlan(original=inst, mapping=mapping, work=work, fractional=frac)
 
 
 def solve_lp_round(
     inst: RapInstance,
     seed: int = 0,
     plan: RoundPlan | None = None,
-    debug: bool = False,
 ) -> tuple[Solution, RoundTrace]:
     """Round the relaxation to a feasible solution, then prune it minimal.
 
     ``plan`` carries the fractional optimum so repeated seeds skip the LP
-    solve. ``debug`` re-verifies the covered test and the matching-covered
-    component invariant after every iteration.
+    solve. Every iteration checks the loop invariant and that it covered its
+    scenario, and raises ``AssertionError`` if not.
     """
     if plan is None or plan.original is not inst:
         plan = prepare(inst)
     work, frac = plan.work, plan.fractional
+    g = work.graph
     rng = np.random.default_rng(seed)
-    m = work.graph.n_edges
 
     x_set: frozenset[int] = frozenset()
     records: list[IterationRecord] = []
-
-    def next_scenario(xs: frozenset[int]) -> int | None:
-        if not work.vulnerable:
-            # nothing is vulnerable: done once the selection holds a matching
-            return first_failing_scenario(work, xs)
-        return uncovered_vulnerable_edge(work, xs, debug=debug)
-
-    while (f := next_scenario(x_set)) is not None:
-        if len(records) >= m:
+    f = _scan(work, x_set)[1]
+    while f is not None:
+        if len(records) >= g.n_edges:
             raise RuntimeError("rounding exceeded its iteration bound")
-        before = len(components(work.graph, x_set))
         delta, sampled = rounding_iteration(work, x_set, frac, f, rng)
         x_set = x_set | delta
+        # the empty selection leaves every node isolated
+        before = records[-1].components_after if records else g.n_r + g.n_t
         records.append(
             IterationRecord(
                 scenario=f,
                 sampled=sampled,
                 added=delta,
                 components_before=before,
-                components_after=len(components(work.graph, x_set)),
+                components_after=len(components(g, x_set)),
             )
         )
-        if debug:
-            _assert_covered_components(work, x_set)
-            # scenarios up to f were covered before; adding edges keeps them so
-            still = first_failing_scenario(work, x_set)
-            if still is not None and still <= f:
-                raise AssertionError(f"scenario {f} still uncovered after its iteration")
+        pairs, f = _scan(work, x_set)
+        # every edge-bearing component is matching-covered exactly when
+        # every selected edge is allowed
+        if not x_set <= pairs.allowed:
+            raise AssertionError(f"edges {sorted(x_set - pairs.allowed)} break the invariant")
+        # scenarios up to the last one were covered; adding edges keeps them so
+        if f is not None and f <= records[-1].scenario:
+            raise AssertionError(f"scenario {records[-1].scenario} still uncovered")
 
     decoded = plan.mapping.decode(x_set) if plan.mapping is not None else x_set
     pruned = prune_to_minimal(inst, solution_for(inst, decoded))

@@ -323,7 +323,7 @@ def test_rounding_feasible_within_iteration_budget():
         plan = prepare(inst)
         m = inst.graph.n_edges
         for seed in range(5):
-            sol, trace = solve_lp_round(inst, seed=seed, plan=plan, debug=True)
+            sol, trace = solve_lp_round(inst, seed=seed, plan=plan)
             try:
                 verify_solution(inst, sol)
             except InfeasibleSolutionError:

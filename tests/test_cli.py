@@ -8,7 +8,11 @@ import csv
 import gc
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,20 @@ def c4_text():
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+# `test_lp_round_outputs_pinned` lines: name, seed, exit code, then digests
+# of stdout, stderr, --out, --trace and --dump-lp
+PINNED_LP_ROUND_LINES = [
+    "gk3 0 0 fd693aee709336bb e3b0c44298fc1c14 68da96bd7aeb82b3 fdc01cf1da7e890f 4911232d0fad1bb1",
+    "gk3 1 0 c10a6a0496c622e4 e3b0c44298fc1c14 8a6fc98612de209b 45de3ebdd462ce73 4911232d0fad1bb1",
+    "rand4 0 0 66ed86d5413bd8b7 e3b0c44298fc1c14 8816d99a471b764d 1030226537a552a5 61e9d4068bcc3e4a",
+    "rand4 1 0 cd3d6065f9bfb8b4 e3b0c44298fc1c14 394a5fd90e1803cd 18eb000dd7d2fa90 61e9d4068bcc3e4a",
+    "unb3x4 0 0 bba1137fbd67f4d9 e3b0c44298fc1c14 b44f385ecb9a25d4 3280dc9ec4609caa 42171ce69b9b3a14",
+    "unb3x4 1 0 8bc3456d60a8f12c e3b0c44298fc1c14 86c52f7668ea8578 c90d90060fb89e60 42171ce69b9b3a14",
+    "nom4 0 0 3a28040759107dc7 e3b0c44298fc1c14 413a24fce1b0b792 7015fc7178f323b8 39c9dd1ba3d12498",
+    "nom4 1 0 d9169ccb723ceabb e3b0c44298fc1c14 413a24fce1b0b792 7015fc7178f323b8 39c9dd1ba3d12498",
+]
 
 
 @pytest.fixture
@@ -91,6 +109,55 @@ class TestSolve:
                 (capsys.readouterr().out, sol.read_bytes(), trace.read_bytes())
             )
         assert outputs[0] == outputs[1]
+
+    def test_lp_round_outputs_pinned(self):
+        # Digests of the report line, --out, --trace and --dump-lp for gk3, a
+        # non-uniform balanced instance (its dump is the uniformized model),
+        # an unbalanced one and one with nothing vulnerable. The rounding
+        # reads the LP's solution bytes, so the runs use one BLAS thread, as
+        # in test_lp.py's test_solution_bytes_pinned, with the same caveat
+        # about the BLAS build.
+        code = (
+            "import contextlib, hashlib, io, tempfile\n"
+            "from pathlib import Path\n"
+            "from rapkit import gk_family, random_instance\n"
+            "from rapkit.cli import main\n"
+            "from rapkit.instance import format_instance, uniformize\n"
+            "from rapkit.lp import build_lp, dump_lp\n"
+            "rand = random_instance(4, 4, 0.6, 0.5, (1, 10), seed=4)\n"
+            "assert rand.vulnerable and not rand.uniform\n"
+            "cases = [('gk3', gk_family(3)), ('rand4', rand),\n"
+            "         ('unb3x4', random_instance(3, 4, 0.6, 0.5, (1, 10), seed=1)),\n"
+            "         ('nom4', random_instance(4, 4, 0.6, 0.0, (1, 10), seed=0))]\n"
+            "def digest(data):\n"
+            "    return hashlib.sha256(data).hexdigest()[:16]\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    for name, inst in cases:\n"
+            "        path = Path(tmp, name + '.txt')\n"
+            "        path.write_text(format_instance(inst))\n"
+            "        for seed in (0, 1):\n"
+            "            sol, trace, lp = (Path(tmp, f'{name}.{seed}.{ext}')\n"
+            "                              for ext in ('sol', 'trace', 'lp'))\n"
+            "            argv = ['solve', '--algo', 'lp-round', '--in', str(path),\n"
+            "                    '--seed', str(seed), '--out', str(sol),\n"
+            "                    '--trace', str(trace), '--dump-lp', str(lp)]\n"
+            "            out, err = io.StringIO(), io.StringIO()\n"
+            "            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "                rc = main(argv)\n"
+            "            if inst is rand:\n"
+            "                assert lp.read_text() == dump_lp(build_lp(uniformize(rand).instance))\n"
+            "            print(name, seed, rc, digest(out.getvalue().encode()),\n"
+            "                  digest(err.getvalue().encode()),\n"
+            "                  *(digest(p.read_bytes()) for p in (sol, trace, lp)))\n"
+        )
+        src = str(Path(rapkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines() == PINNED_LP_ROUND_LINES
 
     def test_solution_file_verifies(self, g3_file, tmp_path, capsys):
         sol = tmp_path / "g3.sol"
@@ -355,16 +422,16 @@ class TestBench:
         assert all(row[3] for row in rows)
 
     def test_lp_round_seeds_share_one_relaxation(self, tmp_path, capsys, monkeypatch):
-        plans, relaxations = [], []
+        plans, lent = [], []
         real_prepare, real_lower_bounds = rapkit.cli.prepare, rapkit.cli.lower_bounds
 
         def counting_prepare(work):
             plans.append(real_prepare(work))
             return plans[-1]
 
-        def recording_lower_bounds(inst, relaxation=None):
-            relaxations.append(relaxation)
-            return real_lower_bounds(inst, relaxation=relaxation)
+        def recording_lower_bounds(inst, plan=None):
+            lent.append(plan)
+            return real_lower_bounds(inst, plan=plan)
 
         monkeypatch.setattr(rapkit.cli, "prepare", counting_prepare)
         monkeypatch.setattr(rapkit.cli, "lower_bounds", recording_lower_bounds)
@@ -372,7 +439,7 @@ class TestBench:
         assert main(["bench", manifest, "--seeds", "0..2"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(plans) == 1 and plans[0].mapping is None
-        assert relaxations == [plans[0].fractional.objective]
+        assert len(lent) == 1 and lent[0] is plans[0]
         # each row matches a solve that prepares its own relaxation
         for row in rows:
             argv = ["solve", "--algo", "lp-round", "--seed", row["seed"],
@@ -439,7 +506,7 @@ class TestBench:
         assert rows[0][0] == "g3.txt" and rows[0][3] == "9"
 
     def test_error_column_names_failures(self, tmp_path, capsys, monkeypatch):
-        def no_memory(inst, relaxation=None):
+        def no_memory(inst, plan=None):
             raise MemoryError("dense LP too large\nsecond line")
 
         monkeypatch.setattr(rapkit.cli, "lower_bounds", no_memory)

@@ -33,7 +33,7 @@ def test_solvers_agree_with_oracles(data):
     assert robust(exact.edge_ids)
     assert (exact.cost, exact.edge_ids) == (pytest.approx(optimum[0], abs=1e-9), optimum[1])
 
-    rounded, trace = solve_lp_round(inst, seed=0, debug=True)
+    rounded, trace = solve_lp_round(inst, seed=0)
     assert robust(rounded.edge_ids)
     assert trace.iterations <= len(edges)
     assert rounded.cost >= optimum[0] - 1e-9

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+import rapkit.exact
 from rapkit.exact import BnbConfig, ExactError, lower_bounds, solve_exact
 from rapkit.instance import (
     InstanceError,
@@ -10,6 +11,7 @@ from rapkit.instance import (
     uniform_instance,
     verify_solution,
 )
+from rapkit.rounding import prepare
 
 from oracles import brute_exact, brute_exact_unbalanced, min_cost_pm_value
 from strategies import small_instance
@@ -108,6 +110,29 @@ def test_lower_bounds_examples():
     # non-uniform unit costs: matching bound only
     ni = make_instance(2, 2, C4_EDGES, vulnerable=[0], costs=[1, 1, 1, 1])
     assert lower_bounds(ni) >= 2.0
+
+
+@pytest.mark.parametrize(
+    "vulnerable, uniformized",
+    [(range(4), False), ([], False), ([0], True)],
+    ids=["uniform", "nominal", "uniformized"],
+)
+def test_lower_bounds_reuse_a_plan_of_the_same_model(monkeypatch, vulnerable, uniformized):
+    inst = make_instance(2, 2, C4_EDGES, vulnerable=list(vulnerable), costs=[2, 3, 5, 7])
+    expected = lower_bounds(inst)
+    plan = prepare(inst)
+    assert (plan.mapping is not None) == uniformized
+    solves = []
+    real_solve_lp = rapkit.exact.solve_lp
+
+    def counting_solve_lp(lp):
+        solves.append(lp)
+        return real_solve_lp(lp)
+
+    monkeypatch.setattr(rapkit.exact, "solve_lp", counting_solve_lp)
+    assert lower_bounds(inst, plan) == expected
+    # a uniformized plan solved another model, so the bound solves its own
+    assert len(solves) == uniformized
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,19 +4,22 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from strategies import small_graph
+from strategies import small_graph, small_instance
 
 from rapkit.graph_core import (
     BipartiteMultigraph,
     GraphError,
+    PairAnalysis,
     allowed_edges,
     components,
     has_pm_avoiding,
     matching_covered_components,
     max_matching,
 )
+from rapkit.instance import make_instance, uniformize
 
 # 4-cycle r0-t0-r1-t1-r0, edge ids in cycle order
 C4_EDGES = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -230,6 +233,20 @@ class TestMatchingCoveredComponents:
                 range(len(comp.edge_ids))
             )
             assert comp.matching_covered == covered
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_instance(), st.booleans(), st.data())
+    def test_covered_exactly_when_every_edge_allowed(self, data, doubled, picks):
+        # the rounding loop's invariant check reads the allowed set; the
+        # uniformized copy brings parallel edges
+        inst = make_instance(*data)
+        g = uniformize(inst).instance.graph if doubled else inst.graph
+        ids = st.sampled_from(range(g.n_edges)) if g.n_edges else st.nothing()
+        x = frozenset(picks.draw(st.sets(ids)))
+        covered = all(
+            c.matching_covered for c in matching_covered_components(g, x) if c.edge_ids
+        )
+        assert (x <= PairAnalysis(g, x).allowed) == covered
 
 
 def _relabel(g: BipartiteMultigraph, comp) -> list[tuple[int, int]]:

@@ -113,6 +113,7 @@ class TestFirstFailingScenario:
     def test_c4(self):
         inst = c4_uniform()
         assert first_failing_scenario(inst) is None
+        assert first_failing_scenario(inst, set(range(4))) is None
         assert first_failing_scenario(inst, {0, 2}) == 0
         assert first_failing_scenario(inst, {0, 1, 2}) == 0
         assert first_failing_scenario(inst, set()) == 0
@@ -125,6 +126,8 @@ class TestFirstFailingScenario:
     def test_parallel_copy_covers(self):
         inst = uniform_instance(1, 1, [(0, 0), (0, 0)])
         assert first_failing_scenario(inst) is None
+        assert first_failing_scenario(inst, {0, 1}) is None
+        assert first_failing_scenario(inst, {0}) == 0
         assert first_failing_scenario(inst, {1}) == 1
 
     def test_rejects_non_edge(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import oracles
 from strategies import small_instance
 
+import rapkit.rounding
 from rapkit.instance import (
     InstanceError,
     is_feasible_set,
@@ -21,7 +22,6 @@ from rapkit.rounding import (
     prepare,
     rounding_iteration,
     solve_lp_round,
-    uncovered_vulnerable_edge,
 )
 from test_graph_core import gk_graph
 
@@ -30,27 +30,6 @@ C4_EDGES = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 def c4_uniform():
     return uniform_instance(2, 2, C4_EDGES)
-
-
-class TestUncoveredVulnerableEdge:
-    def test_empty_selection(self):
-        assert uncovered_vulnerable_edge(c4_uniform(), frozenset()) == 0
-
-    def test_single_matching_lowest_failing(self):
-        assert uncovered_vulnerable_edge(c4_uniform(), frozenset({0, 2})) == 0
-
-    def test_full_selection_covered(self):
-        assert uncovered_vulnerable_edge(c4_uniform(), frozenset(range(4))) is None
-
-    def test_parallel_pair_component_is_covered(self):
-        inst = uniform_instance(1, 1, [(0, 0), (0, 0)])
-        assert uncovered_vulnerable_edge(inst, frozenset({0, 1})) is None
-        assert uncovered_vulnerable_edge(inst, frozenset({0})) == 0
-
-    def test_debug_agreement_on_loop_states(self):
-        inst = c4_uniform()
-        for x in [frozenset(), frozenset({0, 2}), frozenset(range(4))]:
-            assert uncovered_vulnerable_edge(inst, x, debug=True) == uncovered_vulnerable_edge(inst, x)
 
 
 class TestRoundingIteration:
@@ -91,14 +70,14 @@ class TestSolveLpRound:
     def test_c4_uniform_needs_all_edges(self):
         inst = c4_uniform()
         for seed in range(4):
-            sol, trace = solve_lp_round(inst, seed=seed, debug=True)
+            sol, trace = solve_lp_round(inst, seed=seed)
             assert sol.edge_ids == frozenset(range(4))
             assert sol.cost == pytest.approx(4.0)
             assert trace.iterations <= 4
 
     def test_parallel_pair_instance_terminates(self):
         inst = uniform_instance(1, 1, [(0, 0), (0, 0)])
-        sol, trace = solve_lp_round(inst, seed=0, debug=True)
+        sol, trace = solve_lp_round(inst, seed=0)
         assert sol.edge_ids == frozenset({0, 1})
         assert trace.iterations <= 2
 
@@ -106,7 +85,7 @@ class TestSolveLpRound:
         edges = [(0, 0), (0, 1), (1, 0), (1, 1)]
         costs = [2.0, 7.0, 3.0, 1.0]
         inst = make_instance(2, 2, edges, [], costs)
-        sol, trace = solve_lp_round(inst, seed=3, debug=True)
+        sol, trace = solve_lp_round(inst, seed=3)
         assert sol.cost == pytest.approx(
             oracles.min_cost_pm_value(2, 2, edges, costs)
         )
@@ -117,16 +96,34 @@ class TestSolveLpRound:
         inst = uniform_instance(g.n_r, g.n_t, list(g.edges))
         plan = prepare(inst)
         for seed in range(10):
-            sol, trace = solve_lp_round(inst, seed=seed, plan=plan, debug=True)
+            sol, trace = solve_lp_round(inst, seed=seed, plan=plan)
             assert 8 <= len(sol.edge_ids) <= 12
             assert trace.iterations <= 12
 
     def test_nonuniform_decodes_to_original_ids(self):
         inst = make_instance(2, 2, C4_EDGES, [0], [1.0] * 4)
         for seed in range(6):
-            sol, _ = solve_lp_round(inst, seed=seed, debug=True)
+            sol, _ = solve_lp_round(inst, seed=seed)
             assert sol.edge_ids <= frozenset(range(4))
             verify_solution(inst, sol)
+
+    @pytest.mark.parametrize(
+        "added, message",
+        [
+            # a three-edge path is matchable, but its middle edge 0 lies in
+            # no perfect matching
+            (frozenset({0, 1, 3}), "invariant"),
+            (frozenset(), "scenario 0 still uncovered"),
+        ],
+        ids=["edge-not-allowed", "no-progress"],
+    )
+    def test_broken_iteration_raises(self, monkeypatch, added, message):
+        def broken_iteration(inst, x_set, frac, f, rng):
+            return added, added
+
+        monkeypatch.setattr(rapkit.rounding, "rounding_iteration", broken_iteration)
+        with pytest.raises(AssertionError, match=message):
+            solve_lp_round(c4_uniform(), seed=0)
 
     def test_infeasible_rejected(self):
         inst = uniform_instance(1, 1, [(0, 0)])
@@ -160,7 +157,7 @@ class TestSolveLpRound:
         inst = make_instance(n_r, n_t, edges, vulnerable, costs)
         plan = prepare(inst)
         for seed in (0, 1):
-            sol, trace = solve_lp_round(inst, seed=seed, plan=plan, debug=True)
+            sol, trace = solve_lp_round(inst, seed=seed, plan=plan)
             verify_solution(inst, sol)
             assert trace.iterations <= plan.work.graph.n_edges
 
