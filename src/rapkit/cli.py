@@ -27,10 +27,9 @@ from .instance import (
     NOMINAL_SCENARIO,
     InfeasibleSolutionError,
     InstanceError,
-    InstanceMapping,
     RapInstance,
     Solution,
-    balanced_completion,
+    _completed,
     check_feasible,
     format_instance,
     format_solution,
@@ -69,8 +68,8 @@ class RunReport:
     """Outcome of a single solver run.
 
     ``feasible`` always comes from re-verifying the produced solution,
-    never from the solver itself.  ``ratio`` is absent when the lower
-    bound is zero.
+    never from the solver itself.  ``lower_bound`` is absent when its
+    solve failed, and ``ratio`` when the bound is absent or zero.
     """
 
     instance: str
@@ -79,7 +78,7 @@ class RunReport:
     cost: float
     feasible: bool
     iterations: Optional[int]
-    lower_bound: float
+    lower_bound: Optional[float]
     ratio: Optional[float] = None
 
     def line(self) -> str:
@@ -87,12 +86,13 @@ class RunReport:
         # byte-identical reports
         seed = "-" if self.seed is None else str(self.seed)
         iters = "-" if self.iterations is None else str(self.iterations)
+        lb = "-" if self.lower_bound is None else _num(self.lower_bound)
         ratio = "-" if self.ratio is None else f"{self.ratio:.4f}"
         flag = "yes" if self.feasible else "no"
         return (
             f"instance={self.instance} algo={self.algo} seed={seed} "
             f"cost={_num(self.cost)} feasible={flag} iters={iters} "
-            f"lb={_num(self.lower_bound)} ratio={ratio}"
+            f"lb={lb} ratio={ratio}"
         )
 
 
@@ -113,13 +113,6 @@ def _instance_id(path: str, text: str) -> str:
 def _read_instance(path: str) -> tuple[RapInstance, str]:
     text = Path(path).read_text()
     return parse_instance(text), text
-
-
-def _completed(inst: RapInstance) -> tuple[Optional[InstanceMapping], RapInstance]:
-    if inst.graph.balanced:
-        return None, inst
-    mapping = balanced_completion(inst)
-    return mapping, mapping.instance
 
 
 def _run_solver(
@@ -180,8 +173,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except InfeasibleSolutionError as exc:
         print(f"solver output rejected: {exc}", file=sys.stderr)
         feasible = False
-    lb = lower_bounds(inst, plan=plan)
-    ratio = sol.cost / lb if lb > 0 else None
+    try:
+        lb = lower_bounds(inst, plan=plan)
+    except (AssertionError, RecursionError):
+        raise
+    except Exception as exc:
+        print(f"lb: {_error_text(exc)}", file=sys.stderr)
+        lb = None
+    ratio = sol.cost / lb if lb is not None and lb > 0 else None
     report = RunReport(
         instance=_instance_id(args.infile, text),
         algo=args.algo,

@@ -54,32 +54,31 @@ def birkhoff_decompose(
     g: BipartiteMultigraph,
     f: int | None,
     x: Sequence[float],
-    eps: float = DEFAULT_EPS,
 ) -> ConvexCombination:
     """Peel ``x`` into perfect matchings of ``g`` that avoid edge ``f``.
 
     ``f`` may be None when no edge must be avoided. Requires x >= 0 with
-    x_f at most ``eps``; degree sums should be within ``eps`` of one, which
-    holds for solver output. Raises when the remaining support stops
-    containing a perfect matching while mass is left, which signals an
-    upstream tolerance failure.
+    x_f at most ``DEFAULT_EPS``; degree sums should be within
+    ``DEFAULT_EPS`` of one, which holds for solver output. Raises when the
+    remaining support stops containing a perfect matching while mass is
+    left, which signals an upstream tolerance failure.
     """
     residual = np.asarray(x, dtype=float).copy()
     if residual.shape != (g.n_edges,):
         raise DecomposeError("one value per edge required")
-    if np.any(residual < -eps):
+    if np.any(residual < -DEFAULT_EPS):
         raise DecomposeError("negative coordinate")
     if f is not None:
         if not (0 <= f < g.n_edges):
             raise DecomposeError(f"no edge with id {f}")
-        if residual[f] > eps:
+        if residual[f] > DEFAULT_EPS:
             raise DecomposeError("avoided edge carries mass")
         residual[f] = 0.0
 
     all_ids = np.arange(g.n_edges)
     terms: list[tuple[float, Matching]] = []
-    while residual.size and float(residual.max()) > eps:
-        support = residual > eps
+    while residual.size and float(residual.max()) > DEFAULT_EPS:
+        support = residual > DEFAULT_EPS
         forbidden = frozenset(all_ids[~support].tolist())
         matching = max_matching(g, forbidden)
         if not matching.perfect:

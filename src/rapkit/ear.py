@@ -25,8 +25,8 @@ from .instance import (
     InstanceError,
     RapInstance,
     Solution,
+    _completed,
     _scan,
-    balanced_completion,
     solution_for,
     verify_solution,
 )
@@ -293,11 +293,7 @@ def solve_ear(
     of every component as it is built.
     """
     rng = parse_ear_order(ear_order)
-    mapping = None
-    work = inst
-    if not inst.graph.balanced:
-        mapping = balanced_completion(inst)
-        work = mapping.instance
+    mapping, work = _completed(inst)
     pairs, failing = _scan(work, None)
     if failing is not None:
         raise InstanceError("infeasible instance")

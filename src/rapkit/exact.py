@@ -16,7 +16,7 @@ from .instance import (
     InstanceError,
     RapInstance,
     Solution,
-    balanced_completion,
+    _completed,
     check_feasible,
     first_failing_scenario,
     solution_for,
@@ -49,11 +49,7 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
     up in the answer.
     """
     cfg = cfg or BnbConfig()
-    mapping = None
-    work = inst
-    if not inst.graph.balanced:
-        mapping = balanced_completion(inst)
-        work = mapping.instance
+    mapping, work = _completed(inst)
     m = work.graph.n_edges
     if m > cfg.max_edges:
         raise ExactError("instance too large for exact solver")
@@ -107,9 +103,7 @@ def lower_bounds(inst: RapInstance, plan: Optional[RoundPlan] = None) -> float:
     relaxation value when it solved the same model (it did not uniformize);
     otherwise the relaxation is solved here.
     """
-    work = inst
-    if not inst.graph.balanced:
-        work = balanced_completion(inst).instance
+    _, work = _completed(inst)
     n = min(inst.graph.n_r, inst.graph.n_t)
     bounds = [0.0]
     unit = inst.graph.n_edges > 0 and all(c == 1 for c in inst.costs)

@@ -284,6 +284,14 @@ def balanced_completion(inst: RapInstance) -> InstanceMapping:
     )
 
 
+def _completed(inst: RapInstance) -> tuple[InstanceMapping | None, RapInstance]:
+    """The balanced completion's mapping and instance; ``None, inst`` if balanced."""
+    if inst.graph.balanced:
+        return None, inst
+    mapping = balanced_completion(inst)
+    return mapping, mapping.instance
+
+
 def uniformize(inst: RapInstance) -> InstanceMapping:
     """Make every edge vulnerable by doubling the invulnerable ones.
 

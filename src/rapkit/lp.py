@@ -7,10 +7,10 @@ matching polytope, so each block contributes one equality per node and one
 coupling inequality x <= y per edge. Minimizing c*y over these constraints
 lower-bounds every robust solution.
 
-The solver is a bounded-variable revised primal simplex on a dense basis
-inverse. The model is nearly all zeros and every coefficient is +-1, so
-the solver prices over the matrix's nonzeros and updates the basis
-inverse only where it changes. On one BLAS thread neither moves the pivot
+The model is nearly all zeros and every coefficient is +-1, so it is kept
+as its nonzeros. The solver, a bounded-variable revised primal simplex,
+prices over them and keeps one dense array, the basis inverse, which it
+updates only where it changes. On one BLAS thread neither moves the pivot
 path or the returned point of the dense method.
 """
 
@@ -46,11 +46,16 @@ class RapLp:
     optimum is the cheapest perfect matching. Rows: per-block degree
     equalities (R nodes then T nodes), then per-block coupling rows
     x_e - y_e <= 0. The fixing x^{-f}_f = 0 is a variable bound, not a row.
+    The matrix is held as its nonzeros: ``vals[p]`` sits at row ``rows[p]``
+    of column ``cols[p]``, sorted by column and then row.
     """
 
     instance: RapInstance
     blocks: tuple[int, ...]
-    a_matrix: np.ndarray
+    n_rows: int
+    cols: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
     senses: tuple[str, ...]
     rhs: np.ndarray
     lower: np.ndarray
@@ -61,11 +66,14 @@ class RapLp:
 
     @property
     def n_vars(self) -> int:
-        return self.a_matrix.shape[1]
+        return len(self.objective)
 
     @property
-    def n_rows(self) -> int:
-        return self.a_matrix.shape[0]
+    def a_matrix(self) -> np.ndarray:
+        """A dense copy of the matrix for inspection; the solver never builds one."""
+        a = np.zeros((self.n_rows, self.n_vars))
+        a[self.rows, self.cols] = self.vals
+        return a
 
     def x_index(self, block_pos: int, e: int) -> int:
         return (block_pos + 1) * self.instance.graph.n_edges + e
@@ -94,40 +102,35 @@ def build_lp(inst: RapInstance) -> RapLp:
     n_deg = k * (g.n_r + g.n_t)
     n_rows = n_deg + k * m
 
-    a = np.zeros((n_rows, n_vars))
-    rhs = np.zeros(n_rows)
-    senses: list[str] = []
-    row_names: list[str] = []
+    ends = np.array(g.edges, dtype=np.int64).reshape(m, 2)
+    block_pos = np.arange(k)[:, None]
+    edge = np.arange(m)[None, :]
+    coupling = n_deg + block_pos * m + edge  # (k, m): row of x^f_e - y_e <= 0
+    # y_e: -1 in the coupling row of e in every block
+    y_cols = np.repeat(np.arange(m), k)
+    y_rows = coupling.T.ravel()
+    # x^f_e: +1 in its block's R and T degree rows and in its coupling row
+    deg_base = block_pos * (g.n_r + g.n_t)
+    x_rows = np.stack(
+        [deg_base + ends[:, 0], deg_base + g.n_r + ends[:, 1], coupling], axis=2
+    ).ravel()
+    x_cols = np.repeat(((block_pos + 1) * m + edge).ravel(), 3)
+    cols = np.concatenate([y_cols, x_cols])
+    rows = np.concatenate([y_rows, x_rows])
+    vals = np.concatenate([np.full(y_cols.size, -1.0), np.ones(x_cols.size)])
+
+    rhs = np.concatenate([np.ones(n_deg), np.zeros(k * m)])
+    senses = ("E",) * n_deg + ("L",) * (k * m)
 
     def block_tag(f: int) -> str:
         return "nom" if f == NOMINAL_SCENARIO else f"f{f}"
 
-    row = 0
-    for pos, f in enumerate(blocks):
-        base = (pos + 1) * m
-        for r in range(g.n_r):
-            for e in g.adj_r[r]:
-                a[row, base + e] += 1.0
-            rhs[row] = 1.0
-            senses.append("E")
-            row_names.append(f"deg_{block_tag(f)}_r{r}")
-            row += 1
-        for t in range(g.n_t):
-            for e in g.adj_t[t]:
-                a[row, base + e] += 1.0
-            rhs[row] = 1.0
-            senses.append("E")
-            row_names.append(f"deg_{block_tag(f)}_t{t}")
-            row += 1
-    for pos, f in enumerate(blocks):
-        base = (pos + 1) * m
-        for e in range(m):
-            a[row, base + e] = 1.0
-            a[row, e] = -1.0
-            rhs[row] = 0.0
-            senses.append("L")
-            row_names.append(f"cpl_{block_tag(f)}_e{e}")
-            row += 1
+    row_names: list[str] = []
+    for f in blocks:
+        row_names += [f"deg_{block_tag(f)}_r{r}" for r in range(g.n_r)]
+        row_names += [f"deg_{block_tag(f)}_t{t}" for t in range(g.n_t)]
+    for f in blocks:
+        row_names += [f"cpl_{block_tag(f)}_e{e}" for e in range(m)]
 
     lower = np.zeros(n_vars)
     upper = np.ones(n_vars)
@@ -145,8 +148,11 @@ def build_lp(inst: RapInstance) -> RapLp:
     return RapLp(
         instance=inst,
         blocks=blocks,
-        a_matrix=a,
-        senses=tuple(senses),
+        n_rows=n_rows,
+        cols=cols,
+        rows=rows,
+        vals=vals,
+        senses=senses,
         rhs=rhs,
         lower=lower,
         upper=upper,
@@ -185,49 +191,44 @@ def _simplex(lp: RapLp) -> tuple[np.ndarray, float, int]:
     positive step is taken, which guarantees termination.
 
     The working matrix (structurals, then one slack or artificial column
-    per row) is stored once, column-major, as an (n_cols, n_rows) array,
-    with its nonzeros as (col, row, val) arrays sorted by column and row.
-    Pricing sums each column's nonzero terms in ascending row order; the
-    coefficients are +-1, so the products are exact and the sums match the
-    dense one-thread product bit for bit. A pivot updates the basis inverse
-    only on the rows where the entering column is nonzero and the columns
-    where the pivot row is nonzero, or in full, in slices of rows, when
-    that block exceeds a quarter of the matrix. The two paths differ only
-    in the sign of a zero, and each phase ends with a refactorization, so
-    the returned point does not depend on the choice. A threaded BLAS sums
-    the dual and FTRAN products in another order and can take another
-    pivot path.
+    per row) is held only as its nonzeros, sorted by column and row. FTRAN
+    and refactorization scatter them into zeroed arrays, so the dense
+    products see the values a dense matrix would hold. Pricing sums each
+    column's nonzero terms in ascending row order; the coefficients are
+    +-1, so the products are exact and the sums match the dense one-thread
+    product bit for bit. A pivot updates the basis inverse only on the
+    rows where the entering column is nonzero and the columns where the
+    pivot row is nonzero, or in full, in slices of rows, when that block
+    exceeds a quarter of the matrix. The two paths differ only in the sign
+    of a zero, and each phase ends with a refactorization, so the returned
+    point does not depend on the choice. A threaded BLAS sums the dual and
+    FTRAN products in another order and can take another pivot path.
     """
-    n_rows, n_struct = lp.a_matrix.shape
+    n_rows, n_struct = lp.n_rows, lp.n_vars
     if n_rows == 0:
         values = lp.lower.copy()
         return values, float(lp.objective @ values), 0
 
-    l_rows = [i for i, s in enumerate(lp.senses) if s == "L"]
-    e_rows = [i for i, s in enumerate(lp.senses) if s == "E"]
-    n_slack, n_art = len(l_rows), len(e_rows)
-    n_cols = n_struct + n_slack + n_art
+    senses = np.array(lp.senses)
+    # slacks ("L" rows), then artificials ("E" rows), each one +1 after the structurals
+    slack_rows = np.concatenate([np.flatnonzero(senses == "L"), np.flatnonzero(senses == "E")])
+    n_slack = int(np.count_nonzero(senses == "L"))
+    n_cols = n_struct + n_rows
+    slack_cols = np.arange(n_struct, n_cols)
+    nz_col = np.concatenate([lp.cols, slack_cols])
+    nz_row = np.concatenate([lp.rows, slack_rows])
+    nz_val = np.concatenate([lp.vals, np.ones(n_rows)])
 
-    # column j of the working matrix is row j of a_cols
-    a_cols = np.zeros((n_cols, n_rows))
-    a_cols[:n_struct] = lp.a_matrix.T
-    a_cols[np.arange(n_struct, n_struct + n_slack), l_rows] = 1.0
-    a_cols[np.arange(n_struct + n_slack, n_cols), e_rows] = 1.0
-
-    inf = np.inf
-    lower = np.concatenate([lp.lower, np.zeros(n_slack + n_art)])
-    upper = np.concatenate([lp.upper, np.full(n_slack, inf), np.full(n_art, inf)])
+    lower = np.concatenate([lp.lower, np.zeros(n_rows)])
+    upper = np.concatenate([lp.upper, np.full(n_rows, np.inf)])
 
     # start: slacks and artificials basic, structurals at lower bound
     status = np.full(n_cols, _AT_LB, dtype=np.int8)
     basic = np.empty(n_rows, dtype=np.int64)
-    for j, i in enumerate(l_rows):
-        basic[i] = n_struct + j
-    for j, i in enumerate(e_rows):
-        basic[i] = n_struct + n_slack + j
+    basic[slack_rows] = slack_cols
     status[basic] = _BASIC
 
-    state = _SimplexState(a_cols, lp.rhs.copy(), lower, upper, basic, status)
+    state = _SimplexState(nz_col, nz_row, nz_val, lp.rhs.copy(), lower, upper, basic, status)
 
     phase1_cost = np.zeros(n_cols)
     phase1_cost[n_struct + n_slack :] = 1.0
@@ -246,17 +247,17 @@ def _simplex(lp: RapLp) -> tuple[np.ndarray, float, int]:
 
 
 class _SimplexState:
-    def __init__(self, a_cols, rhs, lower, upper, basic, status):
-        self.a_cols = a_cols
-        # nonzeros sorted by column, then row
-        self.nz_col, self.nz_row = np.nonzero(a_cols)
-        self.nz_val = a_cols[self.nz_col, self.nz_row]
+    def __init__(self, nz_col, nz_row, nz_val, rhs, lower, upper, basic, status):
+        # the working matrix's nonzeros, sorted by column, then row
+        self.nz_col, self.nz_row, self.nz_val = nz_col, nz_row, nz_val
         self.rhs = rhs
         self.lower = lower
         self.upper = upper
         self.basic = basic
         self.status = status
-        self.n_cols, self.n_rows = a_cols.shape
+        self.n_cols, self.n_rows = len(status), len(rhs)
+        # column j's nonzeros are entries col_start[j] up to col_start[j + 1]
+        self.col_start = np.searchsorted(nz_col, np.arange(self.n_cols + 1))
         self.b_inv = np.eye(self.n_rows)
         self.iterations = 0
         self._since_refactor = 0
@@ -269,11 +270,19 @@ class _SimplexState:
 
     def _recompute_basics(self) -> np.ndarray:
         # nonbasic values sit at 0/1 bounds, so these sums are exact
-        vals = self._nonbasic_values()
-        return self.b_inv @ (self.rhs - vals @ self.a_cols)
+        terms = self._nonbasic_values()[self.nz_col] * self.nz_val
+        lhs = np.bincount(self.nz_row, weights=terms, minlength=self.n_rows)
+        return self.b_inv @ (self.rhs - lhs)
 
     def _refactorize(self) -> None:
-        b = self.a_cols[self.basic].T
+        # column k of the basis is working column basic[k]
+        pos = np.full(self.n_cols, -1)
+        pos[self.basic] = np.arange(self.n_rows)
+        k = pos[self.nz_col]
+        in_basis = k >= 0
+        b = np.zeros((self.n_rows, self.n_rows))
+        b[self.nz_row[in_basis], k[in_basis]] = self.nz_val[in_basis]
+        del self.b_inv  # freed before the new inverse is allocated
         try:
             self.b_inv = np.linalg.inv(b)
         except np.linalg.LinAlgError as exc:
@@ -326,7 +335,10 @@ class _SimplexState:
                     self._refactorize()
                     return
 
-            d = self.b_inv @ self.a_cols[j]
+            a_j = np.zeros(self.n_rows)
+            nz = slice(self.col_start[j], self.col_start[j + 1])
+            a_j[self.nz_row[nz]] = self.nz_val[nz]
+            d = self.b_inv @ a_j
             sigma = 1.0 if self.status[j] == _AT_LB else -1.0
             dd = sigma * d
 
@@ -406,20 +418,21 @@ class _SimplexState:
         raise LpError("iteration limit")
 
 
-def solve_lp(lp: RapLp, tol: float = EPS_FEAS) -> FractionalSolution:
+def solve_lp(lp: RapLp) -> FractionalSolution:
     """Solve the relaxation to optimality and validate the returned point.
 
-    The point is checked against every row and bound with residual at most
-    ``tol``; a violation means the engine misbehaved and raises ``LpError``.
+    The point is checked against every row and bound within ``EPS_FEAS``;
+    a violation means the engine misbehaved and raises ``LpError``.
     """
     values, objective, iters = _simplex(lp)
 
-    residual = lp.a_matrix @ values - lp.rhs
+    lhs = np.bincount(lp.rows, weights=lp.vals * values[lp.cols], minlength=lp.n_rows)
+    residual = lhs - lp.rhs
     for i, sense in enumerate(lp.senses):
-        bad = abs(residual[i]) > tol if sense == "E" else residual[i] > tol
+        bad = abs(residual[i]) > EPS_FEAS if sense == "E" else residual[i] > EPS_FEAS
         if bad:
             raise LpError(f"residual {residual[i]:.2e} on row {lp.row_names[i]}")
-    if np.any(values < lp.lower - tol) or np.any(values > lp.upper + tol):
+    if np.any(values < lp.lower - EPS_FEAS) or np.any(values > lp.upper + EPS_FEAS):
         raise LpError("variable bound violated")
 
     m = lp.instance.graph.n_edges
@@ -441,24 +454,19 @@ def dump_lp(lp: RapLp) -> str:
         return f"{sign}{coef_s}{name}"
 
     lines = ["Minimize"]
-    obj_terms = []
-    first = True
-    for j, cval in enumerate(lp.objective):
-        if cval == 0.0:
-            continue
-        obj_terms.append(term(float(cval), lp.var_names[j], first))
-        first = False
+    obj_terms: list[str] = []
+    for j in np.flatnonzero(lp.objective):
+        obj_terms.append(term(float(lp.objective[j]), lp.var_names[j], not obj_terms))
     lines.append(" obj: " + (" ".join(obj_terms) or "0"))
     lines.append("Subject To")
+    terms: list[list[str]] = [[] for _ in range(lp.n_rows)]
+    # each row's terms in ascending column order
+    for p in np.lexsort((lp.cols, lp.rows)):
+        row = terms[lp.rows[p]]
+        row.append(term(float(lp.vals[p]), lp.var_names[lp.cols[p]], not row))
     for i in range(lp.n_rows):
-        row = lp.a_matrix[i]
-        terms = []
-        first = True
-        for j in np.flatnonzero(row):
-            terms.append(term(float(row[j]), lp.var_names[j], first))
-            first = False
         op = "=" if lp.senses[i] == "E" else "<="
-        lines.append(f" {lp.row_names[i]}: {' '.join(terms)} {op} {lp.rhs[i]:g}")
+        lines.append(f" {lp.row_names[i]}: {' '.join(terms[i])} {op} {lp.rhs[i]:g}")
     lines.append("Bounds")
     for j, name in enumerate(lp.var_names):
         lo, hi = lp.lower[j], lp.upper[j]

@@ -76,13 +76,14 @@ class RoundPlan:
 def rounding_iteration(
     inst: RapInstance,
     x_set: frozenset[int],
+    comps: list[tuple[frozenset[int], frozenset[int], frozenset[int]]],
     frac: FractionalSolution,
     f: int,
     rng: np.random.Generator,
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Sample a matching avoiding f and keep its component-merging edges.
 
-    Components are those of (nodes, x_set), fixed for the whole scan. A
+    ``comps`` are ``components(g, x_set)``, fixed for the whole scan. A
     sampled edge parallel to an isolated-edge f is kept as well (see the
     module note); everything else inside a single component is dropped.
     Returns the kept edges and the whole sampled matching.
@@ -93,7 +94,6 @@ def rounding_iteration(
     combination = birkhoff_decompose(g, avoid, values)
     matched = sample(combination, rng)
 
-    comps = components(g, x_set)
     comp_of_r = {r: i for i, (r_nodes, _, _) in enumerate(comps) for r in r_nodes}
     comp_of_t = {t: i for i, (_, t_nodes, _) in enumerate(comps) for t in t_nodes}
     rescue_pair: tuple[int, int] | None = None
@@ -148,22 +148,22 @@ def solve_lp_round(
     rng = np.random.default_rng(seed)
 
     x_set: frozenset[int] = frozenset()
+    comps = components(g, x_set)
     records: list[IterationRecord] = []
     f = _scan(work, x_set)[1]
     while f is not None:
         if len(records) >= g.n_edges:
             raise RuntimeError("rounding exceeded its iteration bound")
-        delta, sampled = rounding_iteration(work, x_set, frac, f, rng)
+        delta, sampled = rounding_iteration(work, x_set, comps, frac, f, rng)
         x_set = x_set | delta
-        # the empty selection leaves every node isolated
-        before = records[-1].components_after if records else g.n_r + g.n_t
+        before, comps = len(comps), components(g, x_set)
         records.append(
             IterationRecord(
                 scenario=f,
                 sampled=sampled,
                 added=delta,
                 components_before=before,
-                components_after=len(components(g, x_set)),
+                components_after=len(comps),
             )
         )
         pairs, f = _scan(work, x_set)

@@ -179,6 +179,39 @@ def brute_exact_unbalanced(
     return best[0], frozenset(best[1])
 
 
+def relaxation_rows(
+    n_r: int, n_t: int, edges: list[tuple[int, int]], vulnerable: set[int]
+) -> list[tuple[list[float], str, float]]:
+    """The relaxation's constraints as dense (coefficients, sense, rhs) rows.
+
+    Written from the model's definition: columns are y_e, then one block of
+    x_e per vulnerable edge in ascending order (one nominal block when none
+    is vulnerable). Each block has a degree equality per R node, then per T
+    node, and after all degree rows come the coupling rows x_e - y_e <= 0,
+    block by block.
+    """
+    m = len(edges)
+    blocks = sorted(vulnerable) or [None]
+    n_cols = m * (len(blocks) + 1)
+    out = []
+    for pos in range(len(blocks)):
+        x0 = (pos + 1) * m
+        for side, count in ((0, n_r), (1, n_t)):
+            for node in range(count):
+                row = [0.0] * n_cols
+                for e, ends in enumerate(edges):
+                    if ends[side] == node:
+                        row[x0 + e] = 1.0
+                out.append((row, "E", 1.0))
+    for pos in range(len(blocks)):
+        for e in range(m):
+            row = [0.0] * n_cols
+            row[(pos + 1) * m + e] = 1.0
+            row[e] = -1.0
+            out.append((row, "L", 0.0))
+    return out
+
+
 def min_cost_pm_value(
     n_r: int, n_t: int, edges: list[tuple[int, int]], costs: list[float]
 ) -> float | None:

@@ -84,6 +84,28 @@ class TestSolve:
         cost = int(out.split("cost=")[1].split()[0])
         assert 8 <= cost <= 9
 
+    def test_failed_lower_bound_keeps_the_solution(self, g3_file, tmp_path, capsys, monkeypatch):
+        def no_memory(inst, plan=None):
+            raise MemoryError("dense LP too large\nsecond line")
+
+        monkeypatch.setattr(rapkit.cli, "lower_bounds", no_memory)
+        sol = tmp_path / "g3.sol"
+        rc = main(["solve", "--algo", "ear", "--in", g3_file, "--out", str(sol)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "feasible=yes" in captured.out
+        assert captured.out.rstrip().endswith("lb=- ratio=-")
+        assert captured.err == "lb: MemoryError: dense LP too large\n"
+        assert parse_solution(sol.read_text())
+
+        # a fault is not a missing bound
+        def broken(inst, plan=None):
+            raise AssertionError("bound check")
+
+        monkeypatch.setattr(rapkit.cli, "lower_bounds", broken)
+        with pytest.raises(AssertionError, match="bound check"):
+            main(["solve", "--algo", "ear", "--in", g3_file])
+
     def test_lp_round_repeat_runs_identical(self, g3_file, tmp_path, capsys):
         outputs = []
         for run in ("a", "b"):

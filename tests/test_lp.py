@@ -5,18 +5,21 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from strategies import small_instance
 
 import rapkit
-from rapkit.instance import InstanceError, make_instance, uniform_instance
+from rapkit.instance import InstanceError, make_instance, uniform_instance, uniformize
 from rapkit.lp import EPS_FEAS, build_lp, dump_lp, solve_lp
+from rapkit.reductions import random_instance
 
 C4_EDGES = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -63,6 +66,28 @@ class TestBuildLp:
         inst = uniform_instance(1, 1, [(0, 0)])
         with pytest.raises(InstanceError, match="infeasible"):
             build_lp(inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_instance(), st.booleans())
+    def test_nonzeros_are_the_model(self, data, uniformized):
+        n_r, n_t, edges, vulnerable, costs = data
+        if not oracles.brute_feasible(n_r, n_t, edges, vulnerable, set(range(len(edges)))):
+            return
+        inst = make_instance(n_r, n_t, edges, vulnerable, costs)
+        if uniformized and vulnerable and not inst.uniform:
+            # invulnerable edges gain parallel copies
+            inst = uniformize(inst).instance
+        g = inst.graph
+        lp = build_lp(inst)
+        # sorted by column, then row, with no cell twice
+        keys = lp.cols * lp.n_rows + lp.rows
+        assert np.all(np.diff(keys) > 0)
+        assert np.all(np.abs(lp.vals) == 1.0)
+        rows = oracles.relaxation_rows(g.n_r, g.n_t, list(g.edges), set(inst.vulnerable))
+        assert lp.n_rows == len(rows)
+        np.testing.assert_array_equal(lp.a_matrix, np.array([a for a, _, _ in rows]))
+        assert lp.senses == tuple(sense for _, sense, _ in rows)
+        assert lp.rhs.tolist() == [rhs for _, _, rhs in rows]
 
 
 class TestSolveLp:
@@ -131,6 +156,19 @@ class TestSolveLp:
         sol = solve_lp(build_lp(inst))
         assert sol.objective == pytest.approx(3.0, abs=1e-6)
         assert round(sol.objective) == 3
+
+    def test_peak_memory_is_a_few_basis_inverses(self):
+        # the model is held as its nonzeros, so the solve's largest arrays
+        # are the n_rows x n_rows basis inverse and what refactorizes it
+        inst = uniformize(random_instance(5, 5, 0.6, 0.5, (1, 10), seed=0)).instance
+        tracemalloc.start()
+        try:
+            lp = build_lp(inst)
+            solve_lp(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * lp.n_rows**2
 
     def test_pivot_path_pinned(self):
         # A threaded BLAS sums the pricing products in another order and

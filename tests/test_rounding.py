@@ -10,6 +10,7 @@ import oracles
 from strategies import small_instance
 
 import rapkit.rounding
+from rapkit.graph_core import components
 from rapkit.instance import (
     InstanceError,
     is_feasible_set,
@@ -36,30 +37,38 @@ class TestRoundingIteration:
     def test_empty_selection_takes_whole_matching(self):
         inst = c4_uniform()
         plan = prepare(inst)
+        x_set = frozenset()
         delta, _ = rounding_iteration(
-            inst, frozenset(), plan.fractional, 0, np.random.default_rng(0)
+            inst, x_set, components(inst.graph, x_set), plan.fractional, 0,
+            np.random.default_rng(0),
         )
         assert delta == frozenset({1, 3})
 
     def test_merging_edges_added(self):
         inst = c4_uniform()
         plan = prepare(inst)
+        x_set = frozenset({0, 2})
         delta, _ = rounding_iteration(
-            inst, frozenset({0, 2}), plan.fractional, 1, np.random.default_rng(0)
+            inst, x_set, components(inst.graph, x_set), plan.fractional, 1,
+            np.random.default_rng(0),
         )
         # avoiding edge 1 forces matching {0, 2}; both its edges lie inside
         # existing components, so nothing crosses
         assert delta == frozenset()
+        x_set = frozenset({1, 3})
         delta, _ = rounding_iteration(
-            inst, frozenset({1, 3}), plan.fractional, 1, np.random.default_rng(0)
+            inst, x_set, components(inst.graph, x_set), plan.fractional, 1,
+            np.random.default_rng(0),
         )
         assert delta == frozenset({0, 2})
 
     def test_parallel_edge_rescued_for_isolated_scenario(self):
         inst = uniform_instance(1, 1, [(0, 0), (0, 0)])
         plan = prepare(inst)
+        x_set = frozenset({0})
         delta, _ = rounding_iteration(
-            inst, frozenset({0}), plan.fractional, 0, np.random.default_rng(0)
+            inst, x_set, components(inst.graph, x_set), plan.fractional, 0,
+            np.random.default_rng(0),
         )
         # the only matching avoiding edge 0 is its parallel twin, which
         # merges nothing but must still be kept
@@ -118,7 +127,7 @@ class TestSolveLpRound:
         ids=["edge-not-allowed", "no-progress"],
     )
     def test_broken_iteration_raises(self, monkeypatch, added, message):
-        def broken_iteration(inst, x_set, frac, f, rng):
+        def broken_iteration(inst, x_set, comps, frac, f, rng):
             return added, added
 
         monkeypatch.setattr(rapkit.rounding, "rounding_iteration", broken_iteration)
