@@ -1,13 +1,14 @@
 """Exact optimum by branch and bound, plus combinatorial lower bounds.
 
-The search branches on every edge in descending cost order, trying the
-exclude branch first so that cheap solutions surface early.  Robust
-feasibility is monotone in the edge set, which lets the exclude branch be
-pruned as soon as the not-yet-excluded edges stop being feasible.
+The search branches on every original edge in descending cost order,
+exclude branch first, and always keeps a balanced completion's dummy edges.
+A child is pruned on its cost plus a per-node degree bound; only then is an
+exclusion tested for robust feasibility, which is monotone in the edge set.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -36,17 +37,62 @@ class BnbConfig:
     """Safety rails for the exponential search."""
 
     max_edges: int = 26
-    node_limit: Optional[int] = None
+    node_limit: Optional[int] = None  # search nodes visited, after pruning
     time_limit: Optional[float] = None
+
+
+class _Degrees:
+    """Per-node degree bound on the cost a decision state has yet to add.
+
+    A robust set holds at each node one invulnerable edge or two edges (one
+    edge when nothing is vulnerable), so an invulnerable edge weighs 2, a
+    vulnerable one 1, and a node needs 2.  A node's undecided edges are a
+    suffix of its list in search order, cheapest last.  ``needs[v]`` is the
+    cheapest completion at v, None when v cannot be completed.
+    """
+
+    def __init__(self, inst: RapInstance, order: list[int], fixed: frozenset[int]):
+        g = inst.graph
+        nodes = range(g.n_r + g.n_t)
+        self.n_r, self.costs = g.n_r, inst.costs
+        self.ends = [(r, g.n_r + t) for r, t in g.edges]
+        self.weight = [1 if e in inst.vulnerable else 2 for e in range(g.n_edges)]
+        self.lists = [[e for e in order if v in self.ends[e]] for v in nodes]
+        self.seen = [0] * len(nodes)
+        self.held = [sum(self.weight[e] for e in fixed if v in self.ends[e]) for v in nodes]
+        self.needs = [self._need(v) for v in nodes]
+
+    def _need(self, v: int) -> Optional[float]:
+        if self.held[v] >= 2:
+            return 0.0
+        left = self.lists[v][self.seen[v] :]
+        one = [self.costs[e] for e in left if self.held[v] + self.weight[e] >= 2][-1:]
+        two = [self.costs[left[-1]] + self.costs[left[-2]]] if len(left) >= 2 else []
+        return min(one + two, default=None)
+
+    def move(self, e: int, seen: int, held: int) -> None:
+        """Shift e's decided and held counts and rework its two ends' needs."""
+        for v in self.ends[e]:
+            self.seen[v] += seen
+            self.held[v] += held * self.weight[e]
+            self.needs[v] = self._need(v)
+
+    def bound(self) -> Optional[float]:
+        """The larger side's sum of needs, None when a node cannot be met."""
+        if None in self.needs:
+            return None
+        return max(math.fsum(self.needs[: self.n_r]), math.fsum(self.needs[self.n_r :]))
 
 
 def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
     """Provably cheapest feasible edge set.
 
-    Among equal-cost optima the lexicographically smallest edge id set is
-    returned, which keeps output stable across runs.  Unbalanced instances
-    are completed with zero-cost dummy edges internally; those never show
-    up in the answer.
+    Among optima of equal cost (a set's ``math.fsum``) the lexicographically
+    smallest set of original edge ids is returned, which keeps output
+    stable.  Unbalanced instances are completed with zero-cost dummy edges
+    that are always kept, never branched on and never returned.  A child is
+    pruned, before the oracle tests an exclusion, when its cost plus the
+    ``_Degrees`` bound exceeds the best cost by a relative 1e-9.
     """
     cfg = cfg or BnbConfig()
     mapping, work = _completed(inst)
@@ -57,12 +103,18 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
         raise InstanceError("infeasible instance")
 
     all_ids = frozenset(range(m))
-    order = sorted(range(m), key=lambda e: (-work.costs[e], e))
+    fixed = frozenset() if mapping is None else mapping.always_include
+    order = sorted(all_ids - fixed, key=lambda e: (-work.costs[e], e))
+    degrees = _Degrees(work, order, fixed)
 
     deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
     nodes = 0
     best: Optional[tuple[float, tuple[int, ...]]] = None
     excluded: set[int] = set()
+
+    def pruned(cost: float) -> bool:
+        bound = degrees.bound()
+        return bound is None or (best is not None and cost + bound > best[0] * (1 + 1e-9))
 
     def search(depth: int, cost: float) -> None:
         nonlocal nodes, best
@@ -71,26 +123,24 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
             raise ExactError("instance too large for exact solver")
         if deadline is not None and time.monotonic() > deadline:
             raise ExactError("instance too large for exact solver")
-        if best is not None and cost > best[0]:
-            return
-        if depth == m:
-            key = (cost, tuple(sorted(all_ids - excluded)))
-            if best is None or key < best:
-                best = key
+        if depth == len(order):
+            ids = tuple(sorted(all_ids - fixed - excluded))
+            best = min(best or (math.inf, ()), (math.fsum(work.costs[e] for e in ids), ids))
             return
         e = order[depth]
+        degrees.move(e, 1, 0)
         excluded.add(e)
-        if first_failing_scenario(work, all_ids - excluded) is None:
+        if not pruned(cost) and first_failing_scenario(work, all_ids - excluded) is None:
             search(depth + 1, cost)
         excluded.remove(e)
-        search(depth + 1, cost + work.costs[e])
+        degrees.move(e, 0, 1)
+        if not pruned(cost + work.costs[e]):
+            search(depth + 1, cost + work.costs[e])
+        degrees.move(e, -1, -1)
 
     search(0, 0.0)
     assert best is not None
-    chosen = set(best[1])
-    if mapping is not None:
-        chosen = set(mapping.decode(chosen))
-    return solution_for(inst, chosen)
+    return solution_for(inst, best[1] if mapping is None else mapping.decode(best[1]))
 
 
 def lower_bounds(inst: RapInstance, plan: Optional[RoundPlan] = None) -> float:

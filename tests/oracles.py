@@ -7,6 +7,7 @@ Only small inputs are ever passed in.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 
@@ -112,8 +113,10 @@ def brute_exact(
 ) -> tuple[float, frozenset[int]] | None:
     """Cheapest feasible edge set by trying subsets in ascending size.
 
-    Ties are broken toward the lexicographically smallest sorted id tuple.
-    Returns None when even the full edge set is infeasible.
+    A set's cost is its correctly rounded sum (``math.fsum``), which does not
+    depend on the order of the ids. Ties are broken toward the
+    lexicographically smallest sorted id tuple. Returns None when even the
+    full edge set is infeasible.
     """
     m = len(edges)
     all_ids = set(range(m))
@@ -123,7 +126,7 @@ def brute_exact(
     for k in range(n_r, m + 1):
         for combo in combinations(range(m), k):
             x = set(combo)
-            cost = sum(costs[e] for e in combo)
+            cost = math.fsum(costs[e] for e in combo)
             if best is not None and cost > best[0]:
                 continue
             if not brute_feasible(n_r, n_t, edges, vulnerable, x):
@@ -167,7 +170,7 @@ def brute_exact_unbalanced(
     for k in range(n_t, m + 1):
         for combo in combinations(range(m), k):
             x = set(combo)
-            cost = sum(costs[e] for e in combo)
+            cost = math.fsum(costs[e] for e in combo)
             if best is not None and cost > best[0]:
                 continue
             if not feas(x):

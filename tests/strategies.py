@@ -25,13 +25,21 @@ def small_graph(draw, max_side: int = 5, max_edges: int = 12, balanced: bool = F
 
 
 @st.composite
-def small_instance(draw, max_side: int = 4, max_edges: int = 10):
-    """(n_r, n_t, edges, vulnerable, costs) on a balanced graph."""
+def small_instance(
+    draw,
+    max_side: int = 4,
+    max_edges: int = 10,
+    cost: st.SearchStrategy[float] = st.integers(min_value=0, max_value=9).map(float),
+):
+    """(n_r, n_t, edges, vulnerable, costs) on a balanced graph.
+
+    Costs are drawn from ``cost``, the integers 0..9 by default.
+    """
     n_r, n_t, edges = draw(small_graph(max_side=max_side, max_edges=max_edges, balanced=True))
     vulnerable = draw(st.sets(st.sampled_from(range(len(edges))) if edges else st.nothing()))
     costs = draw(
         st.lists(
-            st.integers(min_value=0, max_value=9).map(float),
+            cost,
             min_size=len(edges),
             max_size=len(edges),
         )

@@ -1,10 +1,14 @@
 """Branch-and-bound exact solver against full subset enumeration."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rapkit.exact
-from rapkit.exact import BnbConfig, ExactError, lower_bounds, solve_exact
+from rapkit import gk_family, random_instance
+from rapkit.exact import BnbConfig, ExactError, _Degrees, lower_bounds, solve_exact
 from rapkit.instance import (
     InstanceError,
     make_instance,
@@ -14,7 +18,7 @@ from rapkit.instance import (
 from rapkit.rounding import prepare
 
 from oracles import brute_exact, brute_exact_unbalanced, min_cost_pm_value
-from strategies import small_instance
+from strategies import small_graph, small_instance
 from test_graph_core import C4_EDGES, gk_graph
 
 
@@ -163,3 +167,90 @@ def test_lower_bounds_never_exceed_optimum(data):
     if oracle is None:
         return
     assert lower_bounds(inst) <= oracle[0] + 1e-6
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graph(max_side=3, max_edges=8), st.data())
+def test_unbalanced_matches_subset_enumeration(graph, data):
+    # the completion's dummy edges are free, so a tie-break that counted
+    # them would pad the answer with useless zero-cost edges
+    n_r, n_t, edges = graph
+    ids = range(len(edges))
+    vulnerable = data.draw(st.sets(st.sampled_from(ids)) if edges else st.just(set()))
+    cost = st.integers(0, 9).map(float)
+    costs = data.draw(st.lists(cost, min_size=len(edges), max_size=len(edges)))
+    inst = make_instance(n_r, n_t, edges, vulnerable=vulnerable, costs=costs)
+    if n_r < n_t:
+        n_r, n_t, edges = n_t, n_r, [(t, r) for r, t in edges]
+    oracle = brute_exact_unbalanced(n_r, n_t, edges, vulnerable, costs)
+    if oracle is None:
+        with pytest.raises(InstanceError):
+            solve_exact(inst)
+        return
+    sol = solve_exact(inst)
+    assert (sol.cost, sol.edge_ids) == (pytest.approx(oracle[0], abs=1e-9), oracle[1])
+
+
+def test_unbalanced_keeps_no_useless_zero_cost_edge():
+    # edge 0 is invulnerable, so it alone serves t0; edge 1 adds nothing
+    sol = solve_exact(make_instance(2, 1, [(0, 0), (1, 0)], [1], [0, 0]))
+    assert sol.edge_ids == frozenset({0})
+    sol = solve_exact(make_instance(1, 2, [(0, 0), (0, 1)], [], [0, 0]))
+    assert sol.edge_ids == frozenset({0})
+
+
+# `test_outputs_pinned`: sha256 prefix of the comma-joined sorted edge ids;
+# no instance has a zero-cost edge, so no tie-break on padding is involved
+PINNED_EXACT_DIGESTS = {
+    "gk4": "569550245175f4a9",
+    "gk5": "afdc28ef5df53f1c",
+    "rand6x6s3": "9e13f6070e2fe476",
+    "rand6x6s5": "8a4cd73f63aac82d",
+    "rand5x6s2": "2c12fb4c6d269b67",
+    "rand6x5s2": "0556267e12a24741",
+    "mixed5x5s1": "89302aa8cb15890c",
+}
+
+
+def _pinned_exact_cases():
+    unit = {"edge_prob": 0.6, "vuln_prob": 1.0, "cost_range": (1, 1)}
+    return {
+        "gk4": gk_family(4),
+        "gk5": gk_family(5),
+        "rand6x6s3": random_instance(6, 6, **unit, seed=3),
+        "rand6x6s5": random_instance(6, 6, **unit, seed=5),
+        "rand5x6s2": random_instance(5, 6, **unit, seed=2),
+        "rand6x5s2": random_instance(6, 5, **unit, seed=2),
+        "mixed5x5s1": random_instance(5, 5, 0.6, 0.5, (1, 10), seed=1),
+    }
+
+
+def test_outputs_pinned():
+    got = {}
+    for name, inst in _pinned_exact_cases().items():
+        text = ",".join(map(str, sorted(solve_exact(inst).edge_ids)))
+        got[name] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert got == PINNED_EXACT_DIGESTS
+
+
+FRACTIONAL_COST = st.one_of(
+    st.integers(min_value=0, max_value=9).map(float),
+    st.sampled_from([0.1, 0.2, 0.3, 1e9]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instance(cost=FRACTIONAL_COST))
+def test_degree_bound_and_optimum_on_fractional_costs(data):
+    n_r, n_t, edges, vulnerable, costs = data
+    inst = make_instance(n_r, n_t, edges, vulnerable=vulnerable, costs=costs)
+    oracle = brute_exact(n_r, n_t, edges, set(vulnerable), costs)
+    if oracle is None:
+        return
+    order = sorted(range(len(edges)), key=lambda e: (-costs[e], e))
+    bound = _Degrees(inst, order, frozenset()).bound()
+    assert bound is not None
+    assert bound <= oracle[0] * (1 + 1e-9)
+    sol = solve_exact(inst)
+    assert sol.edge_ids == oracle[1]
+    assert sol.cost == pytest.approx(oracle[0], rel=1e-12, abs=1e-12)
