@@ -59,7 +59,8 @@ class RapInstance:
         return self.vulnerable == frozenset(self.graph.edge_ids())
 
     def cost_of(self, edge_ids: Iterable[int]) -> float:
-        return float(sum(self.costs[e] for e in edge_ids))
+        # exactly rounded, so the cost does not depend on the iteration order
+        return math.fsum(self.costs[e] for e in edge_ids)
 
 
 def make_instance(

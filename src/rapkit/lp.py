@@ -17,6 +17,7 @@ path or the returned point of the dense method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -36,6 +37,10 @@ class LpError(RuntimeError):
     """The solver failed: infeasible model, iteration limit, or numerics."""
 
 
+def _block_tag(f: int) -> str:
+    return "nom" if f == NOMINAL_SCENARIO else f"f{f}"
+
+
 @dataclass(frozen=True)
 class RapLp:
     """The relaxation in matrix form with deterministic variable order.
@@ -47,7 +52,8 @@ class RapLp:
     equalities (R nodes then T nodes), then per-block coupling rows
     x_e - y_e <= 0. The fixing x^{-f}_f = 0 is a variable bound, not a row.
     The matrix is held as its nonzeros: ``vals[p]`` sits at row ``rows[p]``
-    of column ``cols[p]``, sorted by column and then row.
+    of column ``cols[p]``, sorted by column and then row. Row and variable
+    names are built on first access; only dumps and error messages read them.
     """
 
     instance: RapInstance
@@ -61,12 +67,29 @@ class RapLp:
     lower: np.ndarray
     upper: np.ndarray
     objective: np.ndarray
-    var_names: tuple[str, ...]
-    row_names: tuple[str, ...]
 
     @property
     def n_vars(self) -> int:
         return len(self.objective)
+
+    @cached_property
+    def var_names(self) -> tuple[str, ...]:
+        m = self.instance.graph.n_edges
+        names = [f"y_{e}" for e in range(m)]
+        for f in self.blocks:
+            names += [f"x_{_block_tag(f)}_e{e}" for e in range(m)]
+        return tuple(names)
+
+    @cached_property
+    def row_names(self) -> tuple[str, ...]:
+        g = self.instance.graph
+        names: list[str] = []
+        for f in self.blocks:
+            names += [f"deg_{_block_tag(f)}_r{r}" for r in range(g.n_r)]
+            names += [f"deg_{_block_tag(f)}_t{t}" for t in range(g.n_t)]
+        for f in self.blocks:
+            names += [f"cpl_{_block_tag(f)}_e{e}" for e in range(g.n_edges)]
+        return tuple(names)
 
     @property
     def a_matrix(self) -> np.ndarray:
@@ -122,16 +145,6 @@ def build_lp(inst: RapInstance) -> RapLp:
     rhs = np.concatenate([np.ones(n_deg), np.zeros(k * m)])
     senses = ("E",) * n_deg + ("L",) * (k * m)
 
-    def block_tag(f: int) -> str:
-        return "nom" if f == NOMINAL_SCENARIO else f"f{f}"
-
-    row_names: list[str] = []
-    for f in blocks:
-        row_names += [f"deg_{block_tag(f)}_r{r}" for r in range(g.n_r)]
-        row_names += [f"deg_{block_tag(f)}_t{t}" for t in range(g.n_t)]
-    for f in blocks:
-        row_names += [f"cpl_{block_tag(f)}_e{e}" for e in range(m)]
-
     lower = np.zeros(n_vars)
     upper = np.ones(n_vars)
     for pos, f in enumerate(blocks):
@@ -140,10 +153,6 @@ def build_lp(inst: RapInstance) -> RapLp:
 
     objective = np.zeros(n_vars)
     objective[:m] = np.asarray(inst.costs, dtype=float)
-
-    var_names = [f"y_{e}" for e in range(m)]
-    for f in blocks:
-        var_names += [f"x_{block_tag(f)}_e{e}" for e in range(m)]
 
     return RapLp(
         instance=inst,
@@ -157,22 +166,23 @@ def build_lp(inst: RapInstance) -> RapLp:
         lower=lower,
         upper=upper,
         objective=objective,
-        var_names=tuple(var_names),
-        row_names=tuple(row_names),
     )
 
 
 _AT_LB, _AT_UB, _BASIC = 0, 1, 2
 # Update the whole basis inverse once the touched block exceeds 1/4 of it:
-# gathering and scattering a large block costs more than a dense pass. On
-# lp-small's relaxations (one thread, Xeon SkylakeX), 9% of the updates go
-# full at 4; the solves take 5% longer with the restricted update alone and
-# 36% longer with the full update alone, as long at 4 as at 8, and peak
-# memory grows by about 2 MB from 6 on.
+# subtracting at a block's flat indices costs about 8.6 ns per entry
+# against 1.9 ns for a dense pass. On lp-small's relaxations (one thread,
+# Xeon SkylakeX), 9% of the updates go full at 4, and ratios from 3 to 6
+# solve them in the same time within noise.
 _FULL_UPDATE_RATIO = 4
-# rows per slice of a full update; bounding its temporaries keeps peak
-# memory from growing through heap fragmentation
-_UPDATE_ROWS = 64
+# Rows per slice of a full update; a restricted update's chunks hold as
+# many entries. The update allocates that scratch on each call: held
+# through a phase, beside each refactorization's arrays, it moved lp-small's
+# peak RSS between heap-layout levels of 52.4 and 54.6 MB, where scratch per
+# call read 52.2 MB (one thread, Xeon SkylakeX). 8 and 16 rows slowed the
+# full update by 40-50% (n_rows = 551), and 64 held 0.4 MB more at the peak.
+_UPDATE_ROWS = 32
 # smallest pivot magnitude accepted by the ratio test and the update
 _PIVOT_TOL = 1e-9
 # pivots between refactorizations of the basis inverse
@@ -198,11 +208,15 @@ def _simplex(lp: RapLp) -> tuple[np.ndarray, float, int]:
     +-1, so the products are exact and the sums match the dense one-thread
     product bit for bit. A pivot updates the basis inverse only on the
     rows where the entering column is nonzero and the columns where the
-    pivot row is nonzero, or in full, in slices of rows, when that block
-    exceeds a quarter of the matrix. The two paths differ only in the sign
-    of a zero, and each phase ends with a refactorization, so the returned
-    point does not depend on the choice. A threaded BLAS sums the dual and
-    FTRAN products in another order and can take another pivot path.
+    pivot row is nonzero, subtracting in place at that block's flat indices
+    a chunk of rows at a time, or in full, in slices of rows, when the
+    block exceeds a quarter of the matrix. Either way each updated entry
+    is b - d_i * row_c, rounded once per operation, and the two paths and
+    the dense rank-one update differ only in the sign of a zero entry. No
+    comparison sees that sign, and each phase ends with a refactorization,
+    so the returned point does not depend on it. A threaded BLAS sums the
+    dual and FTRAN products in another order and can take another pivot
+    path.
     """
     n_rows, n_struct = lp.n_rows, lp.n_vars
     if n_rows == 0:
@@ -247,6 +261,25 @@ def _simplex(lp: RapLp) -> tuple[np.ndarray, float, int]:
 
 
 class _SimplexState:
+    """Basis, bounds and basis inverse of one solve, carried across its phases.
+
+    ``run`` keeps its per-pivot state across the pivots of a phase and
+    changes it where a pivot does, at the entering column and the leaving
+    row: each column's pricing sign (-1 at its lower bound, +1 at its upper
+    bound, 0 when basic or fixed), and the cost and bounds of each row's
+    basic variable. The dual, pricing, FTRAN and ratio test write into
+    buffers allocated once per phase, and the entering column is scattered
+    into a zeroed buffer and cleared after FTRAN. The update's scratch is
+    bounded by _UPDATE_ROWS rows and freed on return. All of it
+    computes the values a per-pivot rebuild would, up to the sign of a zero
+    in the inverse (see ``_simplex``), so the pivot path and the returned
+    point are unchanged.
+
+    No view of ``b_inv`` outlives the pivot that made it: ``_refactorize``
+    drops the old inverse before it allocates the new one, and a view held
+    across that call would keep both alive.
+    """
+
     def __init__(self, nz_col, nz_row, nz_val, rhs, lower, upper, basic, status):
         # the working matrix's nonzeros, sorted by column, then row
         self.nz_col, self.nz_row, self.nz_val = nz_col, nz_row, nz_val
@@ -298,66 +331,116 @@ class _SimplexState:
     def objective(self, cost: np.ndarray) -> float:
         return float(cost @ self.values())
 
+    def _update_inverse(self, leave_row, d, row) -> None:
+        """Pivot the basis inverse on ``leave_row``, where ``d`` = B⁻¹ a_j.
+
+        Divides the pivot row by the pivot and subtracts d times it from
+        every other row, only where d and the pivot row are nonzero, or in
+        full when that block exceeds 1/_FULL_UPDATE_RATIO of the matrix.
+        ``d`` is clobbered and ``row`` receives the divided pivot row. The
+        flat view of the inverse and the scratch of _UPDATE_ROWS * n_rows
+        entries die with this call, so no refactorization finds the old
+        inverse still referenced or the scratch still held.
+        """
+        n = self.n_rows
+        np.divide(self.b_inv[leave_row], d[leave_row], out=row)
+        self.b_inv[leave_row] = row
+        d[leave_row] = 0.0  # the pivot row keeps its divided values
+        ri = np.flatnonzero(d)
+        ci = np.flatnonzero(row)
+        outer = np.empty(_UPDATE_ROWS * n)
+        if _FULL_UPDATE_RATIO * ri.size * ci.size > n * n:
+            # einsum's outer-product kernel takes about half the time of
+            # np.multiply.outer on large blocks; a zero product may come out +0
+            for s in range(0, n, _UPDATE_ROWS):
+                part = slice(s, s + _UPDATE_ROWS)
+                out = outer[: min(_UPDATE_ROWS, n - s) * n].reshape(-1, n)
+                np.einsum("i,j->ij", d[part], row, out=out)
+                self.b_inv[part] -= out
+            self.b_inv[leave_row] = row
+            return
+        # subtract the block's products in place at flat indices r * n + c,
+        # a chunk of rows at a time so that no temporary outgrows the scratch
+        idx = np.empty(outer.size, dtype=np.int64)
+        flat = self.b_inv.reshape(-1)
+        row_c = row[ci]
+        start = ri * n
+        chunk = max(1, outer.size // ci.size)
+        for s in range(0, ri.size, chunk):
+            rows = ri[s : s + chunk]
+            shape = (rows.size, ci.size)
+            at, prod = idx[: rows.size * ci.size], outer[: rows.size * ci.size]
+            np.add(start[s : s + chunk, None], ci, out=at.reshape(shape))
+            np.einsum("i,j->ij", d[rows], row_c, out=prod.reshape(shape))
+            # ufunc.at takes its fast path only with 1-D indices (9 times faster)
+            np.subtract.at(flat, at, prod)
+
     def run(self, cost: np.ndarray) -> None:
-        max_iter = 200 + 100 * (self.n_rows + self.n_cols)
+        n = self.n_rows
+        max_iter = 200 + 100 * (n + self.n_cols)
         degenerate_run = 0
         bland = False
+        status, basic = self.status, self.basic
         fixed = self.upper - self.lower <= 0
+        # pricing sign: -1 at the lower bound, +1 at the upper bound, 0 when
+        # basic or fixed, so sign * reduced cost is a column's violation
+        sign = np.where(status == _AT_UB, 1.0, -1.0)
+        sign[(status == _BASIC) | fixed] = 0.0
+        # cost and bounds of the basic variables, by row
+        cost_b, lower_b, upper_b = cost[basic], self.lower[basic], self.upper[basic]
+        # buffers every pivot writes into; a_j is zero between pivots
+        y_dual, a_j, d, dd, t_rows = (np.empty(n) for _ in range(5))
+        a_j.fill(0.0)
+        pos, neg = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        terms = np.empty(self.nz_row.size)
+        viol = np.empty(self.n_cols)
+        row = np.empty(n)
 
         for _ in range(max_iter):
             self.iterations += 1
-            y_dual = cost[self.basic] @ self.b_inv
+            np.matmul(cost_b, self.b_inv, out=y_dual)
             # each column's terms summed in ascending row order, as the
             # single-thread dense product does
-            reduced = cost - np.bincount(
-                self.nz_col,
-                weights=y_dual[self.nz_row] * self.nz_val,
-                minlength=self.n_cols,
+            np.take(y_dual, self.nz_row, out=terms)
+            terms *= self.nz_val
+            np.subtract(
+                cost, np.bincount(self.nz_col, weights=terms, minlength=self.n_cols), out=viol
             )
-
-            viol = np.where(
-                self.status == _AT_LB,
-                -reduced,
-                np.where(self.status == _AT_UB, reduced, -np.inf),
-            )
-            viol[self.status == _BASIC] = -np.inf
-            viol[fixed] = -np.inf
+            viol *= sign
 
             if bland:
-                candidates = np.flatnonzero(viol > EPS_OPT)
-                if candidates.size == 0:
-                    self._refactorize()
-                    return
-                j = int(candidates[0])
+                j = int(np.argmax(viol > EPS_OPT))
             else:
                 j = int(np.argmax(viol))
-                if viol[j] <= EPS_OPT:
-                    self._refactorize()
-                    return
+            if viol[j] <= EPS_OPT:
+                self._refactorize()
+                return
 
-            a_j = np.zeros(self.n_rows)
             nz = slice(self.col_start[j], self.col_start[j + 1])
             a_j[self.nz_row[nz]] = self.nz_val[nz]
-            d = self.b_inv @ a_j
-            sigma = 1.0 if self.status[j] == _AT_LB else -1.0
-            dd = sigma * d
+            np.matmul(self.b_inv, a_j, out=d)
+            a_j[self.nz_row[nz]] = 0.0
+            sigma = 1.0 if status[j] == _AT_LB else -1.0
+            np.multiply(d, sigma, out=dd)
 
             # ratio test: how far can the entering variable move before a
-            # basic variable hits one of its bounds
-            cols = self.basic
-            t_rows = np.full(self.n_rows, np.inf)
-            pos = dd > _PIVOT_TOL
-            t_rows[pos] = (self.x_b[pos] - self.lower[cols[pos]]) / dd[pos]
-            neg = (dd < -_PIVOT_TOL) & (self.upper[cols] != np.inf)
-            t_rows[neg] = (self.x_b[neg] - self.upper[cols[neg]]) / dd[neg]
+            # basic variable hits one of its bounds (an infinite upper bound
+            # gives an infinite ratio)
+            np.greater(dd, _PIVOT_TOL, out=pos)
+            np.less(dd, -_PIVOT_TOL, out=neg)
+            t_rows.fill(np.inf)
+            np.subtract(self.x_b, lower_b, out=t_rows, where=pos)
+            np.subtract(self.x_b, upper_b, out=t_rows, where=neg)
+            pos |= neg
+            np.divide(t_rows, dd, out=t_rows, where=pos)
             np.maximum(t_rows, 0.0, out=t_rows)
 
             t_bound = self.upper[j] - self.lower[j]
-            t_min = float(t_rows.min()) if self.n_rows else np.inf
+            t_min = float(t_rows.min())
             if t_min < t_bound - 1e-12:
                 # leaving-variable ties break toward the smallest column id
                 cand = np.flatnonzero(t_rows <= t_min + 1e-12)
-                leave_row = int(cand[np.argmin(cols[cand])])
+                leave_row = int(cand[np.argmin(basic[cand])])
                 hit_lower = bool(dd[leave_row] > 0)
                 t_best = float(t_rows[leave_row])
             else:
@@ -377,39 +460,27 @@ class _SimplexState:
                 degenerate_run = 0
                 bland = False
 
+            dd *= step
+            self.x_b -= dd
             if leave_row < 0:
                 # bound flip: the entering variable crosses to its other bound
-                self.x_b -= step * dd
-                self.status[j] = _AT_UB if self.status[j] == _AT_LB else _AT_LB
+                status[j] = _AT_UB if status[j] == _AT_LB else _AT_LB
+                sign[j] = -sign[j]
                 continue
 
-            entering_value = (
-                self.lower[j] + step if sigma > 0 else self.upper[j] - step
-            )
-            leaving = self.basic[leave_row]
-            self.x_b -= step * dd
-            self.x_b[leave_row] = entering_value
-            self.status[leaving] = _AT_LB if hit_lower else _AT_UB
-            self.status[j] = _BASIC
-            self.basic[leave_row] = j
+            leaving = basic[leave_row]
+            self.x_b[leave_row] = self.lower[j] + step if sigma > 0 else self.upper[j] - step
+            status[leaving] = _AT_LB if hit_lower else _AT_UB
+            sign[leaving] = 0.0 if fixed[leaving] else (-1.0 if hit_lower else 1.0)
+            status[j] = _BASIC
+            sign[j] = 0.0
+            basic[leave_row] = j
+            cost_b[leave_row] = cost[j]
+            lower_b[leave_row], upper_b[leave_row] = self.lower[j], self.upper[j]
 
-            pivot = d[leave_row]
-            if abs(pivot) < _PIVOT_TOL:
+            if abs(d[leave_row]) < _PIVOT_TOL:
                 raise LpError("numerically singular pivot")
-            self.b_inv[leave_row, :] /= pivot
-            # subtract d times the pivot row from every other row (the pivot
-            # row takes d = 0); see the class docstring for the two paths
-            row = self.b_inv[leave_row, :].copy()
-            d[leave_row] = 0.0
-            ri = np.flatnonzero(d)
-            ci = np.flatnonzero(row)
-            if _FULL_UPDATE_RATIO * ri.size * ci.size > self.n_rows * self.n_rows:
-                for s in range(0, self.n_rows, _UPDATE_ROWS):
-                    part = slice(s, s + _UPDATE_ROWS)
-                    self.b_inv[part] -= np.multiply.outer(d[part], row)
-                self.b_inv[leave_row, :] = row
-            else:
-                self.b_inv[np.ix_(ri, ci)] -= np.multiply.outer(d[ri], row[ci])
+            self._update_inverse(leave_row, d, row)
 
             self._since_refactor += 1
             if self._since_refactor >= _REFACTOR_EVERY:
@@ -428,10 +499,11 @@ def solve_lp(lp: RapLp) -> FractionalSolution:
 
     lhs = np.bincount(lp.rows, weights=lp.vals * values[lp.cols], minlength=lp.n_rows)
     residual = lhs - lp.rhs
-    for i, sense in enumerate(lp.senses):
-        bad = abs(residual[i]) > EPS_FEAS if sense == "E" else residual[i] > EPS_FEAS
-        if bad:
-            raise LpError(f"residual {residual[i]:.2e} on row {lp.row_names[i]}")
+    equality = np.array(lp.senses) == "E"
+    bad = np.flatnonzero(np.where(equality, np.abs(residual), residual) > EPS_FEAS)
+    if bad.size:
+        i = int(bad[0])
+        raise LpError(f"residual {residual[i]:.2e} on row {lp.row_names[i]}")
     if np.any(values < lp.lower - EPS_FEAS) or np.any(values > lp.upper + EPS_FEAS):
         raise LpError("variable bound violated")
 

@@ -54,6 +54,15 @@ def test_ties_break_toward_smallest_ids():
     assert sol.edge_ids == frozenset({0, 1})
 
 
+def test_cost_is_exactly_rounded():
+    # 0.1 + 0.1 + 0.3 + 1 summed in the frozenset's order reads 1.5000000000000002
+    edges = [(0, 0), (0, 1), (1, 1), (0, 0), (1, 1), (1, 0), (0, 0)]
+    costs = [1, 2.5, 0.1, 0.1, 0.3, 0.1, 1]
+    sol = solve_exact(make_instance(2, 2, edges, {0, 2, 3, 4, 6}, costs))
+    assert sol.edge_ids == frozenset({0, 2, 3, 4})
+    assert sol.cost == 1.5
+
+
 def test_zero_cost_padding_is_dropped():
     # a costless vulnerable parallel edge: optimum keeps it anyway for
     # robustness, but never pads with useless extras

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from strategies import small_instance
 
 import rapkit
 from rapkit.instance import InstanceError, make_instance, uniform_instance, uniformize
-from rapkit.lp import EPS_FEAS, build_lp, dump_lp, solve_lp
+from rapkit.lp import EPS_FEAS, LpError, build_lp, dump_lp, solve_lp
 from rapkit.reductions import random_instance
 
 C4_EDGES = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -137,6 +138,23 @@ class TestSolveLp:
             else:
                 assert resid[i] <= EPS_FEAS
 
+    def test_residual_error_names_the_first_violating_row(self, monkeypatch):
+        lp = build_lp(c4_uniform())
+        optimum, objective, iters = rapkit.lp._simplex(lp)
+
+        def check(values, message):
+            monkeypatch.setattr(rapkit.lp, "_simplex", lambda _: (values, objective, iters))
+            with pytest.raises(LpError, match=f"^{re.escape(message)}$"):
+                solve_lp(lp)
+
+        # every degree equality misses by -1; the first one is reported
+        check(np.zeros(lp.n_vars), "residual -1.00e+00 on row deg_f0_r0")
+        # y_1 = 0 breaks x_e - y_e <= 0 where a block uses edge 1 (the first
+        # is f0's), while coupling rows with slack (residual -1) stay valid
+        values = optimum.copy()
+        values[1] = 0.0
+        check(values, "residual 1.00e+00 on row cpl_f0_e1")
+
     @settings(max_examples=40, deadline=None)
     @given(small_instance(max_side=3, max_edges=8))
     def test_lower_bounds_brute_optimum(self, data):
@@ -168,7 +186,7 @@ class TestSolveLp:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 8 * lp.n_rows**2
+        assert peak < 3 * 8 * lp.n_rows**2
 
     def test_pivot_path_pinned(self):
         # A threaded BLAS sums the pricing products in another order and
