@@ -3,7 +3,9 @@
 Exit codes: 0 success (for solve: the output re-verified as feasible),
 1 usage or IO problem, 2 infeasible instance, 3 solution rejected by the
 verifier.  Reports never trust a solver's own feasibility claim; every
-solution is re-checked before being announced.
+solution is re-checked before being announced.  Instances go to the
+solvers and the verifier as parsed, unbalanced ones included, and every
+edge id read or written is one of the instance file's.
 """
 
 from __future__ import annotations
@@ -116,26 +118,26 @@ def _read_instance(path: str) -> tuple[RapInstance, str]:
 
 
 def _run_solver(
-    work: RapInstance,
+    inst: RapInstance,
     algo: str,
     seed: Optional[int],
     ear_order: str,
     plan: Optional[RoundPlan],
 ) -> tuple[Solution, Optional[int], str]:
-    """Run one algorithm on a balanced instance.
+    """Run one algorithm.
 
     Returns the solution, the iteration count when the algorithm has one,
     and the trace text (one line per iteration or per ear; empty for the
-    exact solver). lp-round rounds ``plan``, prepared from ``work``.
+    exact solver). lp-round rounds ``plan``, prepared from ``inst``.
     """
     if algo == "exact":
-        return solve_exact(work), None, ""
+        return solve_exact(inst), None, ""
     if algo == "ear":
         decs: list[EarDecomposition] = []
-        sol = solve_ear(work, ear_order=ear_order, trace=decs)
+        sol = solve_ear(inst, ear_order=ear_order, trace=decs)
         text = "\n".join(format_ears(d) for d in decs)
         return sol, None, text + ("\n" if text else "")
-    sol, rtrace = solve_lp_round(work, seed=seed if seed is not None else 0, plan=plan)
+    sol, rtrace = solve_lp_round(inst, seed=seed, plan=plan)
     return sol, rtrace.iterations, format_trace(rtrace)
 
 
@@ -152,15 +154,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    mapping, work = _completed(inst)
     seed = args.seed
     if args.algo == "lp-round" and seed is None:
         seed = 0
     plan = None
     try:
         if args.algo == "lp-round":
-            plan = prepare(work)
-        sol, iters, trace_text = _run_solver(work, args.algo, seed, args.ear_order, plan)
+            plan = prepare(inst)
+        sol, iters, trace_text = _run_solver(inst, args.algo, seed, args.ear_order, plan)
     except InstanceError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -168,7 +169,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return _fail(str(exc))
 
     try:
-        verify_solution(work, sol)
+        verify_solution(inst, sol)
         feasible = True
     except InfeasibleSolutionError as exc:
         print(f"solver output rejected: {exc}", file=sys.stderr)
@@ -194,13 +195,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     try:
         if args.out:
-            chosen = mapping.decode(sol.edge_ids) if mapping else sol.edge_ids
-            Path(args.out).write_text(format_solution(chosen))
+            Path(args.out).write_text(format_solution(sol.edge_ids))
         if args.trace:
             Path(args.trace).write_text(trace_text)
         if args.dump_lp:
-            # lp-round dumps the model it rounded, uniformized if it had to be
-            target = plan.work if plan is not None else work
+            # lp-round dumps the model it rounded, uniformized if it had to
+            # be; the others the balanced completion
+            target = plan.work if plan is not None else _completed(inst)[1]
             Path(args.dump_lp).write_text(dump_lp(build_lp(target)))
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
@@ -280,27 +281,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         inst, _ = _read_instance(args.instance)
-        ids = parse_solution(Path(args.solution).read_text())
-        mapping, work = _completed(inst)
-        work_ids = mapping.encode(ids) if mapping else ids
-        sol = solution_for(work, work_ids)
+        sol = solution_for(inst, parse_solution(Path(args.solution).read_text()))
     except OSError as exc:
         return _fail(f"cannot read input: {exc}")
     except InstanceError as exc:
         return _fail(str(exc))
 
     try:
-        cert = verify_solution(work, sol)
+        cert = verify_solution(inst, sol)
     except InfeasibleSolutionError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_REJECTED
     for f in sorted(cert.matchings):
         name = "nominal" if f == NOMINAL_SCENARIO else f"e{f}"
-        pm = cert.matchings[f]
-        if mapping:
-            # report in the caller's edge ids, not the completion's
-            pm = mapping.decode(pm)
-        matched = ",".join(f"e{e}" for e in sorted(pm))
+        matched = ",".join(f"e{e}" for e in sorted(cert.matchings[f]))
         print(f"scenario {name}: matching {matched}")
     return EXIT_OK
 
@@ -326,14 +320,12 @@ def _error_text(exc: BaseException) -> str:
 class _BenchShared:
     """Per-instance work shared by all of the instance's bench rows.
 
-    ``failure`` names an error raised while completing the instance or,
-    for an instance with lp-round rows, solving its relaxation; each row
-    that needed that work reports it. ``errors`` names why the lb and
-    exact cells are blank.
+    ``failure`` names an error raised while solving the relaxation of an
+    instance with lp-round rows; each lp-round row reports it. ``errors``
+    names why the lb and exact cells are blank.
     """
 
     inst: Optional[RapInstance] = None
-    work: Optional[RapInstance] = None
     plan: Optional[RoundPlan] = None
     failure: Optional[str] = None
     lb: Optional[float] = None
@@ -342,7 +334,7 @@ class _BenchShared:
 
 
 def _bench_shared(path: Path, lp_round: bool) -> _BenchShared:
-    """Read and complete one instance, and solve its references."""
+    """Read one instance, and solve its relaxation and references."""
     ref = _BenchShared()
     try:
         inst, _ = _read_instance(str(path))
@@ -351,9 +343,8 @@ def _bench_shared(path: Path, lp_round: bool) -> _BenchShared:
         return ref
     ref.inst = inst
     try:
-        _, ref.work = _completed(inst)
         if lp_round:
-            ref.plan = prepare(ref.work)
+            ref.plan = prepare(inst)
     except (AssertionError, RecursionError):
         raise
     except Exception as exc:
@@ -386,14 +377,14 @@ def _bench_one(label: str, shared: _BenchShared, algo: str, seed: int) -> dict[s
         row["exact"] = _num(shared.exact)
     if shared.inst is None:
         return row
-    if shared.failure is not None and (shared.work is None or algo == "lp-round"):
+    if shared.failure is not None and algo == "lp-round":
         row["ms"] = "0.0"
         row["error"] = "; ".join([*shared.errors, shared.failure])
         return row
     start = time.perf_counter()
     try:
-        sol, iters, _ = _run_solver(shared.work, algo, seed, "lowest", shared.plan)
-        verify_solution(shared.work, sol)
+        sol, iters, _ = _run_solver(shared.inst, algo, seed, "lowest", shared.plan)
+        verify_solution(shared.inst, sol)
     except (AssertionError, RecursionError):
         raise
     except Exception as exc:
@@ -432,9 +423,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return _fail(f"expected '<instance path> <algo>', got {raw!r}")
         entries.append((parts[0], parts[1]))
 
-    # one completion, one relaxation and one set of references per
-    # instance; an instance's rows all run, and its shared work is dropped,
-    # before the next instance is read
+    # one relaxation and one set of references per instance; an instance's
+    # rows all run, and its shared work is dropped, before the next is read
     rows: list[dict[str, str]] = []
     for label in dict.fromkeys(label for label, _ in entries):
         algos = [algo for other, algo in entries if other == label]

@@ -149,9 +149,9 @@ def lower_bounds(inst: RapInstance, plan: Optional[RoundPlan] = None) -> float:
     Combines the counting bounds for unit costs (any solution contains a
     matching covering the smaller side; with every edge vulnerable each of
     those nodes needs two incident edges) with the LP relaxation value.
-    ``plan``, prepared from the balanced completion of ``inst``, lends its
-    relaxation value when it solved the same model (it did not uniformize);
-    otherwise the relaxation is solved here.
+    ``plan``, prepared from ``inst``, lends its relaxation value when it
+    solved the same model (it did not uniformize); otherwise the relaxation
+    of ``inst``'s balanced completion is solved here.
     """
     _, work = _completed(inst)
     n = min(inst.graph.n_r, inst.graph.n_t)

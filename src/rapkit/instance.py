@@ -200,14 +200,17 @@ def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
     one inside M by M swapped along an alternating cycle through it. Each
     witness is checked directly, and a failing scenario is confirmed by a
     direct matching on ``x`` minus that edge, before either is reported.
+    An unbalanced instance is checked on its balanced completion, with
+    every dummy edge added to ``x``; the witnesses are returned in
+    ``inst``'s edge ids, and scenario ids are the same in both.
     """
-    _require_balanced(inst)
-    g = inst.graph
-    ids = x.edge_ids
-    for e in ids:
-        if not (0 <= e < g.n_edges):
+    for e in x.edge_ids:
+        if not (0 <= e < inst.graph.n_edges):
             raise InstanceError(f"solution id {e} is not an edge")
-    pairs, failing = _scan(inst, ids)
+    completion, work = _completed(inst)
+    g = work.graph
+    ids = x.edge_ids if completion is None else completion.encode(x.edge_ids)
+    pairs, failing = _scan(work, ids)
     if failing is not None:
         if max_matching(g, frozenset(g.edge_ids()).difference(ids - {failing})).perfect:
             raise AssertionError(f"scenario {failing} reported failing but survives")
@@ -225,6 +228,8 @@ def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
         perfect = len({r for r, _ in ends}) == len({t for _, t in ends}) == len(ends) == g.n_r
         if w is None or f in w or not w <= ids or not perfect:
             raise AssertionError(f"no valid witness for scenario {f}")
+    if completion is not None:
+        matchings = {f: completion.decode(w) for f, w in matchings.items()}
     return Certificate(matchings)
 
 

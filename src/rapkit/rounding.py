@@ -4,8 +4,10 @@ The solver relaxes the problem, then repeatedly picks an uncovered
 vulnerable edge f, samples a perfect matching avoiding f from the Birkhoff
 decomposition of the f-block of the fractional optimum, and keeps the
 sampled edges that merge distinct connected components of the current
-selection. Non-uniform instances are first uniformized (parallel copies for
-invulnerable edges) and the result is mapped back and pruned.
+selection. An unbalanced instance is first completed with zero-cost dummy
+edges, and a non-uniform one uniformized (parallel copies for invulnerable
+edges); the result is mapped back to the completion, pruned and verified
+there, and returned in the caller's edge ids.
 
 One corner case needs care on multigraphs: when the selected f is an
 isolated edge of the current selection and the sampled matching covers f's
@@ -27,10 +29,10 @@ from rapkit.decompose import birkhoff_decompose, sample
 from rapkit.graph_core import components
 from rapkit.instance import (
     NOMINAL_SCENARIO,
-    InstanceError,
     InstanceMapping,
     RapInstance,
     Solution,
+    _completed,
     _scan,
     prune_to_minimal,
     solution_for,
@@ -64,10 +66,13 @@ class RoundTrace:
 class RoundPlan:
     """Reusable per-instance state: the (possibly uniformized) LP optimum.
 
-    Building a plan once lets many seeds share the LP solve.
+    Building a plan once lets many seeds share the LP solve. ``completion``
+    is the balanced completion of ``original`` (None when it is balanced),
+    and ``mapping`` the uniformizing of that (None when it is not needed).
     """
 
     original: RapInstance
+    completion: InstanceMapping | None
     mapping: InstanceMapping | None
     work: RapInstance
     fractional: FractionalSolution
@@ -118,16 +123,13 @@ def rounding_iteration(
 
 
 def prepare(inst: RapInstance) -> RoundPlan:
-    """Uniformize if needed and solve the relaxation once."""
-    if not inst.graph.balanced:
-        raise InstanceError("apply balanced_completion first")
-    mapping: InstanceMapping | None = None
-    work = inst
-    if inst.vulnerable and not inst.uniform:
-        mapping = uniformize(inst)
+    """Complete and uniformize ``inst`` if needed, and solve the relaxation once."""
+    completion, work = _completed(inst)
+    mapping = uniformize(work) if work.vulnerable and not work.uniform else None
+    if mapping is not None:
         work = mapping.instance
     frac = solve_lp(build_lp(work))
-    return RoundPlan(original=inst, mapping=mapping, work=work, fractional=frac)
+    return RoundPlan(inst, completion, mapping, work, frac)
 
 
 def solve_lp_round(
@@ -176,8 +178,11 @@ def solve_lp_round(
             raise AssertionError(f"scenario {records[-1].scenario} still uncovered")
 
     decoded = plan.mapping.decode(x_set) if plan.mapping is not None else x_set
-    pruned = prune_to_minimal(inst, solution_for(inst, decoded))
-    verify_solution(inst, pruned)
+    balanced = inst if plan.completion is None else plan.completion.instance
+    pruned = prune_to_minimal(balanced, solution_for(balanced, decoded))
+    verify_solution(balanced, pruned)
+    if plan.completion is not None:
+        pruned = solution_for(inst, plan.completion.decode(pruned.edge_ids))
     return pruned, RoundTrace(tuple(records))
 
 

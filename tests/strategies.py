@@ -30,12 +30,13 @@ def small_instance(
     max_side: int = 4,
     max_edges: int = 10,
     cost: st.SearchStrategy[float] = st.integers(min_value=0, max_value=9).map(float),
+    balanced: bool = True,
 ):
-    """(n_r, n_t, edges, vulnerable, costs) on a balanced graph.
+    """(n_r, n_t, edges, vulnerable, costs), on a balanced graph by default.
 
     Costs are drawn from ``cost``, the integers 0..9 by default.
     """
-    n_r, n_t, edges = draw(small_graph(max_side=max_side, max_edges=max_edges, balanced=True))
+    n_r, n_t, edges = draw(small_graph(max_side=max_side, max_edges=max_edges, balanced=balanced))
     vulnerable = draw(st.sets(st.sampled_from(range(len(edges))) if edges else st.nothing()))
     costs = draw(
         st.lists(

@@ -19,8 +19,10 @@ import pytest
 import rapkit.cli
 from rapkit.cli import main
 from rapkit.ear import solve_ear
+from rapkit.exact import solve_exact
 from rapkit.instance import (
     InstanceError,
+    Solution,
     format_instance,
     format_solution,
     make_instance,
@@ -257,21 +259,25 @@ class TestSolve:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_unbalanced_round_trip(self, tmp_path, capsys):
-        inst = make_instance(
+        vulnerable = make_instance(
             2,
             3,
             [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2), (1, 0)],
             [0, 2, 4],
             [2, 3, 4, 5, 1, 2],
         )
-        path = write(tmp_path / "unb.txt", format_instance(inst))
-        sol = tmp_path / "unb.sol"
-        rc = main(["solve", "--algo", "exact", "--in", path, "--out", str(sol)])
-        assert rc == 0
-        capsys.readouterr()
-        ids = parse_solution(sol.read_text())
-        assert all(e < 6 for e in ids)
-        assert main(["verify", path, str(sol)]) == 0
+        # the zero-cost edge 4 is of no use; --out must not pad with it
+        zero_cost = make_instance(
+            2, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)], [], [2, 1, 1, 0, 0]
+        )
+        for inst in (vulnerable, zero_cost):
+            path = write(tmp_path / "unb.txt", format_instance(inst))
+            sol = tmp_path / "unb.sol"
+            rc = main(["solve", "--algo", "exact", "--in", path, "--out", str(sol)])
+            assert rc == 0
+            capsys.readouterr()
+            assert parse_solution(sol.read_text()) == solve_exact(inst).edge_ids
+            assert main(["verify", path, str(sol)]) == 0
 
 
 class TestGen:
@@ -396,6 +402,17 @@ class TestVerify:
         assert main(["verify", path, sol]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_DIGESTS[name]
+
+    def test_unbalanced_non_edge_ids_exit_1(self, tmp_path, capsys):
+        inst = make_instance(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)], [], [2, 1, 1, 0, 0])
+        path = write(tmp_path / "unb.txt", format_instance(inst))
+        # 5 is the first dummy edge of the balanced completion
+        for bad in (9, -1, 5):
+            sol = write(tmp_path / "bad.sol", format_solution([1, 3, bad]))
+            assert main(["verify", path, sol]) == 1
+            assert capsys.readouterr().err == f"solution id {bad} is not an edge\n"
+            with pytest.raises(InstanceError, match=f"solution id {bad} is not an edge"):
+                verify_solution(inst, Solution(frozenset({1, 3, bad}), 1.0))
 
     def test_malformed_instance_exits_1(self, tmp_path, capsys):
         path = write(tmp_path / "junk.txt", "not an instance\n")

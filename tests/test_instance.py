@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -107,6 +107,38 @@ class TestVerifySolution:
         for ids in [set(range(len(edges))), set(range(0, len(edges), 2))]:
             expected = oracles.brute_feasible(n_r, n_t, edges, vulnerable, ids)
             assert is_feasible_set(inst, ids) == expected
+
+    @settings(max_examples=150)
+    @given(small_instance(balanced=False), st.data())
+    def test_unbalanced_checks_the_completion(self, data, picks):
+        n_r, n_t, edges, vulnerable, costs = data
+        assume(n_r != n_t)
+        inst = make_instance(n_r, n_t, edges, vulnerable, costs)
+        ids = picks.draw(st.sets(st.sampled_from(range(len(edges))) if edges else st.nothing()))
+        completion = balanced_completion(inst)
+        work = completion.instance
+        small = min(n_r, n_t)
+
+        def covers(x):
+            return oracles.max_matching_size(n_r, n_t, edges, x) == small
+
+        feasible = covers(ids) and all(covers(ids - {f}) for f in vulnerable)
+        try:
+            expected = verify_solution(work, solution_for(work, completion.encode(ids)))
+        except InfeasibleSolutionError as exc:
+            assert not feasible
+            with pytest.raises(InfeasibleSolutionError) as ei:
+                verify_solution(inst, solution_for(inst, ids))
+            assert ei.value.scenario == exc.scenario and str(ei.value) == str(exc)
+            assert exc.scenario in (vulnerable or {NOMINAL_SCENARIO})
+            return
+        assert feasible
+        cert = verify_solution(inst, solution_for(inst, ids))
+        assert cert.matchings == {f: completion.decode(w) for f, w in expected.matchings.items()}
+        for f, w in cert.matchings.items():
+            ends = [edges[e] for e in w]
+            assert f not in w and w <= ids and covers(w)
+            assert len(ends) == len({r for r, _ in ends}) == len({t for _, t in ends}) == small
 
 
 class TestFirstFailingScenario:

@@ -13,6 +13,7 @@ import rapkit.rounding
 from rapkit.graph_core import components
 from rapkit.instance import (
     InstanceError,
+    balanced_completion,
     is_feasible_set,
     make_instance,
     uniform_instance,
@@ -24,6 +25,7 @@ from rapkit.rounding import (
     rounding_iteration,
     solve_lp_round,
 )
+from rapkit.reductions import random_instance
 from test_graph_core import gk_graph
 
 C4_EDGES = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -139,10 +141,22 @@ class TestSolveLpRound:
         with pytest.raises(InstanceError, match="infeasible"):
             solve_lp_round(inst, seed=0)
 
-    def test_unbalanced_rejected(self):
-        inst = make_instance(2, 1, [(0, 0), (1, 0)], [], [1.0, 1.0])
-        with pytest.raises(InstanceError, match="balanced_completion"):
-            solve_lp_round(inst, seed=0)
+    def test_unbalanced_rounds_the_completion(self):
+        # the same rounding as on the explicit completion, in the caller's ids
+        cases = [
+            make_instance(2, 1, [(0, 0), (1, 0)], [], [1.0, 1.0]),
+            random_instance(3, 4, 0.6, 0.5, (1, 10), seed=1),
+            random_instance(4, 3, 0.6, 0.5, (1, 10), seed=2),
+        ]
+        for inst in cases:
+            completion = balanced_completion(inst)
+            for seed in (0, 1):
+                sol, trace = solve_lp_round(inst, seed=seed)
+                ref, ref_trace = solve_lp_round(completion.instance, seed=seed)
+                assert max(sol.edge_ids) < inst.graph.n_edges
+                assert sol.edge_ids == completion.decode(ref.edge_ids)
+                assert sol.cost == inst.cost_of(sol.edge_ids) and trace == ref_trace
+                verify_solution(inst, sol)
 
     def test_deterministic_per_seed(self):
         inst = make_instance(2, 2, C4_EDGES, [0, 2], [1.0, 2.0, 3.0, 4.0])
