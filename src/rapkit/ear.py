@@ -80,8 +80,11 @@ def _pick(items: Sequence[int], rng: Optional[np.random.Generator]) -> int:
     return items[int(rng.integers(len(items)))]
 
 
-def _lex_min_pm(pairs: PairAnalysis) -> set[int]:
+def _lex_min_pm(pairs: PairAnalysis) -> tuple[list[int], list[int]]:
     """Lexicographically least perfect matching of the analysed edge set.
+
+    Returned as the matched edge id at each R and T node, -1 where the edge
+    set leaves a node uncovered.
 
     The analysis' matching M must be perfect on the nodes the edge set
     touches. Edges are tried in ascending id, and an edge is fixed when
@@ -108,7 +111,7 @@ def _lex_min_pm(pairs: PairAnalysis) -> set[int]:
             for a in [e, *path]:
                 match_r[edges[a][0]] = match_t[edges[a][1]] = a
         fixed.add(r)
-    return {e for e in match_r if e != -1}
+    return match_r, match_t
 
 
 def ear_decomposition(
@@ -134,23 +137,16 @@ def ear_decomposition(
     if not active <= pairs.allowed or len({pairs.scc[g.edges[e][0]] for e in active}) != 1:
         raise GraphError("component not matching-covered")
 
-    matching = _lex_min_pm(pairs)
-    match_r: dict[int, int] = {}
-    match_t: dict[int, int] = {}
-    for e in sorted(matching):
-        r, t = g.edges[e]
-        match_r[r] = e
-        match_t[t] = e
+    match_r, match_t = _lex_min_pm(pairs)
 
     # Contract matched pairs; each non-matching edge (r, t) becomes an arc
     # from t's pair to r's pair.  Pairs are named by their r node.
     arcs: list[tuple[int, int, int]] = []  # (edge id, tail pair, head pair)
-    for e in sorted(active):
-        if e in matching:
-            continue
+    for e in pairs.edge_list:
         r, t = g.edges[e]
-        arcs.append((e, g.edges[match_t[t]][0], r))
-    out_arcs: dict[int, list[int]] = {r: [] for r in match_r}
+        if match_r[r] != e:
+            arcs.append((e, g.edges[match_t[t]][0], r))
+    out_arcs: list[list[int]] = [[] for _ in match_r]
     for idx, (_, tail, _) in enumerate(arcs):
         out_arcs[tail].append(idx)
 

@@ -9,7 +9,7 @@ instances.  All generators are deterministic given their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 

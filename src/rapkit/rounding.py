@@ -9,14 +9,17 @@ edges, and a non-uniform one uniformized (parallel copies for invulnerable
 edges); the result is mapped back to the completion, pruned and verified
 there, and returned in the caller's edge ids.
 
-One corner case needs care on multigraphs: when the selected f is an
-isolated edge of the current selection and the sampled matching covers f's
-endpoints with an edge parallel to f, that edge merges nothing yet must be
-kept, otherwise f would never become covered. The parallel pair then forms
-its own two-node component, which is matching-covered, so the loop
-invariant (every edge-bearing component of the selection matching-covered)
-is unaffected. The invariant is checked on every iteration, on the same
-oracle analysis (``instance._scan``) that finds the next f.
+The loop invariant, checked on every iteration on the oracle analysis
+(``instance._scan``) that finds the next f, is that every edge-bearing
+component of the selection is matching-covered. The components are read
+off that analysis: each edge-bearing one is a strongly connected pair
+component (``PairAnalysis.scc``), and each unmatched node is its own.
+
+On multigraphs, when the selected f is an isolated edge and the sampled
+matching covers f's ends with an edge parallel to f, that edge merges
+nothing yet must be kept, or f would never become covered. The parallel
+pair forms its own two-node component, which is matching-covered, so the
+invariant is unaffected.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rapkit.decompose import birkhoff_decompose, sample
-from rapkit.graph_core import components
+from rapkit.graph_core import PairAnalysis
 from rapkit.instance import (
     NOMINAL_SCENARIO,
     InstanceMapping,
@@ -40,8 +43,6 @@ from rapkit.instance import (
     verify_solution,
 )
 from rapkit.lp import FractionalSolution, build_lp, solve_lp
-
-TRUNCATE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,46 +81,42 @@ class RoundPlan:
 
 def rounding_iteration(
     inst: RapInstance,
-    x_set: frozenset[int],
-    comps: list[tuple[frozenset[int], frozenset[int], frozenset[int]]],
+    pairs: PairAnalysis,
     frac: FractionalSolution,
     f: int,
     rng: np.random.Generator,
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Sample a matching avoiding f and keep its component-merging edges.
 
-    ``comps`` are ``components(g, x_set)``, fixed for the whole scan. A
-    sampled edge parallel to an isolated-edge f is kept as well (see the
-    module note); everything else inside a single component is dropped.
-    Returns the kept edges and the whole sampled matching.
+    ``pairs`` is the oracle's analysis of the current selection. Under the
+    loop invariant, a sampled edge (r, t) lies inside one component exactly
+    when r and t are matched and r's pair shares its ``scc`` with the pair
+    matched at t, and f is an isolated edge exactly when ``pairs.arcs``
+    lists f alone at its R node; a sampled edge parallel to it is then kept
+    too (see the module note). Returns the kept edges and the whole sampled
+    matching.
     """
     g = inst.graph
     avoid = None if f == NOMINAL_SCENARIO else f
-    values = [0.0 if v < TRUNCATE_EPS else v for v in frac.x[f]]
-    combination = birkhoff_decompose(g, avoid, values)
-    matched = sample(combination, rng)
+    matched = sample(birkhoff_decompose(g, avoid, frac.x[f]), rng)
 
-    comp_of_r = {r: i for i, (r_nodes, _, _) in enumerate(comps) for r in r_nodes}
-    comp_of_t = {t: i for i, (_, t_nodes, _) in enumerate(comps) for t in t_nodes}
-    rescue_pair: tuple[int, int] | None = None
-    if avoid is not None and f in x_set:
-        fr, ft = g.edges[f]
-        # f is an isolated edge iff no other selected edge touches its ends
-        alone = all(
-            e == f or (g.edges[e][0] != fr and g.edges[e][1] != ft)
-            for e in x_set
-        )
-        if alone:
-            rescue_pair = (fr, ft)
-
+    scc, match_t = pairs.scc, pairs.matching.match_t
+    rescue_pair = None
+    if avoid is not None and [e for e, _ in pairs.arcs[g.edges[f][0]]] == [f]:
+        rescue_pair = g.edges[f]
     delta = set()
-    for e in sorted(matched.edge_ids):
+    for e in matched.edge_ids:
         r, t = g.edges[e]
-        if comp_of_r[r] != comp_of_t[t]:
-            delta.add(e)
-        elif rescue_pair is not None and (r, t) == rescue_pair:
+        mate = match_t[t]
+        if mate == -1 or scc[r] != scc[g.edges[mate][0]] or (r, t) == rescue_pair:
             delta.add(e)
     return frozenset(delta), matched.edge_ids
+
+
+def _n_components(pairs: PairAnalysis) -> int:
+    """Components of the selection, isolated nodes included (under the invariant)."""
+    scc = pairs.scc
+    return len(set(scc) - {-1}) + scc.count(-1) + pairs.matching.match_t.count(-1)
 
 
 def prepare(inst: RapInstance) -> RoundPlan:
@@ -150,32 +147,25 @@ def solve_lp_round(
     rng = np.random.default_rng(seed)
 
     x_set: frozenset[int] = frozenset()
-    comps = components(g, x_set)
     records: list[IterationRecord] = []
-    f = _scan(work, x_set)[1]
+    pairs, f = _scan(work, x_set)
+    n_comps = _n_components(pairs)
     while f is not None:
         if len(records) >= g.n_edges:
             raise RuntimeError("rounding exceeded its iteration bound")
-        delta, sampled = rounding_iteration(work, x_set, comps, frac, f, rng)
+        delta, sampled = rounding_iteration(work, pairs, frac, f, rng)
         x_set = x_set | delta
-        before, comps = len(comps), components(g, x_set)
-        records.append(
-            IterationRecord(
-                scenario=f,
-                sampled=sampled,
-                added=delta,
-                components_before=before,
-                components_after=len(comps),
-            )
-        )
-        pairs, f = _scan(work, x_set)
+        pairs, next_f = _scan(work, x_set)
         # every edge-bearing component is matching-covered exactly when
         # every selected edge is allowed
         if not x_set <= pairs.allowed:
             raise AssertionError(f"edges {sorted(x_set - pairs.allowed)} break the invariant")
-        # scenarios up to the last one were covered; adding edges keeps them so
-        if f is not None and f <= records[-1].scenario:
-            raise AssertionError(f"scenario {records[-1].scenario} still uncovered")
+        before, n_comps = n_comps, _n_components(pairs)
+        records.append(IterationRecord(f, sampled, delta, before, n_comps))
+        # scenarios up to f were covered; adding edges keeps them so
+        if next_f is not None and next_f <= f:
+            raise AssertionError(f"scenario {f} still uncovered")
+        f = next_f
 
     decoded = plan.mapping.decode(x_set) if plan.mapping is not None else x_set
     balanced = inst if plan.completion is None else plan.completion.instance

@@ -49,6 +49,16 @@ class TestBirkhoffDecompose:
         with pytest.raises(DecomposeError, match="avoided edge"):
             birkhoff_decompose(c4(), 0, [0.5, 0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("f", [None, 0])
+    def test_solver_noise_peels_like_zero(self, f):
+        # a relaxation block may hold entries down to -EPS_FEAS and tiny
+        # positive ones; both stay out of the support, although the matching
+        # routine would try their edges first
+        g = BipartiteMultigraph(2, 2, [(0, 0), (1, 1)] + C4_EDGES)
+        noisy = [-1e-9, 5e-10, 0.6, 0.4, 0.6, 0.4]
+        clean = [0.0, 0.0, 0.6, 0.4, 0.6, 0.4]
+        assert birkhoff_decompose(g, f, noisy).terms == birkhoff_decompose(g, f, clean).terms
+
     def test_support_without_pm(self):
         g = BipartiteMultigraph(2, 2, [(0, 0), (1, 0), (1, 1)])
         with pytest.raises(DecomposeError, match="support has no perfect matching"):

@@ -5,20 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from strategies import small_instance
 
 import rapkit.rounding
-from rapkit.graph_core import components
+from rapkit.graph_core import PairAnalysis, components
 from rapkit.instance import (
     InstanceError,
     balanced_completion,
+    check_feasible,
     is_feasible_set,
     make_instance,
     uniform_instance,
     verify_solution,
 )
+from rapkit.lp import FractionalSolution
 from rapkit.rounding import (
     format_trace,
     prepare,
@@ -41,7 +44,7 @@ class TestRoundingIteration:
         plan = prepare(inst)
         x_set = frozenset()
         delta, _ = rounding_iteration(
-            inst, x_set, components(inst.graph, x_set), plan.fractional, 0,
+            inst, PairAnalysis(inst.graph, x_set), plan.fractional, 0,
             np.random.default_rng(0),
         )
         assert delta == frozenset({1, 3})
@@ -51,7 +54,7 @@ class TestRoundingIteration:
         plan = prepare(inst)
         x_set = frozenset({0, 2})
         delta, _ = rounding_iteration(
-            inst, x_set, components(inst.graph, x_set), plan.fractional, 1,
+            inst, PairAnalysis(inst.graph, x_set), plan.fractional, 1,
             np.random.default_rng(0),
         )
         # avoiding edge 1 forces matching {0, 2}; both its edges lie inside
@@ -59,7 +62,7 @@ class TestRoundingIteration:
         assert delta == frozenset()
         x_set = frozenset({1, 3})
         delta, _ = rounding_iteration(
-            inst, x_set, components(inst.graph, x_set), plan.fractional, 1,
+            inst, PairAnalysis(inst.graph, x_set), plan.fractional, 1,
             np.random.default_rng(0),
         )
         assert delta == frozenset({0, 2})
@@ -69,12 +72,25 @@ class TestRoundingIteration:
         plan = prepare(inst)
         x_set = frozenset({0})
         delta, _ = rounding_iteration(
-            inst, x_set, components(inst.graph, x_set), plan.fractional, 0,
+            inst, PairAnalysis(inst.graph, x_set), plan.fractional, 0,
             np.random.default_rng(0),
         )
         # the only matching avoiding edge 0 is its parallel twin, which
         # merges nothing but must still be kept
         assert delta == frozenset({1})
+
+    def test_parallel_edge_dropped_when_scenario_not_isolated(self):
+        inst = uniform_instance(2, 2, [(0, 0), (0, 0), (1, 1), (0, 1), (1, 0)])
+        x_set = frozenset({0, 2, 3, 4})
+        frac = FractionalSolution(y=(1.0,) * 5, x={0: (0.0, 1.0, 1.0, 0.0, 0.0)},
+                                  objective=0.0, iterations=0)
+        delta, sampled = rounding_iteration(
+            inst, PairAnalysis(inst.graph, x_set), frac, 0, np.random.default_rng(0),
+        )
+        # f = 0 lies on the selected 4-cycle, so its twin merges nothing and
+        # no rescue applies
+        assert sampled == frozenset({1, 2})
+        assert delta == frozenset()
 
 
 class TestSolveLpRound:
@@ -129,7 +145,7 @@ class TestSolveLpRound:
         ids=["edge-not-allowed", "no-progress"],
     )
     def test_broken_iteration_raises(self, monkeypatch, added, message):
-        def broken_iteration(inst, x_set, comps, frac, f, rng):
+        def broken_iteration(inst, pairs, frac, f, rng):
             return added, added
 
         monkeypatch.setattr(rapkit.rounding, "rounding_iteration", broken_iteration)
@@ -170,6 +186,31 @@ class TestSolveLpRound:
         _, trace = solve_lp_round(inst, seed=1)
         for rec in trace.records:
             assert rec.components_after <= rec.components_before
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            small_instance(max_side=3, max_edges=8),
+            small_instance(max_side=3, max_edges=8, balanced=False),
+        )
+    )
+    def test_component_counts_match_graph_search(self, data):
+        # the counts read off the oracle's analysis equal a plain search
+        # over the selection, replayed from the trace
+        n_r, n_t, edges, vulnerable, costs = data
+        inst = make_instance(n_r, n_t, edges, vulnerable, costs)
+        work = inst if n_r == n_t else balanced_completion(inst).instance
+        if not check_feasible(work):
+            return
+        plan = prepare(inst)
+        g = plan.work.graph
+        for seed in range(3):
+            _, trace = solve_lp_round(inst, seed=seed, plan=plan)
+            x_set: frozenset[int] = frozenset()
+            for rec in trace.records:
+                assert rec.components_before == len(components(g, x_set))
+                x_set |= rec.added
+                assert rec.components_after == len(components(g, x_set))
 
     @settings(max_examples=25, deadline=None)
     @given(small_instance(max_side=3, max_edges=8))
