@@ -31,7 +31,7 @@ from .instance import (
     InstanceError,
     RapInstance,
     Solution,
-    _completed,
+    balanced_completion,
     check_feasible,
     format_instance,
     format_solution,
@@ -201,7 +201,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.dump_lp:
             # lp-round dumps the model it rounded, uniformized if it had to
             # be; the others the balanced completion
-            target = plan.work if plan is not None else _completed(inst)[1]
+            target = plan.work if plan is not None else balanced_completion(inst).instance
             Path(args.dump_lp).write_text(dump_lp(build_lp(target)))
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")

@@ -25,8 +25,8 @@ from .instance import (
     InstanceError,
     RapInstance,
     Solution,
-    _completed,
     _scan,
+    balanced_completion,
     solution_for,
     verify_solution,
 )
@@ -289,7 +289,8 @@ def solve_ear(
     of every component as it is built.
     """
     rng = parse_ear_order(ear_order)
-    mapping, work = _completed(inst)
+    completion = balanced_completion(inst)
+    work = completion.instance
     pairs, failing = _scan(work, None)
     if failing is not None:
         raise InstanceError("infeasible instance")
@@ -315,9 +316,7 @@ def solve_ear(
     if len(chosen) > 3 * work.graph.n_t:
         raise RuntimeError("ear solution exceeded its size bound")
     verify_solution(work, solution_for(work, chosen))
-    if mapping is not None:
-        chosen = set(mapping.decode(chosen))
-    return solution_for(inst, chosen)
+    return solution_for(inst, completion.decode(chosen))
 
 
 def format_ears(dec: EarDecomposition) -> str:

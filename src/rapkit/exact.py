@@ -17,7 +17,7 @@ from .instance import (
     InstanceError,
     RapInstance,
     Solution,
-    _completed,
+    balanced_completion,
     check_feasible,
     first_failing_scenario,
     solution_for,
@@ -95,7 +95,8 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
     ``_Degrees`` bound exceeds the best cost by a relative 1e-9.
     """
     cfg = cfg or BnbConfig()
-    mapping, work = _completed(inst)
+    completion = balanced_completion(inst)
+    work = completion.instance
     m = work.graph.n_edges
     if m > cfg.max_edges:
         raise ExactError("instance too large for exact solver")
@@ -103,7 +104,7 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
         raise InstanceError("infeasible instance")
 
     all_ids = frozenset(range(m))
-    fixed = frozenset() if mapping is None else mapping.always_include
+    fixed = completion.always_include
     order = sorted(all_ids - fixed, key=lambda e: (-work.costs[e], e))
     degrees = _Degrees(work, order, fixed)
 
@@ -140,7 +141,7 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
 
     search(0, 0.0)
     assert best is not None
-    return solution_for(inst, best[1] if mapping is None else mapping.decode(best[1]))
+    return solution_for(inst, completion.decode(best[1]))
 
 
 def lower_bounds(inst: RapInstance, plan: Optional[RoundPlan] = None) -> float:
@@ -149,11 +150,12 @@ def lower_bounds(inst: RapInstance, plan: Optional[RoundPlan] = None) -> float:
     Combines the counting bounds for unit costs (any solution contains a
     matching covering the smaller side; with every edge vulnerable each of
     those nodes needs two incident edges) with the LP relaxation value.
-    ``plan``, prepared from ``inst``, lends its relaxation value when it
-    solved the same model (it did not uniformize); otherwise the relaxation
-    of ``inst``'s balanced completion is solved here.
+    A ``plan`` lends its relaxation value only when it was prepared from
+    ``inst`` itself (the same object) and its uniformizing appended
+    nothing, so that it solved the relaxation of ``inst``'s balanced
+    completion; otherwise that relaxation is solved here.
     """
-    _, work = _completed(inst)
+    work = balanced_completion(inst).instance
     n = min(inst.graph.n_r, inst.graph.n_t)
     bounds = [0.0]
     unit = inst.graph.n_edges > 0 and all(c == 1 for c in inst.costs)
@@ -161,7 +163,7 @@ def lower_bounds(inst: RapInstance, plan: Optional[RoundPlan] = None) -> float:
         bounds.append(float(n))
         if inst.uniform:
             bounds.append(2.0 * n)
-    if plan is not None and plan.mapping is None:
+    if plan is not None and plan.original is inst and not plan.mapping.appended:
         bounds.append(plan.fractional.objective)
     elif check_feasible(work):
         bounds.append(solve_lp(build_lp(work)).objective)

@@ -115,30 +115,41 @@ class Certificate:
 
 @dataclass(frozen=True)
 class InstanceMapping:
-    """An instance transformation with data-driven solution translation.
+    """An instance built from another by appending edges, and the way back.
 
-    ``encode_map`` sends each original edge id to the new ids standing in
-    for it; ``always_include`` lists new ids every encoded solution must
-    carry; ``decode_map`` sends new ids back to original ids (ids with no
-    original counterpart are absent and drop out on decode).
+    Edge ids below ``n_original`` name the same edge in both instances.
+    Appended edge ``n_original + i`` stands for original edge
+    ``appended[i]``, or is a dummy when that entry is -1. Encoding adds
+    every dummy (``always_include``) and each stand-in of an encoded edge;
+    decoding maps stand-ins back and drops the dummies. With nothing
+    appended the mapping is the identity, and ``encode`` and ``decode``
+    return a frozenset argument itself.
     """
 
     instance: RapInstance
-    encode_map: Mapping[int, tuple[int, ...]]
-    decode_map: Mapping[int, int]
-    always_include: frozenset[int] = frozenset()
-    swapped_sides: bool = False
+    appended: tuple[int, ...] = ()
+
+    @property
+    def n_original(self) -> int:
+        return self.instance.graph.n_edges - len(self.appended)
+
+    @property
+    def always_include(self) -> frozenset[int]:
+        n = self.n_original
+        return frozenset(n + i for i, e in enumerate(self.appended) if e == -1)
 
     def encode(self, edge_ids: Iterable[int]) -> frozenset[int]:
-        out = set(self.always_include)
-        for e in edge_ids:
-            out.update(self.encode_map[e])
-        return frozenset(out)
+        ids = frozenset(edge_ids)
+        if not self.appended:
+            return ids
+        n = self.n_original
+        return ids | {n + i for i, e in enumerate(self.appended) if e == -1 or e in ids}
 
     def decode(self, edge_ids: Iterable[int]) -> frozenset[int]:
-        return frozenset(
-            self.decode_map[e] for e in edge_ids if e in self.decode_map
-        )
+        if not self.appended:
+            return frozenset(edge_ids)
+        n, app = self.n_original, self.appended
+        return frozenset(e if e < n else app[e - n] for e in edge_ids if e < n or app[e - n] != -1)
 
 
 def _require_balanced(inst: RapInstance) -> None:
@@ -207,10 +218,10 @@ def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
     for e in x.edge_ids:
         if not (0 <= e < inst.graph.n_edges):
             raise InstanceError(f"solution id {e} is not an edge")
-    completion, work = _completed(inst)
-    g = work.graph
-    ids = x.edge_ids if completion is None else completion.encode(x.edge_ids)
-    pairs, failing = _scan(work, ids)
+    completion = balanced_completion(inst)
+    g = completion.instance.graph
+    ids = completion.encode(x.edge_ids)
+    pairs, failing = _scan(completion.instance, ids)
     if failing is not None:
         if max_matching(g, frozenset(g.edge_ids()).difference(ids - {failing})).perfect:
             raise AssertionError(f"scenario {failing} reported failing but survives")
@@ -228,9 +239,7 @@ def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
         perfect = len({r for r, _ in ends}) == len({t for _, t in ends}) == len(ends) == g.n_r
         if w is None or f in w or not w <= ids or not perfect:
             raise AssertionError(f"no valid witness for scenario {f}")
-    if completion is not None:
-        matchings = {f: completion.decode(w) for f, w in matchings.items()}
-    return Certificate(matchings)
+    return Certificate({f: completion.decode(w) for f, w in matchings.items()})
 
 
 def is_feasible_set(inst: RapInstance, edge_ids: Iterable[int]) -> bool:
@@ -255,83 +264,45 @@ def prune_to_minimal(inst: RapInstance, x: Solution) -> Solution:
 def balanced_completion(inst: RapInstance) -> InstanceMapping:
     """Equalize the sides with dummy nodes joined to all of the larger side.
 
-    If T is the larger side the two sides are swapped first (edge ids are
-    unchanged by the swap). Dummy edges have zero cost, are invulnerable,
-    and are appended after the original edges. Decoding drops them.
+    A balanced instance gets the identity: ``inst`` itself, nothing
+    appended. Otherwise, if T is the larger side, the two sides are swapped
+    first (edge ids are unchanged by the swap). Dummy edges have zero cost,
+    are invulnerable, and are appended after the original edges. Decoding
+    drops them.
     """
     g = inst.graph
-    swapped = g.n_t > g.n_r
-    if swapped:
-        n_r, n_t = g.n_t, g.n_r
-        base_edges = [(t, r) for (r, t) in g.edges]
-    else:
-        n_r, n_t = g.n_r, g.n_t
-        base_edges = list(g.edges)
-    deficit = n_r - n_t
-    edges = list(base_edges)
-    costs = list(inst.costs)
-    for j in range(deficit):
-        for r in range(n_r):
-            edges.append((r, n_t + j))
-            costs.append(0.0)
-    new_inst = RapInstance(
-        BipartiteMultigraph(n_r, n_t + deficit, edges),
+    if g.balanced:
+        return InstanceMapping(inst)
+    n = max(g.n_r, g.n_t)
+    n_t = min(g.n_r, g.n_t)
+    edges = [(t, r) for r, t in g.edges] if g.n_t > g.n_r else list(g.edges)
+    dummies = [(r, t) for t in range(n_t, n) for r in range(n)]
+    completed = RapInstance(
+        BipartiteMultigraph(n, n, edges + dummies),
         inst.vulnerable,
-        tuple(costs),
+        tuple(inst.costs) + (0.0,) * len(dummies),
     )
-    m = g.n_edges
-    dummy_ids = frozenset(range(m, len(edges)))
-    return InstanceMapping(
-        instance=new_inst,
-        encode_map={e: (e,) for e in range(m)},
-        decode_map={e: e for e in range(m)},
-        always_include=dummy_ids,
-        swapped_sides=swapped,
-    )
-
-
-def _completed(inst: RapInstance) -> tuple[InstanceMapping | None, RapInstance]:
-    """The balanced completion's mapping and instance; ``None, inst`` if balanced."""
-    if inst.graph.balanced:
-        return None, inst
-    mapping = balanced_completion(inst)
-    return mapping, mapping.instance
+    return InstanceMapping(completed, (-1,) * len(dummies))
 
 
 def uniformize(inst: RapInstance) -> InstanceMapping:
     """Make every edge vulnerable by doubling the invulnerable ones.
 
-    Each invulnerable edge e gains a parallel copy with the same cost; the
-    new vulnerable set is the whole edge list. Encoding a solution adds the
-    copy of each of its invulnerable edges (at most doubling its cost);
-    decoding maps each copy back to its original edge id.
+    Each invulnerable edge e gains a parallel copy with the same cost,
+    appended in id order; the new vulnerable set is the whole edge list.
+    Encoding a solution adds the copy of each of its invulnerable edges (at
+    most doubling its cost); decoding maps each copy back to its original
+    edge id.
     """
     _require_balanced(inst)
     g = inst.graph
-    m = g.n_edges
-    edges = list(g.edges)
-    costs = list(inst.costs)
-    encode_map: dict[int, tuple[int, ...]] = {}
-    decode_map: dict[int, int] = {e: e for e in range(m)}
-    for e in range(m):
-        if e in inst.vulnerable:
-            encode_map[e] = (e,)
-        else:
-            copy_id = len(edges)
-            edges.append(g.edges[e])
-            costs.append(inst.costs[e])
-            encode_map[e] = (e, copy_id)
-            decode_map[copy_id] = e
-    new_inst = RapInstance(
-        BipartiteMultigraph(g.n_r, g.n_t, edges),
-        frozenset(range(len(edges))),
-        tuple(costs),
+    copied = tuple(e for e in g.edge_ids() if e not in inst.vulnerable)
+    uniform = RapInstance(
+        BipartiteMultigraph(g.n_r, g.n_t, list(g.edges) + [g.edges[e] for e in copied]),
+        frozenset(range(g.n_edges + len(copied))),
+        tuple(inst.costs) + tuple(inst.costs[e] for e in copied),
     )
-    return InstanceMapping(
-        instance=new_inst,
-        encode_map=encode_map,
-        decode_map=decode_map,
-    )
+    return InstanceMapping(uniform, copied)
 
 
 # --- text formats -----------------------------------------------------------

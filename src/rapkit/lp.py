@@ -213,10 +213,11 @@ def _simplex(lp: RapLp) -> tuple[np.ndarray, float, int]:
     block exceeds a quarter of the matrix. Either way each updated entry
     is b - d_i * row_c, rounded once per operation, and the two paths and
     the dense rank-one update differ only in the sign of a zero entry. No
-    comparison sees that sign, and each phase ends with a refactorization,
-    so the returned point does not depend on it. A threaded BLAS sums the
-    dual and FTRAN products in another order and can take another pivot
-    path.
+    comparison sees that sign, and each phase ends on a fresh
+    refactorization (made at its end unless nothing moved since the last
+    one), so the returned point does not depend on it. A threaded BLAS
+    sums the dual and FTRAN products in another order and can take
+    another pivot path.
     """
     n_rows, n_struct = lp.n_rows, lp.n_vars
     if n_rows == 0:
@@ -294,6 +295,9 @@ class _SimplexState:
         self.b_inv = np.eye(self.n_rows)
         self.iterations = 0
         self._since_refactor = 0
+        # whether a pivot or a bound flip came since the last refactorization;
+        # the starting inverse is exact, since the starting basis is I
+        self._moved = False
         self.x_b = self._recompute_basics()
 
     def _nonbasic_values(self) -> np.ndarray:
@@ -322,6 +326,7 @@ class _SimplexState:
             raise LpError("singular basis") from exc
         self.x_b = self._recompute_basics()
         self._since_refactor = 0
+        self._moved = False
 
     def values(self) -> np.ndarray:
         vals = self._nonbasic_values()
@@ -413,7 +418,8 @@ class _SimplexState:
             else:
                 j = int(np.argmax(viol))
             if viol[j] <= EPS_OPT:
-                self._refactorize()
+                if self._moved:
+                    self._refactorize()
                 return
 
             nz = slice(self.col_start[j], self.col_start[j + 1])
@@ -462,6 +468,7 @@ class _SimplexState:
 
             dd *= step
             self.x_b -= dd
+            self._moved = True
             if leave_row < 0:
                 # bound flip: the entering variable crosses to its other bound
                 status[j] = _AT_UB if status[j] == _AT_LB else _AT_LB

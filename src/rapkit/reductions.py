@@ -18,8 +18,8 @@ from .instance import (
     InstanceError,
     RapInstance,
     Solution,
-    _completed,
     _tokenize,
+    balanced_completion,
     check_feasible,
     format_instance,
     make_instance,
@@ -356,8 +356,7 @@ def random_instance(
         vulnerable = {e for e in range(len(edges)) if rng.random() < vuln_prob}
         costs = [float(c) for c in rng.integers(lo, hi, size=len(edges), endpoint=True)]
         inst = make_instance(n_r, n_t, edges, vulnerable, costs)
-        _, work = _completed(inst)
-        if check_feasible(work):
+        if check_feasible(balanced_completion(inst).instance):
             return inst
     raise InstanceError("could not generate feasible instance")
 

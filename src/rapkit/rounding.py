@@ -35,8 +35,8 @@ from rapkit.instance import (
     InstanceMapping,
     RapInstance,
     Solution,
-    _completed,
     _scan,
+    balanced_completion,
     prune_to_minimal,
     solution_for,
     uniformize,
@@ -68,15 +68,20 @@ class RoundPlan:
     """Reusable per-instance state: the (possibly uniformized) LP optimum.
 
     Building a plan once lets many seeds share the LP solve. ``completion``
-    is the balanced completion of ``original`` (None when it is balanced),
-    and ``mapping`` the uniformizing of that (None when it is not needed).
+    is the balanced completion of ``original``, and ``mapping`` the
+    uniformizing of that; either is the identity (nothing appended) when
+    its step is not needed. ``fractional`` is the optimum of the
+    relaxation of ``work``, the instance the rounding runs on.
     """
 
     original: RapInstance
-    completion: InstanceMapping | None
-    mapping: InstanceMapping | None
-    work: RapInstance
+    completion: InstanceMapping
+    mapping: InstanceMapping
     fractional: FractionalSolution
+
+    @property
+    def work(self) -> RapInstance:
+        return self.mapping.instance
 
 
 def rounding_iteration(
@@ -121,12 +126,10 @@ def _n_components(pairs: PairAnalysis) -> int:
 
 def prepare(inst: RapInstance) -> RoundPlan:
     """Complete and uniformize ``inst`` if needed, and solve the relaxation once."""
-    completion, work = _completed(inst)
-    mapping = uniformize(work) if work.vulnerable and not work.uniform else None
-    if mapping is not None:
-        work = mapping.instance
-    frac = solve_lp(build_lp(work))
-    return RoundPlan(inst, completion, mapping, work, frac)
+    completion = balanced_completion(inst)
+    work = completion.instance
+    mapping = uniformize(work) if work.vulnerable and not work.uniform else InstanceMapping(work)
+    return RoundPlan(inst, completion, mapping, solve_lp(build_lp(mapping.instance)))
 
 
 def solve_lp_round(
@@ -167,13 +170,10 @@ def solve_lp_round(
             raise AssertionError(f"scenario {f} still uncovered")
         f = next_f
 
-    decoded = plan.mapping.decode(x_set) if plan.mapping is not None else x_set
-    balanced = inst if plan.completion is None else plan.completion.instance
-    pruned = prune_to_minimal(balanced, solution_for(balanced, decoded))
+    balanced = plan.completion.instance
+    pruned = prune_to_minimal(balanced, solution_for(balanced, plan.mapping.decode(x_set)))
     verify_solution(balanced, pruned)
-    if plan.completion is not None:
-        pruned = solution_for(inst, plan.completion.decode(pruned.edge_ids))
-    return pruned, RoundTrace(tuple(records))
+    return solution_for(inst, plan.completion.decode(pruned.edge_ids)), RoundTrace(tuple(records))
 
 
 def format_trace(trace: RoundTrace) -> str:

@@ -477,7 +477,7 @@ class TestBench:
         manifest = self.gk_manifest(tmp_path, ["lp-round"], ks=(3,))
         assert main(["bench", manifest, "--seeds", "0..2"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert len(plans) == 1 and plans[0].mapping is None
+        assert len(plans) == 1 and plans[0].work is plans[0].original
         assert len(lent) == 1 and lent[0] is plans[0]
         # each row matches a solve that prepares its own relaxation
         for row in rows:

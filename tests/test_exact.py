@@ -134,7 +134,7 @@ def test_lower_bounds_reuse_a_plan_of_the_same_model(monkeypatch, vulnerable, un
     inst = make_instance(2, 2, C4_EDGES, vulnerable=list(vulnerable), costs=[2, 3, 5, 7])
     expected = lower_bounds(inst)
     plan = prepare(inst)
-    assert (plan.mapping is not None) == uniformized
+    assert (plan.work is not inst) == uniformized
     solves = []
     real_solve_lp = rapkit.exact.solve_lp
 
@@ -146,6 +146,13 @@ def test_lower_bounds_reuse_a_plan_of_the_same_model(monkeypatch, vulnerable, un
     assert lower_bounds(inst, plan) == expected
     # a uniformized plan solved another model, so the bound solves its own
     assert len(solves) == uniformized
+
+
+def test_lower_bounds_ignore_a_plan_of_another_instance():
+    x = make_instance(2, 2, C4_EDGES, range(4), [5] * 4)
+    y = make_instance(2, 2, C4_EDGES, range(4), [1] * 4)
+    assert solve_exact(y).cost == 4.0
+    assert lower_bounds(y, prepare(x)) == lower_bounds(y) == 4.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -253,13 +253,13 @@ class TestBalancedCompletion:
         mapping = balanced_completion(inst)
         assert mapping.instance.graph.n_edges == 4
         assert mapping.always_include == frozenset()
-        assert not mapping.swapped_sides
+        assert mapping.instance.graph.edges == inst.graph.edges
 
     def test_swap_when_t_larger(self):
         inst = make_instance(1, 2, [(0, 0), (0, 1)], [0, 1], [1.0, 1.0])
         mapping = balanced_completion(inst)
-        assert mapping.swapped_sides
         g2 = mapping.instance.graph
+        assert [r for r, _ in g2.edges[:2]] == [t for _, t in inst.graph.edges]
         assert (g2.n_r, g2.n_t) == (2, 2)
         # original edges keep their ids with endpoints transposed
         assert g2.edges[0] == (0, 0) and g2.edges[1] == (1, 0)
@@ -288,7 +288,7 @@ class TestUniformize:
         # copies sit after the originals, same endpoints and cost
         assert new.graph.edges[4] == inst.graph.edges[1]
         assert new.costs[4] == inst.costs[1]
-        assert mapping.decode_map[4] == 1 and mapping.decode_map[5] == 3
+        assert mapping.decode({4}) == {1} and mapping.decode({5}) == {3}
 
     def test_already_uniform_identity(self):
         inst = c4_uniform()
@@ -332,6 +332,28 @@ class TestUniformize:
         decoded = mapping.decode(encoded)
         assert decoded <= full
         assert is_feasible_set(inst, decoded)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instance(balanced=False), st.data())
+def test_every_mapping_round_trips(data, draw):
+    # both transformations, the second applied to the first's result: a
+    # subset survives encode then decode, its encoding carries every dummy,
+    # the completion keeps its cost and uniformizing at most doubles it
+    inst = make_instance(*data)
+    completion = balanced_completion(inst)
+    uniform = uniformize(completion.instance)
+    for mapping, source, factor in ((completion, inst, 1), (uniform, completion.instance, 2)):
+        ids = range(source.graph.n_edges)
+        x = frozenset(draw.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set())))
+        encoded = mapping.encode(x)
+        assert mapping.decode(encoded) == x
+        assert mapping.always_include <= encoded
+        assert source.cost_of(x) <= mapping.instance.cost_of(encoded) <= factor * source.cost_of(x)
+        if not mapping.appended:
+            # the identity hands back the caller's own frozenset, not a copy
+            assert encoded is x and mapping.decode(x) is x
+    assert (completion.instance is inst) == inst.graph.balanced
 
 
 class TestTextFormats:

@@ -208,6 +208,44 @@ class TestSolveLp:
         ).stdout
         assert out.splitlines() == ["3 356 7.000000000000002", "4 598 8.5"]
 
+    def test_phase_end_refactorizes_only_after_a_move(self):
+        # A phase ends with a refactorization unless no pivot or bound flip
+        # came since the last one. Pinning _moved to True restores the
+        # unconditional one, so each case must save exactly one inverse and
+        # no byte of the point. The uniformized instance reaches phase 2's
+        # optimum one pricing after a periodic refactorization; with zero
+        # costs phase 2 starts optimal. One BLAS thread, as for the pins.
+        code = (
+            "import numpy as np\n"
+            "from rapkit import gk_family, random_instance\n"
+            "from rapkit.instance import make_instance, uniformize\n"
+            "from rapkit.lp import _SimplexState, build_lp, solve_lp\n"
+            "real = _SimplexState._refactorize\n"
+            "def solve(inst):\n"
+            "    calls = []\n"
+            "    _SimplexState._refactorize = lambda self: calls.append(real(self))\n"
+            "    sol = solve_lp(build_lp(inst))\n"
+            "    x = [sol.x[f] for f in sorted(sol.x)]\n"
+            "    return len(calls), np.asarray([sol.y] + x).tobytes()\n"
+            "g = gk_family(3).graph\n"
+            "cases = [uniformize(random_instance(3, 3, 0.6, 0.5, (1, 10), seed=1)).instance,\n"
+            "         make_instance(g.n_r, g.n_t, g.edges, g.edge_ids(), [0] * g.n_edges)]\n"
+            "for inst in cases:\n"
+            "    count, point = solve(inst)\n"
+            "    _SimplexState._moved = property(lambda self: True, lambda self, v: None)\n"
+            "    old_count, old_point = solve(inst)\n"
+            "    del _SimplexState._moved\n"
+            "    print(old_count - count, point == old_point)\n"
+        )
+        src = str(Path(rapkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines() == ["1 True", "1 True"]
+
     def test_solution_bytes_pinned(self):
         # Digests of the y vector and the x blocks (in block order), recorded
         # with the dense-pricing, full-update simplex on one BLAS thread. The
