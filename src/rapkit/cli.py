@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -174,13 +174,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except InfeasibleSolutionError as exc:
         print(f"solver output rejected: {exc}", file=sys.stderr)
         feasible = False
-    try:
-        lb = lower_bounds(inst, plan=plan)
-    except (AssertionError, RecursionError):
-        raise
-    except Exception as exc:
-        print(f"lb: {_error_text(exc)}", file=sys.stderr)
-        lb = None
+    lb, error = _attempt(lower_bounds, inst, plan)
+    if error is not None:
+        print(f"lb: {error}", file=sys.stderr)
     ratio = sol.cost / lb if lb is not None and lb > 0 else None
     report = RunReport(
         instance=_instance_id(args.infile, text),
@@ -316,6 +312,20 @@ def _error_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {first}" if first else type(exc).__name__
 
 
+def _attempt(fn: Callable[..., Any], *args: Any) -> tuple[Any, Optional[str]]:
+    """``fn(*args)`` and None, or None and the error text when it raises.
+
+    An AssertionError (a failed internal check) or a RecursionError is a
+    fault in rapkit, not a property of the input, so it propagates.
+    """
+    try:
+        return fn(*args), None
+    except (AssertionError, RecursionError):
+        raise
+    except Exception as exc:
+        return None, _error_text(exc)
+
+
 @dataclass
 class _BenchShared:
     """Per-instance work shared by all of the instance's bench rows.
@@ -342,25 +352,16 @@ def _bench_shared(path: Path, lp_round: bool) -> _BenchShared:
         ref.errors.append(_error_text(exc))
         return ref
     ref.inst = inst
-    try:
-        if lp_round:
-            ref.plan = prepare(inst)
-    except (AssertionError, RecursionError):
-        raise
-    except Exception as exc:
-        ref.failure = _error_text(exc)
-    try:
-        ref.lb = lower_bounds(inst, plan=ref.plan)
-    except (AssertionError, RecursionError):
-        raise
-    except Exception as exc:
-        ref.errors.append(f"lb: {_error_text(exc)}")
-    try:
-        ref.exact = solve_exact(inst).cost
-    except (AssertionError, RecursionError):
-        raise
-    except Exception as exc:
-        ref.errors.append(f"exact: {_error_text(exc)}")
+    if lp_round:
+        ref.plan, ref.failure = _attempt(prepare, inst)
+    ref.lb, error = _attempt(lower_bounds, inst, ref.plan)
+    if error is not None:
+        ref.errors.append(f"lb: {error}")
+    exact, error = _attempt(solve_exact, inst)
+    if error is not None:
+        ref.errors.append(f"exact: {error}")
+    else:
+        ref.exact = exact.cost
     return ref
 
 
@@ -382,17 +383,15 @@ def _bench_one(label: str, shared: _BenchShared, algo: str, seed: int) -> dict[s
         row["error"] = "; ".join([*shared.errors, shared.failure])
         return row
     start = time.perf_counter()
-    try:
-        sol, iters, _ = _run_solver(shared.inst, algo, seed, "lowest", shared.plan)
-        verify_solution(shared.inst, sol)
-    except (AssertionError, RecursionError):
-        raise
-    except Exception as exc:
-        # failed runs keep their row with the result cells blank
-        row["ms"] = f"{(time.perf_counter() - start) * 1000:.1f}"
-        row["error"] = "; ".join([*shared.errors, _error_text(exc)])
-        return row
+    run, error = _attempt(_run_solver, shared.inst, algo, seed, "lowest", shared.plan)
+    if error is None:
+        _, error = _attempt(verify_solution, shared.inst, run[0])
     row["ms"] = f"{(time.perf_counter() - start) * 1000:.1f}"
+    if error is not None:
+        # failed runs keep their row with the result cells blank
+        row["error"] = "; ".join([*shared.errors, error])
+        return row
+    sol, iters, _ = run
     row["cost"] = _num(sol.cost)
     if iters is not None:
         row["iters"] = str(iters)

@@ -127,14 +127,12 @@ def ear_decomposition(
     pairs not yet covered, so ears come out long and few.  Choices follow
     ascending edge ids unless rng is given, which shuffles them instead.
     """
-    if component_edges is None:
-        active = frozenset(g.edge_ids())
-    else:
-        active = frozenset(component_edges)
     # matching-covered: every edge allowed (so every node it touches is
     # matched) and every pair in one strongly connected component
-    pairs = PairAnalysis(g, active)
-    if not active <= pairs.allowed or len({pairs.scc[g.edges[e][0]] for e in active}) != 1:
+    pairs = PairAnalysis(g, component_edges)
+    active = pairs.edge_list
+    sccs = {pairs.scc[g.edges[e][0]] for e in active}
+    if not pairs.allowed.issuperset(active) or len(sccs) != 1:
         raise GraphError("component not matching-covered")
 
     match_r, match_t = _lex_min_pm(pairs)

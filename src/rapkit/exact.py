@@ -17,9 +17,9 @@ from .instance import (
     InstanceError,
     RapInstance,
     Solution,
+    _scan,
     balanced_completion,
     check_feasible,
-    first_failing_scenario,
     solution_for,
 )
 from .lp import build_lp, solve_lp
@@ -126,12 +126,12 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
             raise ExactError("instance too large for exact solver")
         if depth == len(order):
             ids = tuple(sorted(all_ids - fixed - excluded))
-            best = min(best or (math.inf, ()), (math.fsum(work.costs[e] for e in ids), ids))
+            best = min(best or (math.inf, ()), (work.cost_of(ids), ids))
             return
         e = order[depth]
         degrees.move(e, 1, 0)
         excluded.add(e)
-        if not pruned(cost) and first_failing_scenario(work, all_ids - excluded) is None:
+        if not pruned(cost) and _scan(work, all_ids - excluded)[1] is None:
             search(depth + 1, cost)
         excluded.remove(e)
         degrees.move(e, 0, 1)

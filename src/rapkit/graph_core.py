@@ -198,11 +198,22 @@ def _scc_of_pairs(arcs: list[list[tuple[int, int]]], match_r: Sequence[int]) -> 
     return scc
 
 
+def _active_ids(g: BipartiteMultigraph, active: Iterable[int] | None) -> frozenset[int]:
+    """``active`` as a frozenset, every edge by default; each id must be an edge."""
+    if active is None:
+        return frozenset(g.edge_ids())
+    act = frozenset(active)
+    if act and (min(act) < 0 or max(act) >= g.n_edges):
+        raise GraphError("active ids must be edges")
+    return act
+
+
 class PairAnalysis:
     """One maximum matching of an edge set and its matched-pair digraph.
 
-    The edge set is ``active`` (every edge by default) on the full node
-    set, kept in ascending order as ``edge_list``. Its ``matching`` is
+    The edge set is ``active`` (every edge by default; an id that is not
+    an edge raises GraphError) on the full node set, kept in ascending
+    order as ``edge_list``. Its ``matching`` is
     maximum, not necessarily perfect.
 
     Each matched (r, t) pair is one vertex, named by its r node.
@@ -219,7 +230,7 @@ class PairAnalysis:
     """
 
     def __init__(self, g: BipartiteMultigraph, active: Iterable[int] | None = None):
-        act = frozenset(g.edge_ids() if active is None else active)
+        act = _active_ids(g, active)
         self.graph = g
         self.edge_list = sorted(act)
         self.matching = max_matching(g, frozenset(g.edge_ids()) - act)
@@ -302,7 +313,7 @@ def components(
     Returns (r_nodes, t_nodes, edge_ids) triples ordered by first discovery
     when scanning R nodes in ascending index, then T nodes.
     """
-    act = g.edge_ids() if active is None else set(active)
+    act = _active_ids(g, active)
     # node v < n_r is R node v, node n_r + j is T node j
     n_r = g.n_r
     incident: list[list[int]] = [[] for _ in range(n_r + g.n_t)]
@@ -341,7 +352,7 @@ def matching_covered_components(
     node set and every one of its edges lies in some perfect matching of the
     component. An isolated edge qualifies; an isolated node does not.
     """
-    active = None if active is None else frozenset(active)  # read twice below
+    active = _active_ids(g, active)  # read twice below
     pairs = PairAnalysis(g, active)
     match_r = pairs.matching.match_r
     out = []

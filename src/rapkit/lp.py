@@ -8,10 +8,11 @@ coupling inequality x <= y per edge. Minimizing c*y over these constraints
 lower-bounds every robust solution.
 
 The model is nearly all zeros and every coefficient is +-1, so it is kept
-as its nonzeros. The solver, a bounded-variable revised primal simplex,
-prices over them and keeps one dense array, the basis inverse, which it
-updates only where it changes. On one BLAS thread neither moves the pivot
-path or the returned point of the dense method.
+as its nonzeros. Every variable has lower bound 0 and an upper bound of 1,
+or 0 when it is fixed. The solver, a bounded-variable revised primal
+simplex, prices over the nonzeros and keeps one dense array, the basis
+inverse, which it updates only where it changes. On one BLAS thread neither
+moves the pivot path or the returned point of the dense method.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class RapLp:
     x block (key ``NOMINAL_SCENARIO``) keeps the model non-vacuous, so the
     optimum is the cheapest perfect matching. Rows: per-block degree
     equalities (R nodes then T nodes), then per-block coupling rows
-    x_e - y_e <= 0. The fixing x^{-f}_f = 0 is a variable bound, not a row.
+    x_e - y_e <= 0. Every variable lies in [0, ``upper``]; the fixing
+    x^{-f}_f = 0 is the upper bound 0, not a row.
     The matrix is held as its nonzeros: ``vals[p]`` sits at row ``rows[p]``
     of column ``cols[p]``, sorted by column and then row. Row and variable
     names are built on first access; only dumps and error messages read them.
@@ -64,7 +66,6 @@ class RapLp:
     vals: np.ndarray
     senses: tuple[str, ...]
     rhs: np.ndarray
-    lower: np.ndarray
     upper: np.ndarray
     objective: np.ndarray
 
@@ -145,7 +146,6 @@ def build_lp(inst: RapInstance) -> RapLp:
     rhs = np.concatenate([np.ones(n_deg), np.zeros(k * m)])
     senses = ("E",) * n_deg + ("L",) * (k * m)
 
-    lower = np.zeros(n_vars)
     upper = np.ones(n_vars)
     for pos, f in enumerate(blocks):
         if f != NOMINAL_SCENARIO:
@@ -163,13 +163,11 @@ def build_lp(inst: RapInstance) -> RapLp:
         vals=vals,
         senses=senses,
         rhs=rhs,
-        lower=lower,
         upper=upper,
         objective=objective,
     )
 
 
-_AT_LB, _AT_UB, _BASIC = 0, 1, 2
 # Update the whole basis inverse once the touched block exceeds 1/4 of it:
 # subtracting at a block's flat indices costs about 8.6 ns per entry
 # against 1.9 ns for a dense pass. On lp-small's relaxations (one thread,
@@ -198,7 +196,9 @@ def _simplex(lp: RapLp) -> tuple[np.ndarray, float, int]:
     basis inverse with product-form pivot updates and periodic
     refactorization. Pricing is Dantzig's rule with first-index tie breaks;
     after a run of degenerate pivots it falls back to Bland's rule until a
-    positive step is taken, which guarantees termination.
+    positive step is taken, which guarantees termination. Every lower bound
+    is 0, so a nonbasic column sits at 0 or at its upper bound, and
+    ``_SimplexState``'s ``sign`` and ``basic`` are the whole column state.
 
     The working matrix (structurals, then one slack or artificial column
     per row) is held only as its nonzeros, sorted by column and row. FTRAN
@@ -219,80 +219,74 @@ def _simplex(lp: RapLp) -> tuple[np.ndarray, float, int]:
     sums the dual and FTRAN products in another order and can take
     another pivot path.
     """
-    n_rows, n_struct = lp.n_rows, lp.n_vars
-    if n_rows == 0:
-        values = lp.lower.copy()
+    if lp.n_rows == 0:
+        values = np.zeros(lp.n_vars)
         return values, float(lp.objective @ values), 0
 
-    senses = np.array(lp.senses)
-    # slacks ("L" rows), then artificials ("E" rows), each one +1 after the structurals
-    slack_rows = np.concatenate([np.flatnonzero(senses == "L"), np.flatnonzero(senses == "E")])
-    n_slack = int(np.count_nonzero(senses == "L"))
-    n_cols = n_struct + n_rows
-    slack_cols = np.arange(n_struct, n_cols)
-    nz_col = np.concatenate([lp.cols, slack_cols])
-    nz_row = np.concatenate([lp.rows, slack_rows])
-    nz_val = np.concatenate([lp.vals, np.ones(n_rows)])
-
-    lower = np.concatenate([lp.lower, np.zeros(n_rows)])
-    upper = np.concatenate([lp.upper, np.full(n_rows, np.inf)])
-
-    # start: slacks and artificials basic, structurals at lower bound
-    status = np.full(n_cols, _AT_LB, dtype=np.int8)
-    basic = np.empty(n_rows, dtype=np.int64)
-    basic[slack_rows] = slack_cols
-    status[basic] = _BASIC
-
-    state = _SimplexState(nz_col, nz_row, nz_val, lp.rhs.copy(), lower, upper, basic, status)
-
-    phase1_cost = np.zeros(n_cols)
-    phase1_cost[n_struct + n_slack :] = 1.0
+    state = _SimplexState(lp)
+    artificials = slice(state.first_artificial, None)
+    phase1_cost = np.zeros(state.n_cols)
+    phase1_cost[artificials] = 1.0
     state.run(phase1_cost)
     if state.objective(phase1_cost) > 1e-7:
         raise LpError("LP infeasible")
 
     # pin artificials at zero for the optimality phase
-    state.upper[n_struct + n_slack :] = 0.0
-    phase2_cost = np.zeros(n_cols)
-    phase2_cost[:n_struct] = lp.objective
+    state.upper[artificials] = 0.0
+    phase2_cost = np.zeros(state.n_cols)
+    phase2_cost[: lp.n_vars] = lp.objective
     state.run(phase2_cost)
 
-    values = state.values()[:n_struct]
+    values = state.values()[: lp.n_vars]
     return values, float(lp.objective @ values), state.iterations
 
 
 class _SimplexState:
     """Basis, bounds and basis inverse of one solve, carried across its phases.
 
+    Built from the model, with one +1 slack ("L" row) or artificial ("E"
+    row) column per row after the structurals; these form the starting
+    basis I, with every structural at 0. Every lower bound is 0, so
+    ``basic`` (the column of each row) and ``sign`` (-1 at 0, +1 at the
+    upper bound, 0 when basic or fixed) are the whole column state, and
+    ``sign * reduced cost`` is a column's pricing violation.
+
     ``run`` keeps its per-pivot state across the pivots of a phase and
     changes it where a pivot does, at the entering column and the leaving
-    row: each column's pricing sign (-1 at its lower bound, +1 at its upper
-    bound, 0 when basic or fixed), and the cost and bounds of each row's
-    basic variable. The dual, pricing, FTRAN and ratio test write into
-    buffers allocated once per phase, and the entering column is scattered
-    into a zeroed buffer and cleared after FTRAN. The update's scratch is
-    bounded by _UPDATE_ROWS rows and freed on return. All of it
-    computes the values a per-pivot rebuild would, up to the sign of a zero
-    in the inverse (see ``_simplex``), so the pivot path and the returned
-    point are unchanged.
+    row: ``sign``, and the cost and upper bound of each row's basic
+    variable. The dual, pricing, FTRAN and ratio test write into buffers
+    allocated once per phase, and the entering column is scattered into a
+    zeroed buffer and cleared after FTRAN. The update's scratch is bounded
+    by _UPDATE_ROWS rows and freed on return. All of it computes the values
+    a per-pivot rebuild would, up to the sign of a zero in the inverse (see
+    ``_simplex``), so the pivot path and the returned point are unchanged.
 
     No view of ``b_inv`` outlives the pivot that made it: ``_refactorize``
     drops the old inverse before it allocates the new one, and a view held
     across that call would keep both alive.
     """
 
-    def __init__(self, nz_col, nz_row, nz_val, rhs, lower, upper, basic, status):
+    def __init__(self, lp: RapLp):
+        n_rows, n_struct = lp.n_rows, lp.n_vars
+        senses = np.array(lp.senses)
+        # slacks ("L" rows), then artificials ("E" rows), each one +1 after the structurals
+        slack_rows = np.concatenate([np.flatnonzero(senses == "L"), np.flatnonzero(senses == "E")])
+        self.first_artificial = n_struct + int(np.count_nonzero(senses == "L"))
+        self.n_cols, self.n_rows = n_struct + n_rows, n_rows
+        slack_cols = np.arange(n_struct, self.n_cols)
         # the working matrix's nonzeros, sorted by column, then row
-        self.nz_col, self.nz_row, self.nz_val = nz_col, nz_row, nz_val
-        self.rhs = rhs
-        self.lower = lower
-        self.upper = upper
-        self.basic = basic
-        self.status = status
-        self.n_cols, self.n_rows = len(status), len(rhs)
+        self.nz_col = np.concatenate([lp.cols, slack_cols])
+        self.nz_row = np.concatenate([lp.rows, slack_rows])
+        self.nz_val = np.concatenate([lp.vals, np.ones(n_rows)])
+        self.rhs = lp.rhs
+        self.upper = np.concatenate([lp.upper, np.full(n_rows, np.inf)])
+        self.basic = np.empty(n_rows, dtype=np.int64)
+        self.basic[slack_rows] = slack_cols
+        self.sign = np.full(self.n_cols, -1.0)
+        self.sign[self.basic] = 0.0
         # column j's nonzeros are entries col_start[j] up to col_start[j + 1]
-        self.col_start = np.searchsorted(nz_col, np.arange(self.n_cols + 1))
-        self.b_inv = np.eye(self.n_rows)
+        self.col_start = np.searchsorted(self.nz_col, np.arange(self.n_cols + 1))
+        self.b_inv = np.eye(n_rows)
         self.iterations = 0
         self._since_refactor = 0
         # whether a pivot or a bound flip came since the last refactorization;
@@ -301,9 +295,7 @@ class _SimplexState:
         self.x_b = self._recompute_basics()
 
     def _nonbasic_values(self) -> np.ndarray:
-        vals = np.where(self.status == _AT_UB, self.upper, self.lower)
-        vals[self.status == _BASIC] = 0.0
-        return vals
+        return np.where(self.sign > 0, self.upper, 0.0)
 
     def _recompute_basics(self) -> np.ndarray:
         # nonbasic values sit at 0/1 bounds, so these sums are exact
@@ -385,14 +377,12 @@ class _SimplexState:
         max_iter = 200 + 100 * (n + self.n_cols)
         degenerate_run = 0
         bland = False
-        status, basic = self.status, self.basic
-        fixed = self.upper - self.lower <= 0
-        # pricing sign: -1 at the lower bound, +1 at the upper bound, 0 when
-        # basic or fixed, so sign * reduced cost is a column's violation
-        sign = np.where(status == _AT_UB, 1.0, -1.0)
-        sign[(status == _BASIC) | fixed] = 0.0
-        # cost and bounds of the basic variables, by row
-        cost_b, lower_b, upper_b = cost[basic], self.lower[basic], self.upper[basic]
+        sign, basic = self.sign, self.basic
+        # a fixed column (upper bound 0) never enters
+        fixed = self.upper <= 0
+        sign[fixed] = 0.0
+        # cost and upper bound of the basic variables, by row
+        cost_b, upper_b = cost[basic], self.upper[basic]
         # buffers every pivot writes into; a_j is zero between pivots
         y_dual, a_j, d, dd, t_rows = (np.empty(n) for _ in range(5))
         a_j.fill(0.0)
@@ -426,7 +416,7 @@ class _SimplexState:
             a_j[self.nz_row[nz]] = self.nz_val[nz]
             np.matmul(self.b_inv, a_j, out=d)
             a_j[self.nz_row[nz]] = 0.0
-            sigma = 1.0 if status[j] == _AT_LB else -1.0
+            sigma = -sign[j]
             np.multiply(d, sigma, out=dd)
 
             # ratio test: how far can the entering variable move before a
@@ -435,13 +425,13 @@ class _SimplexState:
             np.greater(dd, _PIVOT_TOL, out=pos)
             np.less(dd, -_PIVOT_TOL, out=neg)
             t_rows.fill(np.inf)
-            np.subtract(self.x_b, lower_b, out=t_rows, where=pos)
+            np.copyto(t_rows, self.x_b, where=pos)
             np.subtract(self.x_b, upper_b, out=t_rows, where=neg)
             pos |= neg
             np.divide(t_rows, dd, out=t_rows, where=pos)
             np.maximum(t_rows, 0.0, out=t_rows)
 
-            t_bound = self.upper[j] - self.lower[j]
+            t_bound = self.upper[j]
             t_min = float(t_rows.min())
             if t_min < t_bound - 1e-12:
                 # leaving-variable ties break toward the smallest column id
@@ -451,7 +441,6 @@ class _SimplexState:
                 t_best = float(t_rows[leave_row])
             else:
                 leave_row = -1
-                hit_lower = True
                 t_best = t_bound
 
             if t_best == np.inf:
@@ -471,19 +460,16 @@ class _SimplexState:
             self._moved = True
             if leave_row < 0:
                 # bound flip: the entering variable crosses to its other bound
-                status[j] = _AT_UB if status[j] == _AT_LB else _AT_LB
                 sign[j] = -sign[j]
                 continue
 
             leaving = basic[leave_row]
-            self.x_b[leave_row] = self.lower[j] + step if sigma > 0 else self.upper[j] - step
-            status[leaving] = _AT_LB if hit_lower else _AT_UB
+            self.x_b[leave_row] = step if sigma > 0 else self.upper[j] - step
             sign[leaving] = 0.0 if fixed[leaving] else (-1.0 if hit_lower else 1.0)
-            status[j] = _BASIC
             sign[j] = 0.0
             basic[leave_row] = j
             cost_b[leave_row] = cost[j]
-            lower_b[leave_row], upper_b[leave_row] = self.lower[j], self.upper[j]
+            upper_b[leave_row] = self.upper[j]
 
             if abs(d[leave_row]) < _PIVOT_TOL:
                 raise LpError("numerically singular pivot")
@@ -511,7 +497,7 @@ def solve_lp(lp: RapLp) -> FractionalSolution:
     if bad.size:
         i = int(bad[0])
         raise LpError(f"residual {residual[i]:.2e} on row {lp.row_names[i]}")
-    if np.any(values < lp.lower - EPS_FEAS) or np.any(values > lp.upper + EPS_FEAS):
+    if np.any(values < -EPS_FEAS) or np.any(values > lp.upper + EPS_FEAS):
         raise LpError("variable bound violated")
 
     m = lp.instance.graph.n_edges
@@ -548,10 +534,10 @@ def dump_lp(lp: RapLp) -> str:
         lines.append(f" {lp.row_names[i]}: {' '.join(terms[i])} {op} {lp.rhs[i]:g}")
     lines.append("Bounds")
     for j, name in enumerate(lp.var_names):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if lo == hi:
-            lines.append(f" {name} = {lo:g}")
+        hi = lp.upper[j]
+        if hi == 0:
+            lines.append(f" {name} = 0")
         else:
-            lines.append(f" {lo:g} <= {name} <= {hi:g}")
+            lines.append(f" 0 <= {name} <= {hi:g}")
     lines.append("End")
     return "\n".join(lines) + "\n"

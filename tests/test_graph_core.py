@@ -19,6 +19,7 @@ from rapkit.graph_core import (
     matching_covered_components,
     max_matching,
 )
+from rapkit.ear import ear_decomposition
 from rapkit.instance import make_instance, uniformize
 
 # 4-cycle r0-t0-r1-t1-r0, edge ids in cycle order
@@ -266,6 +267,17 @@ class TestComponents:
     def test_active_subset(self):
         comps = components(c4(), active={0})
         assert len(comps) == 3
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [PairAnalysis, components, ear_decomposition, allowed_edges, matching_covered_components],
+)
+@pytest.mark.parametrize("bad_id", [-1, len(C4_EDGES)])
+def test_active_ids_must_be_edges(routine, bad_id):
+    # a negative id would otherwise index g.edges from its end
+    with pytest.raises(GraphError, match="active ids must be edges"):
+        routine(c4(), [*range(len(C4_EDGES)), bad_id])
 
 
 class TestConstruction:

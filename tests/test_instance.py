@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import small_instance
 
+import rapkit.instance
 from rapkit.graph_core import matching_covered_components
 from rapkit.instance import (
     NOMINAL_SCENARIO,
@@ -97,6 +100,38 @@ class TestVerifySolution:
         inst = make_instance(2, 2, C4_EDGES, [], [1.0] * 4)
         with pytest.raises(InfeasibleSolutionError):
             verify_solution(inst, solution_for(inst, {0, 1}))
+
+    @pytest.mark.parametrize("fault", ["holds_scenario", "outside_x", "swap_short", "m_short"])
+    def test_bad_witness_raises(self, monkeypatch, fault):
+        # C4 plus e4, a parallel copy of e0 that x leaves out
+        inst = make_instance(2, 2, [*C4_EDGES, (0, 0)], range(5), [1.0] * 5)
+        x = solution_for(inst, range(4))
+        assert verify_solution(inst, x).matchings[1] == frozenset({0, 2})
+        real_swap, real_scan = rapkit.instance._cycle_swap, rapkit.instance._scan
+
+        def bad_swap(pairs, f):
+            w = real_swap(pairs, f)
+            if fault == "holds_scenario":
+                return pairs.matching.edge_ids  # perfect and inside x, but holds f
+            if fault == "outside_x":
+                return (w - {0}) | {4}  # perfect, but e4 is not in x
+            return w - {min(w)}
+
+        def bad_scan(work, active):
+            pairs, failing = real_scan(work, active)
+            pm = pairs.matching
+            pairs.matching = dataclasses.replace(pm, edge_ids=pm.edge_ids - {min(pm.edge_ids)})
+            return pairs, failing
+
+        if fault == "m_short":
+            # nothing vulnerable: M is the one witness, and it misses a node
+            inst = make_instance(2, 2, C4_EDGES, [], [1.0] * 4)
+            x = solution_for(inst, range(4))
+            monkeypatch.setattr(rapkit.instance, "_scan", bad_scan)
+        else:
+            monkeypatch.setattr(rapkit.instance, "_cycle_swap", bad_swap)
+        with pytest.raises(AssertionError, match="no valid witness"):
+            verify_solution(inst, x)
 
     @settings(max_examples=100)
     @given(small_instance())

@@ -27,7 +27,7 @@ def highs_objective(lp) -> float:
         b_ub=lp.rhs[le_rows],
         A_eq=a[eq_rows],
         b_eq=lp.rhs[eq_rows],
-        bounds=np.column_stack([lp.lower, lp.upper]),
+        bounds=np.column_stack([np.zeros(lp.n_vars), lp.upper]),
         method="highs",
     )
     assert res.status == 0, res.message
