@@ -174,7 +174,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except InfeasibleSolutionError as exc:
         print(f"solver output rejected: {exc}", file=sys.stderr)
         feasible = False
-    lb, error = _attempt(lower_bounds, inst, plan)
+    lb, error = _attempt(lower_bounds, inst)
     if error is not None:
         print(f"lb: {error}", file=sys.stderr)
     ratio = sol.cost / lb if lb is not None and lb > 0 else None
@@ -354,7 +354,7 @@ def _bench_shared(path: Path, lp_round: bool) -> _BenchShared:
     ref.inst = inst
     if lp_round:
         ref.plan, ref.failure = _attempt(prepare, inst)
-    ref.lb, error = _attempt(lower_bounds, inst, ref.plan)
+    ref.lb, error = _attempt(lower_bounds, inst)
     if error is not None:
         ref.errors.append(f"lb: {error}")
     exact, error = _attempt(solve_exact, inst)

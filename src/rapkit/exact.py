@@ -22,8 +22,7 @@ from .instance import (
     check_feasible,
     solution_for,
 )
-from .lp import build_lp, solve_lp
-from .rounding import RoundPlan
+from .lp import relaxation_value
 
 __all__ = ["BnbConfig", "ExactError", "lower_bounds", "solve_exact"]
 
@@ -144,16 +143,15 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
     return solution_for(inst, completion.decode(best[1]))
 
 
-def lower_bounds(inst: RapInstance, plan: Optional[RoundPlan] = None) -> float:
+def lower_bounds(inst: RapInstance) -> float:
     """Best known lower bound on the optimal cost.
 
     Combines the counting bounds for unit costs (any solution contains a
     matching covering the smaller side; with every edge vulnerable each of
-    those nodes needs two incident edges) with the LP relaxation value.
-    A ``plan`` lends its relaxation value only when it was prepared from
-    ``inst`` itself (the same object) and its uniformizing appended
-    nothing, so that it solved the relaxation of ``inst``'s balanced
-    completion; otherwise that relaxation is solved here.
+    those nodes needs two incident edges) with the value of the LP
+    relaxation of ``inst``'s balanced completion, which
+    ``lp.relaxation_value`` solves over y alone with Hall cuts, building no
+    k-block model.
     """
     work = balanced_completion(inst).instance
     n = min(inst.graph.n_r, inst.graph.n_t)
@@ -163,8 +161,6 @@ def lower_bounds(inst: RapInstance, plan: Optional[RoundPlan] = None) -> float:
         bounds.append(float(n))
         if inst.uniform:
             bounds.append(2.0 * n)
-    if plan is not None and plan.original is inst and not plan.mapping.appended:
-        bounds.append(plan.fractional.objective)
-    elif check_feasible(work):
-        bounds.append(solve_lp(build_lp(work)).objective)
+    if check_feasible(work):
+        bounds.append(relaxation_value(work))
     return max(bounds)

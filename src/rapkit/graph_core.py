@@ -152,6 +152,84 @@ def has_pm_avoiding(g: BipartiteMultigraph, f: int) -> bool:
     return max_matching(g, (f,)).perfect
 
 
+# residual capacity at or below this counts as none
+_FLOW_EPS = 1e-12
+
+
+def max_flow_min_cut(
+    g: BipartiteMultigraph, capacity: Sequence[float]
+) -> tuple[float, frozenset[int], frozenset[int]]:
+    """Maximum flow from a source to a sink through ``g``, and a minimum cut.
+
+    The network has an arc of capacity 1 from the source to each R node,
+    one arc of capacity ``capacity[e]`` from r to t for each edge e, and an
+    arc of capacity 1 from each T node to the sink. Edmonds-Karp: each
+    augmenting path is a shortest one, found breadth-first, so no search
+    recurses. Returns the flow value and the R and T nodes on the source
+    side of a minimum cut (those the last search reached), whose capacity
+    (n_r - |A|) + capacity(edges from A to T outside B) + |B| equals the
+    flow value up to rounding.
+    """
+    if len(capacity) != g.n_edges:
+        raise GraphError("one capacity per edge required")
+    edges, adj_r, adj_t = g.edges, g.adj_r, g.adj_t
+    flow = [0.0] * g.n_edges
+    from_source = [0.0] * g.n_r  # flow on source -> r
+    to_sink = [0.0] * g.n_t  # flow on t -> sink
+    value = 0.0
+    while True:
+        # reached_r[r] / reached_t[t]: the edge that reached the node (-1 at
+        # the source's own R nodes), None while the node is unreached
+        reached_r: list[int | None] = [None] * g.n_r
+        reached_t: list[int | None] = [None] * g.n_t
+        queue = deque()
+        for r in range(g.n_r):
+            if 1.0 - from_source[r] > _FLOW_EPS:
+                reached_r[r] = -1
+                queue.append(r)
+        end = -1
+        while queue and end == -1:
+            r = queue.popleft()
+            for e in adj_r[r]:
+                t = edges[e][1]
+                if reached_t[t] is not None or capacity[e] - flow[e] <= _FLOW_EPS:
+                    continue
+                reached_t[t] = e
+                if 1.0 - to_sink[t] > _FLOW_EPS:
+                    end = t
+                    break
+                for back in adj_t[t]:
+                    r2 = edges[back][0]
+                    if reached_r[r2] is None and flow[back] > _FLOW_EPS:
+                        reached_r[r2] = back
+                        queue.append(r2)
+        if end == -1:
+            side_r = frozenset(r for r in range(g.n_r) if reached_r[r] is not None)
+            side_t = frozenset(t for t in range(g.n_t) if reached_t[t] is not None)
+            return value, side_r, side_t
+        # walk back from the sink: forward edges into T nodes alternate with
+        # backward edges into R nodes, up to a source arc
+        path, t = [], end
+        step = 1.0 - to_sink[end]
+        while True:
+            e = reached_t[t]
+            r = edges[e][0]
+            path.append(e)
+            step = min(step, capacity[e] - flow[e])
+            back = reached_r[r]
+            if back == -1:
+                step = min(step, 1.0 - from_source[r])
+                break
+            path.append(back)
+            step = min(step, flow[back])
+            t = edges[back][1]
+        for i, e in enumerate(path):
+            flow[e] += step if i % 2 == 0 else -step
+        from_source[r] += step
+        to_sink[end] += step
+        value += step
+
+
 def _scc_of_pairs(arcs: list[list[tuple[int, int]]], match_r: Sequence[int]) -> list[int]:
     """Strongly connected components of the matched-pair digraph ``arcs``.
 

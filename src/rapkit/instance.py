@@ -187,12 +187,11 @@ def first_failing_scenario(
     perfect matching M of X, f fails exactly when f is in M and no other
     edge of X at f's R node lies in a perfect matching (the mandatory-edge
     characterization: Lovasz-Plummer, *Matching Theory*; Tassa, TCS 2012).
+    An id in ``active`` that is not an edge raises GraphError("active ids
+    must be edges"), from ``PairAnalysis``, the one check of the ids.
     """
     _require_balanced(inst)
-    act = frozenset(inst.graph.edge_ids() if active is None else active)
-    if act and (min(act) < 0 or max(act) >= inst.graph.n_edges):
-        raise InstanceError("active ids must be edges")
-    return _scan(inst, act)[1]
+    return _scan(inst, active)[1]
 
 
 def _cycle_swap(pairs: PairAnalysis, f: int) -> frozenset[int] | None:

@@ -5,24 +5,32 @@ block of x variables describing a fractional perfect matching that avoids f.
 On bipartite graphs the degree equalities alone carve out the perfect
 matching polytope, so each block contributes one equality per node and one
 coupling inequality x <= y per edge. Minimizing c*y over these constraints
-lower-bounds every robust solution.
+lower-bounds every robust solution. ``build_lp`` builds this k-block model,
+whose optimal point the rounding reads.
 
-The model is nearly all zeros and every coefficient is +-1, so it is kept
-as its nonzeros. Every variable has lower bound 0 and an upper bound of 1,
-or 0 when it is fixed. The solver, a bounded-variable revised primal
-simplex, prices over the nonzeros and keeps one dense array, the basis
-inverse, which it updates only where it changes. On one BLAS thread neither
-moves the pivot path or the returned point of the dense method.
+The relaxation's value alone needs no x blocks: y restricted to E - f
+dominates a fractional perfect matching exactly when every Hall cut
+y(delta(A, T - B) - f) >= |A| - |B| holds (max-flow/min-cut; the
+perfect-matching dominant, Schrijver, *Combinatorial Optimization*).
+``relaxation_value`` finds the cuts it needs by max-flow, one scenario at a
+time, and solves a master over y alone.
+
+Each model is kept as its nonzeros. Every variable has lower bound 0 and an
+upper bound (0 when it is fixed). The solver, a bounded-variable revised
+primal simplex, prices over the nonzeros and keeps one dense array, the
+basis inverse, which it updates only where it changes. On one BLAS thread
+neither moves the pivot path or the returned point of the dense method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from rapkit.graph_core import max_flow_min_cut
 from rapkit.instance import (
     NOMINAL_SCENARIO,
     InstanceError,
@@ -43,23 +51,15 @@ def _block_tag(f: int) -> str:
 
 
 @dataclass(frozen=True)
-class RapLp:
-    """The relaxation in matrix form with deterministic variable order.
+class SparseLp:
+    """A linear program held as its nonzeros; the fields the simplex reads.
 
-    Columns: the y block first (by edge id), then one x block per vulnerable
-    edge in ascending id order. With no vulnerable edges a single nominal
-    x block (key ``NOMINAL_SCENARIO``) keeps the model non-vacuous, so the
-    optimum is the cheapest perfect matching. Rows: per-block degree
-    equalities (R nodes then T nodes), then per-block coupling rows
-    x_e - y_e <= 0. Every variable lies in [0, ``upper``]; the fixing
-    x^{-f}_f = 0 is the upper bound 0, not a row.
-    The matrix is held as its nonzeros: ``vals[p]`` sits at row ``rows[p]``
-    of column ``cols[p]``, sorted by column and then row. Row and variable
-    names are built on first access; only dumps and error messages read them.
+    Minimize ``objective`` * v subject to one row per ``senses`` entry
+    ("E": equal to ``rhs``, "L": at most ``rhs``) and 0 <= v <= ``upper``.
+    ``vals[p]`` sits at row ``rows[p]`` of column ``cols[p]``, sorted by
+    column and then row.
     """
 
-    instance: RapInstance
-    blocks: tuple[int, ...]
     n_rows: int
     cols: np.ndarray
     rows: np.ndarray
@@ -72,6 +72,30 @@ class RapLp:
     @property
     def n_vars(self) -> int:
         return len(self.objective)
+
+    def row_name(self, i: int) -> str:
+        return f"{i}"
+
+
+@dataclass(frozen=True)
+class RapLp(SparseLp):
+    """The k-block relaxation in matrix form with deterministic variable order.
+
+    Columns: the y block first (by edge id), then one x block per vulnerable
+    edge in ascending id order. With no vulnerable edges a single nominal
+    x block (key ``NOMINAL_SCENARIO``) keeps the model non-vacuous, so the
+    optimum is the cheapest perfect matching. Rows: per-block degree
+    equalities (R nodes then T nodes), then per-block coupling rows
+    x_e - y_e <= 0. Every variable lies in [0, ``upper``]; the fixing
+    x^{-f}_f = 0 is the upper bound 0, not a row. Row and variable names
+    are built on first access; only dumps and error messages read them.
+    """
+
+    instance: RapInstance
+    blocks: tuple[int, ...]
+
+    def row_name(self, i: int) -> str:
+        return self.row_names[i]
 
     @cached_property
     def var_names(self) -> tuple[str, ...]:
@@ -113,11 +137,15 @@ class FractionalSolution:
     iterations: int
 
 
-def build_lp(inst: RapInstance) -> RapLp:
+def _require_feasible(inst: RapInstance) -> None:
     if not inst.graph.balanced:
         raise InstanceError("apply balanced_completion first")
     if not check_feasible(inst):
         raise InstanceError("infeasible instance")
+
+
+def build_lp(inst: RapInstance) -> RapLp:
+    _require_feasible(inst)
     g = inst.graph
     m = g.n_edges
     blocks = tuple(sorted(inst.vulnerable)) if inst.vulnerable else (NOMINAL_SCENARIO,)
@@ -189,7 +217,7 @@ _REFACTOR_EVERY = 100
 _DEGENERATE_SWITCH = 50
 
 
-def _simplex(lp: RapLp) -> tuple[np.ndarray, float, int]:
+def _simplex(lp: SparseLp) -> tuple[np.ndarray, float, int]:
     """Two-phase bounded-variable revised primal simplex.
 
     Returns the variable values, the objective and the pivot count. Dense
@@ -266,7 +294,7 @@ class _SimplexState:
     across that call would keep both alive.
     """
 
-    def __init__(self, lp: RapLp):
+    def __init__(self, lp: SparseLp):
         n_rows, n_struct = lp.n_rows, lp.n_vars
         senses = np.array(lp.senses)
         # slacks ("L" rows), then artificials ("E" rows), each one +1 after the structurals
@@ -482,24 +510,28 @@ class _SimplexState:
         raise LpError("iteration limit")
 
 
-def solve_lp(lp: RapLp) -> FractionalSolution:
-    """Solve the relaxation to optimality and validate the returned point.
+def _solve_checked(lp: SparseLp) -> tuple[np.ndarray, float, int]:
+    """``_simplex``'s result, once its point is checked against the model.
 
-    The point is checked against every row and bound within ``EPS_FEAS``;
-    a violation means the engine misbehaved and raises ``LpError``.
+    The point must meet every row and bound within ``EPS_FEAS``; a
+    violation means the engine misbehaved and raises ``LpError``.
     """
     values, objective, iters = _simplex(lp)
-
     lhs = np.bincount(lp.rows, weights=lp.vals * values[lp.cols], minlength=lp.n_rows)
     residual = lhs - lp.rhs
     equality = np.array(lp.senses) == "E"
     bad = np.flatnonzero(np.where(equality, np.abs(residual), residual) > EPS_FEAS)
     if bad.size:
         i = int(bad[0])
-        raise LpError(f"residual {residual[i]:.2e} on row {lp.row_names[i]}")
+        raise LpError(f"residual {residual[i]:.2e} on row {lp.row_name(i)}")
     if np.any(values < -EPS_FEAS) or np.any(values > lp.upper + EPS_FEAS):
         raise LpError("variable bound violated")
+    return values, objective, iters
 
+
+def solve_lp(lp: RapLp) -> FractionalSolution:
+    """Solve the relaxation to optimality and validate the returned point."""
+    values, objective, iters = _solve_checked(lp)
     m = lp.instance.graph.n_edges
     y = tuple(float(v) for v in values[:m])
     x: dict[int, tuple[float, ...]] = {}
@@ -507,6 +539,74 @@ def solve_lp(lp: RapLp) -> FractionalSolution:
         base = (pos + 1) * m
         x[f] = tuple(float(v) for v in values[base : base + m])
     return FractionalSolution(y=y, x=x, objective=objective, iterations=iters)
+
+
+def _cut_master(costs: np.ndarray, cuts: Sequence[tuple[frozenset[int], int]]) -> SparseLp:
+    """Minimize costs * y over 0 <= y <= 1 and y(S) - s = b, s >= 0, per cut (S, b)."""
+    m, c = len(costs), len(cuts)
+    cut_cols = [e for edges, _ in cuts for e in edges]
+    cut_rows = [i for i, (edges, _) in enumerate(cuts) for _ in edges]
+    # y columns first, then one surplus column per cut
+    cols = np.concatenate([np.array(cut_cols, dtype=np.int64), m + np.arange(c)])
+    rows = np.concatenate([np.array(cut_rows, dtype=np.int64), np.arange(c)])
+    vals = np.concatenate([np.ones(len(cut_cols)), np.full(c, -1.0)])
+    order = np.lexsort((rows, cols))
+    return SparseLp(
+        n_rows=c,
+        cols=cols[order],
+        rows=rows[order],
+        vals=vals[order],
+        senses=("E",) * c,
+        rhs=np.array([float(b) for _, b in cuts]),
+        upper=np.concatenate([np.ones(m), np.full(c, np.inf)]),
+        objective=np.concatenate([costs, np.zeros(c)]),
+    )
+
+
+def relaxation_value(inst: RapInstance) -> float:
+    """Optimum of the relaxation of a balanced, feasible instance, over y alone.
+
+    Equals ``solve_lp(build_lp(inst)).objective`` up to the solvers'
+    tolerances, by a cutting-plane loop. The master minimizes c * y over
+    0 <= y <= 1 and the Hall cuts found so far, seeded with y(delta(v)) >= 1
+    at every node and y(delta(v) - f) >= 1 at both ends of each vulnerable
+    f; ``_simplex`` solves it afresh each round. Separation runs one
+    max-flow per scenario (the nominal one when nothing is vulnerable)
+    with capacity y on E - f: a flow below n gives the violated cut of its
+    minimum cut's source side (A, B). Cuts are kept once per (edge set,
+    rhs), and the loop ends on a round that adds none. Every cut is valid,
+    so each master optimum is at most the relaxation's value.
+    """
+    _require_feasible(inst)
+    g = inst.graph
+    n, m = g.n_r, g.n_edges
+    # node v < n is R node v, node n + t is T node t
+    incident = [frozenset(adj) for adj in g.adj_r + g.adj_t]
+    # each cut (edge set S, rhs b) stands for y(S) >= b, kept in order found
+    cuts = dict.fromkeys((edges, 1) for edges in incident)
+    for f in sorted(inst.vulnerable):
+        r, t = g.edges[f]
+        for v in (r, n + t):
+            cuts.setdefault((incident[v] - {f}, 1))
+    scenarios = sorted(inst.vulnerable) or [NOMINAL_SCENARIO]
+    costs = np.asarray(inst.costs, dtype=float)
+    while True:
+        values, objective, _ = _solve_checked(_cut_master(costs, list(cuts)))
+        y = values[:m].tolist()
+        found = len(cuts)
+        for f in scenarios:
+            capacity = list(y)
+            if f != NOMINAL_SCENARIO:
+                capacity[f] = 0.0
+            flow, side_r, side_t = max_flow_min_cut(g, capacity)
+            if flow < n - EPS_FEAS:
+                edges = frozenset(
+                    e for e, (r, t) in enumerate(g.edges)
+                    if e != f and r in side_r and t not in side_t
+                )
+                cuts.setdefault((edges, len(side_r) - len(side_t)))
+        if len(cuts) == found:
+            return objective
 
 
 def dump_lp(lp: RapLp) -> str:

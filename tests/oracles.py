@@ -104,6 +104,28 @@ def brute_feasible(
     return True
 
 
+def cut_capacity(
+    n_r: int, edges: list[tuple[int, int]], capacity: list[float], a: set[int], b: set[int]
+) -> float:
+    """Capacity of the source-side cut {source} + A + B of the flow network
+    source -1-> R -capacity-> T -1-> sink: (n_r - |A|) + capacity(A, T - B) + |B|."""
+    across = math.fsum(capacity[e] for e, (r, t) in enumerate(edges) if r in a and t not in b)
+    return (n_r - len(a)) + across + len(b)
+
+
+def brute_min_cut(
+    n_r: int, n_t: int, edges: list[tuple[int, int]], capacity: list[float]
+) -> float:
+    """Minimum cut of that network over every A of R and B of T, by enumeration."""
+    return min(
+        cut_capacity(n_r, edges, capacity, set(a), set(b))
+        for i in range(n_r + 1)
+        for a in combinations(range(n_r), i)
+        for j in range(n_t + 1)
+        for b in combinations(range(n_t), j)
+    )
+
+
 def brute_exact(
     n_r: int,
     n_t: int,

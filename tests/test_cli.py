@@ -461,24 +461,18 @@ class TestBench:
         assert all(row[3] for row in rows)
 
     def test_lp_round_seeds_share_one_relaxation(self, tmp_path, capsys, monkeypatch):
-        plans, lent = [], []
-        real_prepare, real_lower_bounds = rapkit.cli.prepare, rapkit.cli.lower_bounds
+        plans = []
+        real_prepare = rapkit.cli.prepare
 
         def counting_prepare(work):
             plans.append(real_prepare(work))
             return plans[-1]
 
-        def recording_lower_bounds(inst, plan=None):
-            lent.append(plan)
-            return real_lower_bounds(inst, plan=plan)
-
         monkeypatch.setattr(rapkit.cli, "prepare", counting_prepare)
-        monkeypatch.setattr(rapkit.cli, "lower_bounds", recording_lower_bounds)
         manifest = self.gk_manifest(tmp_path, ["lp-round"], ks=(3,))
         assert main(["bench", manifest, "--seeds", "0..2"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(plans) == 1 and plans[0].work is plans[0].original
-        assert len(lent) == 1 and lent[0] is plans[0]
         # each row matches a solve that prepares its own relaxation
         for row in rows:
             argv = ["solve", "--algo", "lp-round", "--seed", row["seed"],

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rapkit.exact
+import rapkit.lp
 from rapkit import gk_family, random_instance
 from rapkit.exact import BnbConfig, ExactError, _Degrees, lower_bounds, solve_exact
 from rapkit.instance import (
@@ -15,7 +16,7 @@ from rapkit.instance import (
     uniform_instance,
     verify_solution,
 )
-from rapkit.rounding import prepare
+from rapkit.lp import build_lp, solve_lp
 
 from oracles import brute_exact, brute_exact_unbalanced, min_cost_pm_value
 from strategies import small_graph, small_instance
@@ -125,34 +126,29 @@ def test_lower_bounds_examples():
     assert lower_bounds(ni) >= 2.0
 
 
-@pytest.mark.parametrize(
-    "vulnerable, uniformized",
-    [(range(4), False), ([], False), ([0], True)],
-    ids=["uniform", "nominal", "uniformized"],
-)
-def test_lower_bounds_reuse_a_plan_of_the_same_model(monkeypatch, vulnerable, uniformized):
+@pytest.mark.parametrize("vulnerable", [range(4), [], [0]], ids=["uniform", "nominal", "mixed"])
+def test_lower_bounds_build_no_k_block_model(monkeypatch, vulnerable):
     inst = make_instance(2, 2, C4_EDGES, vulnerable=list(vulnerable), costs=[2, 3, 5, 7])
-    expected = lower_bounds(inst)
-    plan = prepare(inst)
-    assert (plan.work is not inst) == uniformized
-    solves = []
-    real_solve_lp = rapkit.exact.solve_lp
+    expected = solve_lp(build_lp(inst)).objective
 
-    def counting_solve_lp(lp):
-        solves.append(lp)
-        return real_solve_lp(lp)
+    def refuse(*_):
+        raise AssertionError("lower_bounds used the k-block model")
 
-    monkeypatch.setattr(rapkit.exact, "solve_lp", counting_solve_lp)
-    assert lower_bounds(inst, plan) == expected
-    # a uniformized plan solved another model, so the bound solves its own
-    assert len(solves) == uniformized
+    monkeypatch.setattr(rapkit.lp, "build_lp", refuse)
+    monkeypatch.setattr(rapkit.lp, "solve_lp", refuse)
+    assert not hasattr(rapkit.exact, "build_lp") and not hasattr(rapkit.exact, "solve_lp")
+    assert lower_bounds(inst) == pytest.approx(expected, abs=1e-9)
 
 
 def test_lower_bounds_ignore_a_plan_of_another_instance():
-    x = make_instance(2, 2, C4_EDGES, range(4), [5] * 4)
     y = make_instance(2, 2, C4_EDGES, range(4), [1] * 4)
     assert solve_exact(y).cost == 4.0
-    assert lower_bounds(y, prepare(x)) == lower_bounds(y) == 4.0
+    assert lower_bounds(y) == 4.0
+
+
+def test_lower_bound_of_a_10x10_instance():
+    # the k-block model of this instance takes 26,258 simplex pivots
+    assert lower_bounds(random_instance(10, 10, 0.3, 0.5, (1, 10), seed=1)) == 79
 
 
 @settings(max_examples=60, deadline=None)

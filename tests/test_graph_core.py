@@ -17,6 +17,7 @@ from rapkit.graph_core import (
     components,
     has_pm_avoiding,
     matching_covered_components,
+    max_flow_min_cut,
     max_matching,
 )
 from rapkit.ear import ear_decomposition
@@ -278,6 +279,42 @@ def test_active_ids_must_be_edges(routine, bad_id):
     # a negative id would otherwise index g.edges from its end
     with pytest.raises(GraphError, match="active ids must be edges"):
         routine(c4(), [*range(len(C4_EDGES)), bad_id])
+
+
+class TestMaxFlowMinCut:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graph(max_side=4, max_edges=9), st.data())
+    def test_matches_brute_force_min_cut(self, graph, data):
+        n_r, n_t, edges = graph
+        capacity = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                    st.floats(min_value=0.0, max_value=1.5),
+                ),
+                min_size=len(edges),
+                max_size=len(edges),
+            )
+        )
+        value, side_r, side_t = max_flow_min_cut(BipartiteMultigraph(n_r, n_t, edges), capacity)
+        assert value == pytest.approx(oracles.brute_min_cut(n_r, n_t, edges, capacity), abs=1e-9)
+        # the returned source side is a minimum cut
+        cut = oracles.cut_capacity(n_r, edges, capacity, set(side_r), set(side_t))
+        assert cut == pytest.approx(value, abs=1e-9)
+
+    def test_deep_chain(self):
+        # r_i - t_{i+1} come first in every adjacency, so the last augmenting
+        # path runs the whole chain: 2n - 1 edges over 2n = 2,000 nodes
+        n = 1000
+        edges = [(i, i + 1) for i in range(n - 1)] + [(i, i) for i in range(n)]
+        value, side_r, side_t = max_flow_min_cut(
+            BipartiteMultigraph(n, n, edges), [1.0] * len(edges)
+        )
+        assert value == n and not side_r and not side_t
+
+    def test_one_capacity_per_edge(self):
+        with pytest.raises(GraphError, match="one capacity per edge required"):
+            max_flow_min_cut(c4(), [1.0] * 3)
 
 
 class TestConstruction:

@@ -12,7 +12,7 @@ import oracles
 from strategies import small_instance
 
 import rapkit.instance
-from rapkit.graph_core import matching_covered_components
+from rapkit.graph_core import GraphError, matching_covered_components
 from rapkit.instance import (
     NOMINAL_SCENARIO,
     InfeasibleSolutionError,
@@ -198,7 +198,8 @@ class TestFirstFailingScenario:
         assert first_failing_scenario(inst, {1}) == 1
 
     def test_rejects_non_edge(self):
-        with pytest.raises(InstanceError):
+        # PairAnalysis is the one check of the ids
+        with pytest.raises(GraphError, match="active ids must be edges"):
             first_failing_scenario(c4_uniform(), {0, 4})
 
     @settings(max_examples=200, deadline=None)

@@ -8,18 +8,26 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from strategies import small_instance
 
 import rapkit
-from rapkit.instance import InstanceError, make_instance, uniform_instance, uniformize
-from rapkit.lp import EPS_FEAS, LpError, build_lp, dump_lp, solve_lp
+from rapkit.instance import (
+    InstanceError,
+    balanced_completion,
+    check_feasible,
+    make_instance,
+    uniform_instance,
+    uniformize,
+)
+from rapkit.lp import EPS_FEAS, LpError, build_lp, dump_lp, relaxation_value, solve_lp
 from rapkit.reductions import random_instance
 
 C4_EDGES = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -282,6 +290,48 @@ class TestSolveLp:
             "gk4 598 18d02790ce0a5078 f9dbafeaff97695f",
             "rand5 1055 649a4783c46382a8 f6b6c9ecf2122f13",
         ]
+
+
+class TestRelaxationValue:
+    @settings(max_examples=150, deadline=None)
+    @given(small_instance(max_side=3, max_edges=8, balanced=False), st.booleans())
+    def test_matches_the_k_block_model(self, data, uniformized):
+        # nominal, mixed and (when drawn) uniformized completions
+        work = balanced_completion(make_instance(*data)).instance
+        assume(check_feasible(work))
+        if uniformized and work.vulnerable and not work.uniform:
+            work = uniformize(work).instance
+        masters = []
+        real_simplex = rapkit.lp._simplex
+
+        def recording_simplex(lp):
+            masters.append(real_simplex(lp)[0])
+            return masters[-1], float(lp.objective @ masters[-1]), 0
+
+        with mock.patch.object(rapkit.lp, "_simplex", recording_simplex):
+            value = relaxation_value(work)
+        assert value == pytest.approx(solve_lp(build_lp(work)).objective, abs=1e-7)
+        # at return, the master's y lets every scenario's max-flow reach n
+        g = work.graph
+        y = masters[-1][: g.n_edges]
+        for f in sorted(work.vulnerable) or [None]:
+            capacity = [0.0 if e == f else float(v) for e, v in enumerate(y)]
+            flow = oracles.brute_min_cut(g.n_r, g.n_t, list(g.edges), capacity)
+            assert flow >= g.n_r - 1e-7
+
+    def test_rejects_unbalanced_and_infeasible(self):
+        with pytest.raises(InstanceError, match="balanced_completion"):
+            relaxation_value(make_instance(2, 1, [(0, 0), (1, 0)], [], [1.0, 1.0]))
+        with pytest.raises(InstanceError, match="infeasible"):
+            relaxation_value(uniform_instance(1, 1, [(0, 0)]))
+
+    def test_master_point_is_checked(self, monkeypatch):
+        # a master point that misses its first cut is an engine failure
+        monkeypatch.setattr(
+            rapkit.lp, "_simplex", lambda lp: (np.zeros(lp.n_vars), 0.0, 0)
+        )
+        with pytest.raises(LpError, match=r"^residual -1\.00e\+00 on row 0$"):
+            relaxation_value(c4_uniform())
 
 
 class TestDumpLp:

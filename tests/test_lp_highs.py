@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from strategies import small_instance
 
-from rapkit.instance import make_instance, uniformize
-from rapkit.lp import build_lp, solve_lp
+from rapkit.instance import balanced_completion, check_feasible, make_instance, uniformize
+from rapkit.lp import build_lp, relaxation_value, solve_lp
 
 optimize = pytest.importorskip("scipy.optimize")
 sparse = pytest.importorskip("scipy.sparse")
@@ -44,3 +44,15 @@ def test_objective_matches_highs(data, uniformized):
         inst = uniformize(inst).instance
     lp = build_lp(inst)
     assert solve_lp(lp).objective == pytest.approx(highs_objective(lp), abs=1e-7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instance(balanced=False), st.booleans())
+def test_relaxation_value_matches_highs(data, uniformized):
+    # the cut model's value against HiGHS on the k-block model of the same
+    # completion: nominal, mixed and (when drawn) uniformized
+    work = balanced_completion(make_instance(*data)).instance
+    assume(check_feasible(work))
+    if uniformized and work.vulnerable and not work.uniform:
+        work = uniformize(work).instance
+    assert relaxation_value(work) == pytest.approx(highs_objective(build_lp(work)), abs=1e-7)
