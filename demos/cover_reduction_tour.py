@@ -7,7 +7,7 @@ weighted, and all-unit-cost), solves each one, and decodes the chosen
 bundles back out.  All three decode to a minimum cover.
 """
 
-from rapkit.exact import BnbConfig, solve_exact
+from rapkit.exact import solve_exact
 from rapkit.reductions import decode_cover, from_set_cover, make_set_cover
 
 SKILLS = {1: "python", 2: "sql", 3: "design"}
@@ -30,7 +30,7 @@ def main():
         ri = from_set_cover(sc, variant)
         g = ri.rap.graph
         print(f"{variant}: encoded as {g.n_r + g.n_t} nodes, {g.n_edges} edges")
-        sol = solve_exact(ri.rap, BnbConfig(max_edges=128, node_limit=2_000_000))
+        sol = solve_exact(ri.rap)
         chosen = decode_cover(ri, sol)
         picked = [BUNDLES.index(set(s)) for s in chosen]
         names = [" + ".join(SKILLS[x] for x in sorted(s)) for s in chosen]

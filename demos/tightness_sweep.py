@@ -7,18 +7,16 @@ to the 1.5 worst-case factor as k grows.
 """
 
 from rapkit.ear import solve_ear
-from rapkit.exact import BnbConfig, solve_exact
+from rapkit.exact import solve_exact
 from rapkit.instance import verify_solution
 from rapkit.reductions import gk_family
-
-GUARDS = BnbConfig(max_edges=40)
 
 
 def main():
     print(" k  edges  optimum  ear  ratio  worst admissible")
     for k in range(3, 7):
         inst = gk_family(k)
-        best = solve_exact(inst, GUARDS)
+        best = solve_exact(inst)
         sol = solve_ear(inst)
         verify_solution(inst, sol)
         opt, kept = int(best.cost), len(sol.edge_ids)

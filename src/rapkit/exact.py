@@ -9,8 +9,6 @@ exclusion tested for robust feasibility, which is monotone in the edge set.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .instance import (
@@ -24,20 +22,14 @@ from .instance import (
 )
 from .lp import relaxation_value
 
-__all__ = ["BnbConfig", "ExactError", "lower_bounds", "solve_exact"]
+__all__ = ["ExactError", "lower_bounds", "solve_exact"]
+
+# nodes visited x completed edges; 0.3-1.9 us each (2-core host), so a refusal takes seconds
+_WORK_BUDGET = 10_000_000
 
 
 class ExactError(RuntimeError):
-    """Search guard tripped; the instance is out of the solver's reach."""
-
-
-@dataclass(frozen=True)
-class BnbConfig:
-    """Safety rails for the exponential search."""
-
-    max_edges: int = 26
-    node_limit: Optional[int] = None  # search nodes visited, after pruning
-    time_limit: Optional[float] = None
+    """The search spent its work budget; the instance is out of its reach."""
 
 
 class _Degrees:
@@ -83,7 +75,7 @@ class _Degrees:
         return max(math.fsum(self.needs[: self.n_r]), math.fsum(self.needs[self.n_r :]))
 
 
-def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
+def solve_exact(inst: RapInstance) -> Solution:
     """Provably cheapest feasible edge set.
 
     Among optima of equal cost (a set's ``math.fsum``) the lexicographically
@@ -91,14 +83,13 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
     stable.  Unbalanced instances are completed with zero-cost dummy edges
     that are always kept, never branched on and never returned.  A child is
     pruned, before the oracle tests an exclusion, when its cost plus the
-    ``_Degrees`` bound exceeds the best cost by a relative 1e-9.
+    ``_Degrees`` bound exceeds the best cost by a relative 1e-9.  The search
+    runs on an explicit stack, and raises ``ExactError`` once its nodes
+    times the completed edge count pass ``_WORK_BUDGET``.
     """
-    cfg = cfg or BnbConfig()
     completion = balanced_completion(inst)
     work = completion.instance
     m = work.graph.n_edges
-    if m > cfg.max_edges:
-        raise ExactError("instance too large for exact solver")
     if not check_feasible(work):
         raise InstanceError("infeasible instance")
 
@@ -107,8 +98,6 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
     order = sorted(all_ids - fixed, key=lambda e: (-work.costs[e], e))
     degrees = _Degrees(work, order, fixed)
 
-    deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
-    nodes = 0
     best: Optional[tuple[float, tuple[int, ...]]] = None
     excluded: set[int] = set()
 
@@ -116,29 +105,34 @@ def solve_exact(inst: RapInstance, cfg: Optional[BnbConfig] = None) -> Solution:
         bound = degrees.bound()
         return bound is None or (best is not None and cost + bound > best[0] * (1 + 1e-9))
 
-    def search(depth: int, cost: float) -> None:
-        nonlocal nodes, best
-        nodes += 1
-        if cfg.node_limit is not None and nodes > cfg.node_limit:
-            raise ExactError("instance too large for exact solver")
-        if deadline is not None and time.monotonic() > deadline:
-            raise ExactError("instance too large for exact solver")
-        if depth == len(order):
-            ids = tuple(sorted(all_ids - fixed - excluded))
-            best = min(best or (math.inf, ()), (work.cost_of(ids), ids))
-            return
-        e = order[depth]
-        degrees.move(e, 1, 0)
-        excluded.add(e)
-        if not pruned(cost) and _scan(work, all_ids - excluded)[1] is None:
-            search(depth + 1, cost)
-        excluded.remove(e)
-        degrees.move(e, 0, 1)
-        if not pruned(cost + work.costs[e]):
-            search(depth + 1, cost + work.costs[e])
-        degrees.move(e, -1, -1)
-
-    search(0, 0.0)
+    # (depth, cost, stage) frames; a child's subtree ends before its parent's next stage
+    work_done = 0
+    stack = [(0, 0.0, 0)]
+    while stack:
+        depth, cost, stage = stack.pop()
+        if stage == 0:
+            work_done += m
+            if work_done > _WORK_BUDGET:
+                raise ExactError("instance too large for exact solver")
+            if depth == len(order):
+                ids = tuple(sorted(all_ids - fixed - excluded))
+                best = min(best or (math.inf, ()), (work.cost_of(ids), ids))
+                continue
+            e = order[depth]
+            degrees.move(e, 1, 0)
+            excluded.add(e)
+            stack.append((depth, cost, 1))
+            if not pruned(cost) and _scan(work, all_ids - excluded)[1] is None:
+                stack.append((depth + 1, cost, 0))
+        elif stage == 1:
+            e = order[depth]
+            excluded.remove(e)
+            degrees.move(e, 0, 1)
+            stack.append((depth, cost, 2))
+            if not pruned(cost + work.costs[e]):
+                stack.append((depth + 1, cost + work.costs[e], 0))
+        else:
+            degrees.move(order[depth], -1, -1)
     assert best is not None
     return solution_for(inst, completion.decode(best[1]))
 
@@ -156,8 +150,7 @@ def lower_bounds(inst: RapInstance) -> float:
     work = balanced_completion(inst).instance
     n = min(inst.graph.n_r, inst.graph.n_t)
     bounds = [0.0]
-    unit = inst.graph.n_edges > 0 and all(c == 1 for c in inst.costs)
-    if unit:
+    if inst.graph.n_edges > 0 and all(c == 1 for c in inst.costs):
         bounds.append(float(n))
         if inst.uniform:
             bounds.append(2.0 * n)

@@ -23,7 +23,7 @@ from oracles import (
     shortest_nice_path,
 )
 from rapkit.decompose import birkhoff_decompose, make_combination, sample
-from rapkit.exact import BnbConfig, ExactError, solve_exact
+from rapkit.exact import ExactError, solve_exact
 from rapkit.graph_core import BipartiteMultigraph, Matching, matching_covered_components
 from rapkit.instance import (
     InfeasibleSolutionError,
@@ -48,8 +48,6 @@ from rapkit.reductions import (
     random_instance,
 )
 from rapkit.rounding import prepare, solve_lp_round
-
-WIDE_GUARDS = BnbConfig(max_edges=40)
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -282,7 +280,7 @@ def test_unit_cost_reduction_optimum_counts_cover():
         ri = from_set_cover(sc, "uniform_card")
         q = sum(len(ri.role_ids(role)) for role in ("E1", "E3", "E5"))
         want = q + 2 * sc.k + min_cover_size(sc.k, list(sc.sets))
-        got = solve_exact(ri.rap, WIDE_GUARDS).cost
+        got = solve_exact(ri.rap).cost
         if got != want:
             problems.append(
                 f"k={sc.k} sets={[sorted(s) for s in sc.sets]}: {got} != {want}"
@@ -517,7 +515,7 @@ def test_ear_stays_within_approximation_guarantees():
         )
         if g.balanced:
             try:
-                opt = len(solve_exact(unit, WIDE_GUARDS).edge_ids)
+                opt = len(solve_exact(unit).edge_ids)
             except ExactError:
                 continue
         else:

@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import rapkit.cli
+import rapkit.exact
+import rapkit.lp
 from rapkit.cli import main
 from rapkit.ear import solve_ear
 from rapkit.exact import solve_exact
@@ -107,6 +109,14 @@ class TestSolve:
         monkeypatch.setattr(rapkit.cli, "lower_bounds", broken)
         with pytest.raises(AssertionError, match="bound check"):
             main(["solve", "--algo", "ear", "--in", g3_file])
+
+    def test_oversized_relaxation_master_leaves_the_bound_blank(self, g3_file, capsys, monkeypatch):
+        # gk3's seed master has 31 rows
+        monkeypatch.setattr(rapkit.lp, "_MAX_MASTER_ROWS", 30)
+        assert main(["solve", "--algo", "ear", "--in", g3_file]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.rstrip().endswith("lb=- ratio=-")
+        assert captured.err == "lb: LpError: relaxation master of 31 rows passes 30\n"
 
     def test_lp_round_repeat_runs_identical(self, g3_file, tmp_path, capsys):
         outputs = []
@@ -565,8 +575,10 @@ class TestBench:
             "lb: MemoryError: dense LP too large; InstanceError: infeasible instance"
         )
 
-    def test_exact_size_guard_names_the_error(self, tmp_path, capsys):
-        # within max_edges as given, over it once completed to 6 x 6
+    def test_exact_size_guard_names_the_error(self, tmp_path, capsys, monkeypatch):
+        # 225 search nodes would fit at 12 edges each, not at the 36 of its
+        # completion to 6 x 6
+        monkeypatch.setattr(rapkit.exact, "_WORK_BUDGET", 225 * 12)
         edges = [(r, t) for r in range(6) for t in range(2)]
         inst = make_instance(6, 2, edges, [], [1] * len(edges))
         write(tmp_path / "wide.txt", format_instance(inst))

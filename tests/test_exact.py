@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import rapkit.exact
 import rapkit.lp
 from rapkit import gk_family, random_instance
-from rapkit.exact import BnbConfig, ExactError, _Degrees, lower_bounds, solve_exact
+from rapkit.exact import ExactError, _Degrees, lower_bounds, solve_exact
 from rapkit.instance import (
     InstanceError,
     make_instance,
@@ -89,24 +89,65 @@ def test_infeasible_rejected():
         solve_exact(inst)
 
 
-def test_guard_rejects_large_instances():
+def test_guard_rejects_large_instances(monkeypatch):
+    # the search visits 13 nodes, each charged the 12 edges
     edges = [(i, i) for i in range(6)] + [(i, (i + 1) % 6) for i in range(6)]
     inst = uniform_instance(6, 6, edges)
-    with pytest.raises(ExactError, match="instance too large for exact solver"):
-        solve_exact(inst, BnbConfig(max_edges=11))
-    with pytest.raises(ExactError, match="instance too large for exact solver"):
-        solve_exact(inst, BnbConfig(node_limit=3))
-    with pytest.raises(ExactError, match="instance too large for exact solver"):
-        solve_exact(inst, BnbConfig(time_limit=0.0))
+    monkeypatch.setattr(rapkit.exact, "_WORK_BUDGET", 13 * 12 - 1)
+    with pytest.raises(ExactError, match="^instance too large for exact solver$"):
+        solve_exact(inst)
+    monkeypatch.setattr(rapkit.exact, "_WORK_BUDGET", 13 * 12)
+    assert solve_exact(inst).cost == 12.0
 
 
-def test_guard_counts_the_completed_edges():
-    # 12 edges fit under max_edges, but completing 6 x 2 adds 6 x 4 dummies
+def test_guard_counts_the_completed_edges(monkeypatch):
+    # 225 nodes; completing 6 x 2 adds 6 x 4 dummies, so each costs 36, not 12
     edges = [(r, t) for r in range(6) for t in range(2)]
     inst = make_instance(6, 2, edges, vulnerable=[], costs=[1] * len(edges))
-    assert len(edges) <= BnbConfig().max_edges < len(edges) + 6 * 4
-    with pytest.raises(ExactError, match="instance too large for exact solver"):
+    monkeypatch.setattr(rapkit.exact, "_WORK_BUDGET", 225 * 36 - 1)
+    with pytest.raises(ExactError, match="^instance too large for exact solver$"):
         solve_exact(inst)
+    monkeypatch.setattr(rapkit.exact, "_WORK_BUDGET", 225 * 36)
+    assert solve_exact(inst).edge_ids == frozenset({0, 3})
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # a 2-regular cycle on 1,200 nodes keeps every one of its 1,200 edges
+    n = 600
+    edges = [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)]
+    assert solve_exact(uniform_instance(n, n, edges)).edge_ids == frozenset(range(2 * n))
+
+
+@pytest.mark.parametrize(
+    "n, p, seed, optimum",
+    [(10, 0.3, 1, 79), (12, 0.3, 3, 62), (15, 0.25, 2, 84), (15, 0.25, 1, 94)],
+    ids=["10x10", "12x12", "15x15s2", "15x15s1"],
+)
+def test_optimum_beyond_26_edges(n, p, seed, optimum):
+    # 30, 48, 55 and 62 completed edges
+    inst = random_instance(n, n, p, 0.5, (1, 10), seed=seed)
+    sol = solve_exact(inst)
+    verify_solution(inst, sol)
+    assert sol.cost == optimum
+
+
+@pytest.mark.parametrize(
+    "inst, scans",
+    [(gk_family(4), 89), (random_instance(10, 10, 0.3, 0.5, (1, 10), seed=1), 251)],
+    ids=["gk4", "10x10"],
+)
+def test_oracle_calls_pinned(monkeypatch, inst, scans):
+    # one oracle scan per exclusion tested, so this pins the visit order
+    calls = []
+    real_scan = rapkit.exact._scan
+
+    def counting_scan(*args):
+        calls.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(rapkit.exact, "_scan", counting_scan)
+    solve_exact(inst)
+    assert len(calls) == scans
 
 
 def test_determinism():

@@ -319,6 +319,39 @@ class TestRelaxationValue:
             flow = oracles.brute_min_cut(g.n_r, g.n_t, list(g.edges), capacity)
             assert flow >= g.n_r - 1e-7
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_instance(max_side=4, max_edges=12, balanced=False), st.integers(0, 6))
+    def test_row_cap_keeps_a_lower_bound(self, data, extra):
+        # a cap a few rows over the seed master stops some loops early
+        work = balanced_completion(make_instance(*data)).instance
+        assume(check_feasible(work))
+        rows = []
+        real_simplex = rapkit.lp._simplex
+
+        def recording_simplex(lp):
+            rows.append(lp.n_rows)
+            return real_simplex(lp)
+
+        with mock.patch.object(rapkit.lp, "_simplex", recording_simplex):
+            relaxation_value(work)
+            cap = rows[0] + extra
+            rows.clear()
+            with mock.patch.object(rapkit.lp, "_MAX_MASTER_ROWS", cap):
+                value = relaxation_value(work)
+        assert max(rows) <= cap
+        assert value <= solve_lp(build_lp(work)).objective + 1e-7
+
+    def test_row_cap_stops_the_loop(self, monkeypatch):
+        # uncapped, the masters of this instance have 56, 64, 69, 71, 74,
+        # 76 and 79 rows, and the last one's optimum is 79
+        inst = random_instance(10, 10, 0.3, 0.5, (1, 10), seed=1)
+        assert relaxation_value(inst) == 79
+        monkeypatch.setattr(rapkit.lp, "_MAX_MASTER_ROWS", 70)
+        assert relaxation_value(inst) < 79
+        monkeypatch.setattr(rapkit.lp, "_MAX_MASTER_ROWS", 55)
+        with pytest.raises(LpError, match="^relaxation master of 56 rows passes 55$"):
+            relaxation_value(inst)
+
     def test_rejects_unbalanced_and_infeasible(self):
         with pytest.raises(InstanceError, match="balanced_completion"):
             relaxation_value(make_instance(2, 1, [(0, 0), (1, 0)], [], [1.0, 1.0]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rapkit.exact import BnbConfig, solve_exact
+from rapkit.exact import solve_exact
 from rapkit.ear import solve_ear
 from rapkit.graph_core import BipartiteMultigraph
 from rapkit.instance import (
@@ -34,8 +34,6 @@ from rapkit.reductions import (
 
 from oracles import min_cover_size, shortest_nice_path
 from test_graph_core import gk_graph
-
-WIDE_GUARDS = BnbConfig(max_edges=40)
 
 # every set-cover instance with k <= 3 ground elements and at most two sets
 TINY_COVERS = [
@@ -276,7 +274,7 @@ class TestUniformCard:
                 continue
             ri = from_set_cover(sc, "uniform_card")
             q = sum(1 for role in ri.roles if role in ("E1", "E3", "E5"))
-            sol = solve_exact(ri.rap, WIDE_GUARDS)
+            sol = solve_exact(ri.rap)
             assert sol.cost == q + 2 * sc.k + min_cover_size(sc.k, list(sc.sets))
             cover = decode_cover(ri, sol)
             covered = set().union(*cover) if cover else set()
