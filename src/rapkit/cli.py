@@ -1,7 +1,8 @@
 """Command-line front end: generate, solve, verify, and benchmark.
 
 Exit codes: 0 success (for solve: the output re-verified as feasible),
-1 usage or IO problem, 2 infeasible instance, 3 solution rejected by the
+1 usage or IO problem, or a solver that gave up (``ExactError``,
+``LpError``), 2 infeasible instance, 3 solution rejected by the
 verifier.  Reports never trust a solver's own feasibility claim; every
 solution is re-checked before being announced.  Instances go to the
 solvers and the verifier as parsed, unbalanced ones included, and every
@@ -40,7 +41,7 @@ from .instance import (
     solution_for,
     verify_solution,
 )
-from .lp import build_lp, dump_lp
+from .lp import LpError, build_lp, dump_lp
 from .reductions import (
     format_reduced,
     from_set_cover,
@@ -167,6 +168,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     except (ExactError, ValueError) as exc:
         return _fail(str(exc))
+    except LpError as exc:
+        return _fail(_error_text(exc))
 
     try:
         verify_solution(inst, sol)
@@ -195,8 +198,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.trace:
             Path(args.trace).write_text(trace_text)
         if args.dump_lp:
-            # lp-round dumps the model it rounded, uniformized if it had to
-            # be; the others the balanced completion
+            # lp-round dumps the k-block model of the instance it rounded,
+            # uniformized if it had to be, of which the rounded point is an
+            # optimum; the others that of the balanced completion
             target = plan.work if plan is not None else balanced_completion(inst).instance
             Path(args.dump_lp).write_text(dump_lp(build_lp(target)))
     except OSError as exc:

@@ -6,14 +6,17 @@ On bipartite graphs the degree equalities alone carve out the perfect
 matching polytope, so each block contributes one equality per node and one
 coupling inequality x <= y per edge. Minimizing c*y over these constraints
 lower-bounds every robust solution. ``build_lp`` builds this k-block model,
-whose optimal point the rounding reads.
+which ``dump_lp`` renders.
 
-The relaxation's value alone needs no x blocks: y restricted to E - f
-dominates a fractional perfect matching exactly when every Hall cut
-y(delta(A, T - B) - f) >= |A| - |B| holds (max-flow/min-cut; the
-perfect-matching dominant, Schrijver, *Combinatorial Optimization*).
-``relaxation_value`` finds the cuts it needs by max-flow, one scenario at a
-time, and solves a master over y alone.
+No solver builds it. y restricted to E - f dominates a fractional perfect
+matching exactly when every Hall cut y(delta(A, T - B) - f) >= |A| - |B|
+holds (max-flow/min-cut; the perfect-matching dominant, Schrijver,
+*Combinatorial Optimization*). ``_cut_loop`` finds the cuts it needs by
+max-flow, one scenario at a time, and solves a master over y alone:
+``relaxation_value`` returns its value, and ``relaxation_point`` its y with
+x blocks that are solved one at a time, on first use, as 2n-row min-cost
+matchings below y. y and those blocks form an optimal point of the k-block
+model.
 
 Each model is kept as its nonzeros. Every variable has lower bound 0 and an
 upper bound (0 when it is fixed). The solver, a bounded-variable revised
@@ -132,7 +135,11 @@ class RapLp(SparseLp):
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Optimal point of the relaxation: y per edge, x per scenario block."""
+    """Optimal point of the relaxation: y per edge, x per scenario block.
+
+    ``x`` maps each scenario to its block; ``relaxation_point`` fills it
+    lazily. ``iterations`` counts the simplex pivots that found y.
+    """
 
     y: tuple[float, ...]
     x: Mapping[int, tuple[float, ...]]
@@ -566,21 +573,18 @@ def _cut_master(costs: np.ndarray, cuts: Sequence[tuple[frozenset[int], int]]) -
     )
 
 
-def relaxation_value(inst: RapInstance) -> float:
-    """Optimum of the relaxation of a balanced, feasible instance, over y alone.
+def _cut_loop(inst: RapInstance) -> tuple[np.ndarray, float, int, bool]:
+    """The cut master's last y and optimum, its pivots, and whether the cuts converged.
 
-    Equals ``solve_lp(build_lp(inst)).objective`` up to the solvers'
-    tolerances, by a cutting-plane loop. The master minimizes c * y over
-    0 <= y <= 1 and the Hall cuts found so far, seeded with y(delta(v)) >= 1
-    at every node and y(delta(v) - f) >= 1 at both ends of each vulnerable
-    f; ``_simplex`` solves it afresh each round. Separation runs one
-    max-flow per scenario (the nominal one when nothing is vulnerable)
-    with capacity y on E - f: a flow below n gives the violated cut of its
-    minimum cut's source side (A, B). Cuts are kept once per (edge set,
-    rhs), and the loop ends on a round that adds none. Every cut is valid,
-    so each master optimum is at most the relaxation's value. A round that
-    takes the master past ``_MAX_MASTER_ROWS`` rows ends the loop with the
-    current optimum; a seed master past it raises ``LpError``.
+    The master minimizes c * y over 0 <= y <= 1 and the Hall cuts found so
+    far, seeded with y(delta(v)) >= 1 at every node and y(delta(v) - f) >= 1
+    at both ends of each vulnerable f; ``_simplex`` solves it afresh each
+    round. Separation runs one max-flow per scenario (the nominal one when
+    nothing is vulnerable) with capacity y on E - f: a flow below n gives
+    the violated cut of its minimum cut's source side (A, B). Cuts are kept
+    once per (edge set, rhs), and the loop converges on a round that adds
+    none. A round that takes the master past ``_MAX_MASTER_ROWS`` rows
+    ends the loop unconverged; a seed master past it raises ``LpError``.
     """
     _require_feasible(inst)
     g = inst.graph
@@ -597,12 +601,14 @@ def relaxation_value(inst: RapInstance) -> float:
     if len(cuts) > _MAX_MASTER_ROWS:
         raise LpError(f"relaxation master of {len(cuts)} rows passes {_MAX_MASTER_ROWS}")
     costs = np.asarray(inst.costs, dtype=float)
+    pivots = 0
     while True:
-        values, objective, _ = _solve_checked(_cut_master(costs, list(cuts)))
-        y = values[:m].tolist()
+        values, objective, iters = _solve_checked(_cut_master(costs, list(cuts)))
+        pivots += iters
+        y = values[:m]
         found = len(cuts)
         for f in scenarios:
-            capacity = list(y)
+            capacity = y.tolist()
             if f != NOMINAL_SCENARIO:
                 capacity[f] = 0.0
             flow, side_r, side_t = max_flow_min_cut(g, capacity)
@@ -613,7 +619,94 @@ def relaxation_value(inst: RapInstance) -> float:
                 )
                 cuts.setdefault((edges, len(side_r) - len(side_t)))
         if len(cuts) == found or len(cuts) > _MAX_MASTER_ROWS:
-            return objective
+            return y, objective, pivots, len(cuts) == found
+
+
+def relaxation_value(inst: RapInstance) -> float:
+    """Optimum of the relaxation of a balanced, feasible instance, over y alone.
+
+    Equals ``solve_lp(build_lp(inst)).objective`` up to the solvers'
+    tolerances, by ``_cut_loop``. Every cut is valid, so each master
+    optimum is at most the relaxation's value: when the loop stops at
+    ``_MAX_MASTER_ROWS`` rows, the current optimum is returned. A seed
+    master past the cap raises ``LpError``.
+    """
+    return _cut_loop(inst)[1]
+
+
+def _block_lp(inst: RapInstance, y: np.ndarray, f: int) -> SparseLp:
+    """The min-cost fractional perfect matching of E - f under 0 <= x <= y.
+
+    One degree equality per node (R nodes, then T nodes) and one column per
+    edge, with x_f's upper bound 0. Tie-break: the columns are laid out in
+    descending edge id, so where ``_simplex``'s first-index rule breaks a
+    tie among equally priced columns, the later edge id wins.
+    """
+    g = inst.graph
+    n, m = g.n_r, g.n_edges
+    ids = np.arange(m)[::-1]  # column j holds edge ids[j]
+    ends = np.array(g.edges, dtype=np.int64).reshape(m, 2)[ids]
+    upper = y[ids]
+    if f != NOMINAL_SCENARIO:
+        upper[m - 1 - f] = 0.0
+    return SparseLp(
+        n_rows=2 * n,
+        cols=np.repeat(np.arange(m), 2),
+        rows=np.stack([ends[:, 0], n + ends[:, 1]], axis=1).ravel(),
+        vals=np.ones(2 * m),
+        senses=("E",) * (2 * n),
+        rhs=np.ones(2 * n),
+        upper=upper,
+        objective=np.asarray(inst.costs, dtype=float)[ids],
+    )
+
+
+class _LazyBlocks(Mapping[int, tuple[float, ...]]):
+    """The x blocks of a relaxation point, each solved by ``_block_lp`` on first use.
+
+    Keys are the scenarios: the vulnerable edges in ascending id, or
+    ``NOMINAL_SCENARIO`` alone when nothing is vulnerable. A solved block
+    is kept, so every reader of the point shares it.
+    """
+
+    def __init__(self, inst: RapInstance, y: np.ndarray):
+        self._inst, self._y = inst, y
+        self._keys = tuple(sorted(inst.vulnerable)) or (NOMINAL_SCENARIO,)
+        self._solved: dict[int, tuple[float, ...]] = {}
+
+    def __getitem__(self, f: int) -> tuple[float, ...]:
+        if f not in self._solved:
+            if f not in self._keys:
+                raise KeyError(f)
+            values, _, _ = _solve_checked(_block_lp(self._inst, self._y, f))
+            self._solved[f] = tuple(values[::-1].tolist())  # back in edge id order
+        return self._solved[f]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def relaxation_point(inst: RapInstance) -> FractionalSolution:
+    """An optimal point of ``build_lp(inst)``: the cut model's y, with lazy blocks.
+
+    y and the objective come from ``_cut_loop``, and ``iterations`` counts
+    its master's pivots. Block f of ``x`` is solved on first read (see
+    ``_block_lp``); any fractional perfect matching of E - f below y
+    completes y to a point of the k-block model with the same objective.
+    A loop that stops at the row cap raises ``LpError``, since a capped y
+    can miss a Hall cut and leave a block infeasible.
+    """
+    y, objective, pivots, converged = _cut_loop(inst)
+    if not converged:
+        raise LpError(
+            f"relaxation master passed {_MAX_MASTER_ROWS} rows before its cuts converged"
+        )
+    return FractionalSolution(
+        y=tuple(y.tolist()), x=_LazyBlocks(inst, y), objective=objective, iterations=pivots
+    )
 
 
 def dump_lp(lp: RapLp) -> str:

@@ -9,6 +9,11 @@ edges, and a non-uniform one uniformized (parallel copies for invulnerable
 edges); the result is mapped back to the completion, pruned and verified
 there, and returned in the caller's edge ids.
 
+The relaxation is ``lp.relaxation_point``: y from the cut model, and each
+f-block solved the first time the loop visits f, as a min-cost fractional
+perfect matching of E - f below y. A plan keeps its solved blocks, so the
+seeds that round one plan share them.
+
 The loop invariant, checked on every iteration on the oracle analysis
 (``instance._scan``) that finds the next f, is that every edge-bearing
 component of the selection is matching-covered. The components are read
@@ -42,7 +47,7 @@ from rapkit.instance import (
     uniformize,
     verify_solution,
 )
-from rapkit.lp import FractionalSolution, build_lp, solve_lp
+from rapkit.lp import FractionalSolution, relaxation_point
 
 
 @dataclass(frozen=True)
@@ -65,13 +70,14 @@ class RoundTrace:
 
 @dataclass(frozen=True)
 class RoundPlan:
-    """Reusable per-instance state: the (possibly uniformized) LP optimum.
+    """Reusable per-instance state: the (possibly uniformized) relaxation point.
 
-    Building a plan once lets many seeds share the LP solve. ``completion``
-    is the balanced completion of ``original``, and ``mapping`` the
-    uniformizing of that; either is the identity (nothing appended) when
-    its step is not needed. ``fractional`` is the optimum of the
-    relaxation of ``work``, the instance the rounding runs on.
+    Building a plan once lets many seeds share the cut loop and the x
+    blocks. ``completion`` is the balanced completion of ``original``, and
+    ``mapping`` the uniformizing of that; either is the identity (nothing
+    appended) when its step is not needed. ``fractional`` is an optimal
+    point of the relaxation of ``work``, the instance the rounding runs on:
+    the cut model's y, with x blocks solved on first read and kept.
     """
 
     original: RapInstance
@@ -125,11 +131,14 @@ def _n_components(pairs: PairAnalysis) -> int:
 
 
 def prepare(inst: RapInstance) -> RoundPlan:
-    """Complete and uniformize ``inst`` if needed, and solve the relaxation once."""
+    """Complete and uniformize ``inst`` if needed, and solve the relaxation once.
+
+    Raises ``LpError`` when the relaxation's cut loop stops at its row cap.
+    """
     completion = balanced_completion(inst)
     work = completion.instance
     mapping = uniformize(work) if work.vulnerable and not work.uniform else InstanceMapping(work)
-    return RoundPlan(inst, completion, mapping, solve_lp(build_lp(mapping.instance)))
+    return RoundPlan(inst, completion, mapping, relaxation_point(mapping.instance))
 
 
 def solve_lp_round(
@@ -139,9 +148,10 @@ def solve_lp_round(
 ) -> tuple[Solution, RoundTrace]:
     """Round the relaxation to a feasible solution, then prune it minimal.
 
-    ``plan`` carries the fractional optimum so repeated seeds skip the LP
-    solve. Every iteration checks the loop invariant and that it covered its
-    scenario, and raises ``AssertionError`` if not.
+    ``plan`` carries the fractional optimum so repeated seeds skip the cut
+    loop and reuse the blocks already solved. Every iteration checks the
+    loop invariant and that it covered its scenario, and raises
+    ``AssertionError`` if not.
     """
     if plan is None or plan.original is not inst:
         plan = prepare(inst)

@@ -53,10 +53,10 @@ def write(path, text):
 PINNED_LP_ROUND_LINES = [
     "gk3 0 0 fd693aee709336bb e3b0c44298fc1c14 68da96bd7aeb82b3 fdc01cf1da7e890f 4911232d0fad1bb1",
     "gk3 1 0 c10a6a0496c622e4 e3b0c44298fc1c14 8a6fc98612de209b 45de3ebdd462ce73 4911232d0fad1bb1",
-    "rand4 0 0 66ed86d5413bd8b7 e3b0c44298fc1c14 8816d99a471b764d 1030226537a552a5 61e9d4068bcc3e4a",
-    "rand4 1 0 cd3d6065f9bfb8b4 e3b0c44298fc1c14 394a5fd90e1803cd 18eb000dd7d2fa90 61e9d4068bcc3e4a",
-    "unb3x4 0 0 bba1137fbd67f4d9 e3b0c44298fc1c14 b44f385ecb9a25d4 3280dc9ec4609caa 42171ce69b9b3a14",
-    "unb3x4 1 0 8bc3456d60a8f12c e3b0c44298fc1c14 86c52f7668ea8578 c90d90060fb89e60 42171ce69b9b3a14",
+    "rand4 0 0 66ed86d5413bd8b7 e3b0c44298fc1c14 8816d99a471b764d 194990d23a55f88f 61e9d4068bcc3e4a",
+    "rand4 1 0 cd3d6065f9bfb8b4 e3b0c44298fc1c14 394a5fd90e1803cd b0cf7be9071fa1f1 61e9d4068bcc3e4a",
+    "unb3x4 0 0 bba1137fbd67f4d9 e3b0c44298fc1c14 b44f385ecb9a25d4 3e9c3d0d3e3a0401 42171ce69b9b3a14",
+    "unb3x4 1 0 8bc3456d60a8f12c e3b0c44298fc1c14 86c52f7668ea8578 ff5fe27cb43c9b55 42171ce69b9b3a14",
     "nom4 0 0 3a28040759107dc7 e3b0c44298fc1c14 413a24fce1b0b792 7015fc7178f323b8 39c9dd1ba3d12498",
     "nom4 1 0 d9169ccb723ceabb e3b0c44298fc1c14 413a24fce1b0b792 7015fc7178f323b8 39c9dd1ba3d12498",
 ]
@@ -117,6 +117,18 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out.rstrip().endswith("lb=- ratio=-")
         assert captured.err == "lb: LpError: relaxation master of 31 rows passes 30\n"
+
+    def test_refused_relaxation_is_reported(self, tmp_path, capsys):
+        # the uniformized seed master of this instance has 980 rows
+        wide = tmp_path / "wide.txt"
+        argv = ["gen", "--family", "random", "--n-r", "40", "--n-t", "40", "--edge-prob",
+                "0.2", "--cost-lo", "1", "--cost-hi", "1", "--seed", "1", "--out", str(wide)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["solve", "--algo", "lp-round", "--in", str(wide)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "LpError: relaxation master of 980 rows passes 600\n"
 
     def test_lp_round_repeat_runs_identical(self, g3_file, tmp_path, capsys):
         outputs = []

@@ -10,18 +10,21 @@ from hypothesis import strategies as st
 import oracles
 from strategies import small_instance
 
+import rapkit.lp
 import rapkit.rounding
 from rapkit.graph_core import PairAnalysis, components
 from rapkit.instance import (
+    NOMINAL_SCENARIO,
     InstanceError,
     balanced_completion,
     check_feasible,
     is_feasible_set,
     make_instance,
     uniform_instance,
+    uniformize,
     verify_solution,
 )
-from rapkit.lp import FractionalSolution
+from rapkit.lp import FractionalSolution, LpError, build_lp, solve_lp
 from rapkit.rounding import (
     format_trace,
     prepare,
@@ -91,6 +94,88 @@ class TestRoundingIteration:
         # no rescue applies
         assert sampled == frozenset({1, 2})
         assert delta == frozenset()
+
+
+class TestRelaxationPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(small_instance(max_side=3, max_edges=8))
+    def test_blocks_are_perfect_matchings_below_y(self, data):
+        inst = make_instance(*data)
+        if not check_feasible(inst):
+            return
+        plan = prepare(inst)
+        work, frac = plan.work, plan.fractional
+        g = work.graph
+        y = np.array(frac.y)
+        assert float(np.dot(work.costs, y)) == pytest.approx(
+            solve_lp(build_lp(work)).objective, abs=1e-7
+        )
+        # every block, so every block a rounding can visit
+        for f, block in frac.x.items():
+            x = np.array(block)
+            for adj in g.adj_r + g.adj_t:
+                assert abs(x[list(adj)].sum() - 1.0) <= 1e-9
+            if f != NOMINAL_SCENARIO:
+                assert x[f] == 0.0
+            assert np.all(x >= -1e-9) and np.all(x <= y + 1e-9)
+
+    @pytest.mark.parametrize(
+        "vulnerable", [range(4), [], [0]], ids=["uniform", "nominal", "mixed"]
+    )
+    def test_rounding_builds_no_k_block_model(self, monkeypatch, vulnerable):
+        inst = make_instance(2, 2, C4_EDGES, vulnerable=list(vulnerable), costs=[2, 3, 5, 7])
+        work = uniformize(inst).instance if inst.vulnerable and not inst.uniform else inst
+        expected = solve_lp(build_lp(work)).objective
+
+        def refuse(*_):
+            raise AssertionError("the rounding used the k-block model")
+
+        monkeypatch.setattr(rapkit.lp, "build_lp", refuse)
+        monkeypatch.setattr(rapkit.lp, "solve_lp", refuse)
+        assert not hasattr(rapkit.rounding, "build_lp")
+        assert not hasattr(rapkit.rounding, "solve_lp")
+        plan = prepare(inst)
+        assert plan.fractional.objective == pytest.approx(expected, abs=1e-9)
+        for seed in range(3):
+            sol, _ = solve_lp_round(inst, seed=seed, plan=plan)
+            verify_solution(inst, sol)
+
+    def test_blocks_solved_once_for_visited_scenarios_only(self, monkeypatch):
+        g = gk_graph(3)
+        inst = uniform_instance(g.n_r, g.n_t, list(g.edges))
+        plan = prepare(inst)
+        solved = []
+        real_block_lp = rapkit.lp._block_lp
+
+        def recording_block_lp(work, y, f):
+            solved.append(f)
+            return real_block_lp(work, y, f)
+
+        monkeypatch.setattr(rapkit.lp, "_block_lp", recording_block_lp)
+        visited = set()
+        for seed in range(5):
+            _, trace = solve_lp_round(inst, seed=seed, plan=plan)
+            visited |= {rec.scenario for rec in trace.records}
+        assert sorted(solved) == sorted(visited)
+        assert len(visited) < len(plan.fractional.x)
+        # the plan keeps its blocks, so the same seeds solve none again
+        for seed in range(5):
+            solve_lp_round(inst, seed=seed, plan=plan)
+        assert sorted(solved) == sorted(visited)
+
+    def test_capped_relaxation_is_refused(self, monkeypatch):
+        # uniformized, this instance's cut masters have 104 and 109 rows
+        inst = random_instance(10, 10, 0.3, 0.5, (1, 10), seed=1)
+
+        def refuse(*_):
+            raise AssertionError("a block was solved")
+
+        monkeypatch.setattr(rapkit.lp, "_MAX_MASTER_ROWS", 105)
+        monkeypatch.setattr(rapkit.lp, "_block_lp", refuse)
+        with pytest.raises(
+            LpError, match="^relaxation master passed 105 rows before its cuts converged$"
+        ):
+            prepare(inst)
 
 
 class TestSolveLpRound:
