@@ -21,11 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-import numpy as np
-
 from .ear import EarDecomposition, format_ears, solve_ear
 from .exact import ExactError, lower_bounds, solve_exact
-from .graph_core import BipartiteMultigraph
 from .instance import (
     NOMINAL_SCENARIO,
     InfeasibleSolutionError,
@@ -33,7 +30,6 @@ from .instance import (
     RapInstance,
     Solution,
     balanced_completion,
-    check_feasible,
     format_instance,
     format_solution,
     parse_instance,
@@ -45,10 +41,10 @@ from .lp import LpError, build_lp, dump_lp
 from .reductions import (
     format_reduced,
     from_set_cover,
-    from_snpp,
     gk_family,
     parse_set_cover,
     random_instance,
+    random_snpp,
 )
 from .rounding import RoundPlan, format_trace, prepare, solve_lp_round
 
@@ -210,25 +206,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if feasible else EXIT_REJECTED
 
 
-def _gen_snpp(n: int, edge_prob: float, seed: int) -> RapInstance:
-    """Random nice-path gadget: sample bipartite graphs until one is
-    robustly feasible with the fixed terminals t0 and r0."""
-    if n < 1:
-        raise InstanceError("need at least one node per side")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise InstanceError("edge_prob must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        edges = [
-            (r, t) for r in range(n) for t in range(n) if rng.random() < edge_prob
-        ]
-        h = BipartiteMultigraph(n, n, edges)
-        inst = from_snpp(h, ("t", 0), ("r", 0))
-        if check_feasible(inst):
-            return inst
-    raise InstanceError("could not generate feasible instance")
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     try:
         if args.family == "gk":
@@ -246,7 +223,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         elif args.family == "snpp":
             if args.n is None:
                 return _fail("snpp family needs --n")
-            inst = _gen_snpp(args.n, args.edge_prob, args.seed)
+            inst = random_snpp(args.n, args.edge_prob, args.seed)
             text = format_instance(inst)
         else:
             if args.n_r is None or args.n_t is None:

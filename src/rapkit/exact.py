@@ -20,7 +20,7 @@ from .instance import (
     check_feasible,
     solution_for,
 )
-from .lp import relaxation_value
+from .lp import LpError, relaxation_value
 
 __all__ = ["ExactError", "lower_bounds", "solve_exact"]
 
@@ -145,15 +145,19 @@ def lower_bounds(inst: RapInstance) -> float:
     those nodes needs two incident edges) with the value of the LP
     relaxation of ``inst``'s balanced completion, which
     ``lp.relaxation_value`` solves over y alone with Hall cuts, building no
-    k-block model.
+    k-block model. When that solve raises ``LpError`` (say, a seed master
+    past its row cap), the counting bound is returned if one applies;
+    otherwise the error propagates.
     """
     work = balanced_completion(inst).instance
     n = min(inst.graph.n_r, inst.graph.n_t)
-    bounds = [0.0]
+    bounds = []
     if inst.graph.n_edges > 0 and all(c == 1 for c in inst.costs):
-        bounds.append(float(n))
-        if inst.uniform:
-            bounds.append(2.0 * n)
+        bounds.append(2.0 * n if inst.uniform else float(n))
     if check_feasible(work):
-        bounds.append(relaxation_value(work))
-    return max(bounds)
+        try:
+            bounds.append(relaxation_value(work))
+        except LpError:
+            if not bounds:
+                raise
+    return max(bounds, default=0.0)

@@ -99,9 +99,8 @@ def _match_arrays(
     edges, adj_r = g.edges, g.adj_r
     match_r = [-1] * g.n_r
     match_t = [-1] * g.n_t
+    # a path re-matches only matched R nodes and its root: no root is matched before its turn
     for root in range(g.n_r):
-        if match_r[root] != -1:
-            continue
         seen: set[int] = set()
         # one frame per R node on the search path:
         # [node, next adjacency position, edge taken from the node]

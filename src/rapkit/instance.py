@@ -55,6 +55,11 @@ class RapInstance:
             raise InstanceError("costs must be non-negative")
 
     @property
+    def scenarios(self) -> tuple[int, ...]:
+        """The vulnerable ids in ascending order, or ``NOMINAL_SCENARIO`` alone when none is."""
+        return tuple(sorted(self.vulnerable)) or (NOMINAL_SCENARIO,)
+
+    @property
     def uniform(self) -> bool:
         return self.vulnerable == frozenset(self.graph.edge_ids())
 
@@ -230,9 +235,7 @@ def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
             )
         raise InfeasibleSolutionError(f"infeasible at scenario e{failing}", failing)
     pm = pairs.matching.edge_ids
-    matchings = {
-        f: _cycle_swap(pairs, f) if f in pm else pm for f in sorted(inst.vulnerable)
-    } or {NOMINAL_SCENARIO: pm}
+    matchings = {f: _cycle_swap(pairs, f) if f in pm else pm for f in inst.scenarios}
     for f, w in matchings.items():
         if w is None or f in w:
             raise AssertionError(f"no valid witness for scenario {f}")

@@ -19,10 +19,10 @@ matchings below y. y and those blocks form an optimal point of the k-block
 model.
 
 Each model is kept as its nonzeros. Every variable has lower bound 0 and an
-upper bound (0 when it is fixed). The solver, a bounded-variable revised
+upper bound (0 when it is fixed). ``_simplex``, a bounded-variable revised
 primal simplex, prices over the nonzeros and keeps one dense array, the
-basis inverse, which it updates only where it changes. On one BLAS thread
-neither moves the pivot path or the returned point of the dense method.
+basis inverse. A threaded BLAS can take another pivot path, so the pinned
+results assume one thread.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ class SparseLp:
 class RapLp(SparseLp):
     """The k-block relaxation in matrix form with deterministic variable order.
 
-    Columns: the y block first (by edge id), then one x block per vulnerable
-    edge in ascending id order. With no vulnerable edges a single nominal
-    x block (key ``NOMINAL_SCENARIO``) keeps the model non-vacuous, so the
-    optimum is the cheapest perfect matching. Rows: per-block degree
+    Columns: the y block first (by edge id), then one x block per scenario
+    of ``instance.scenarios``. With no vulnerable edges the nominal block
+    keeps the model non-vacuous, so the optimum is the cheapest perfect
+    matching. Rows: per-block degree
     equalities (R nodes then T nodes), then per-block coupling rows
     x_e - y_e <= 0. Every variable lies in [0, ``upper``]; the fixing
     x^{-f}_f = 0 is the upper bound 0, not a row. Row and variable names
@@ -148,8 +148,7 @@ class FractionalSolution:
 
 
 def _require_feasible(inst: RapInstance) -> None:
-    if not inst.graph.balanced:
-        raise InstanceError("apply balanced_completion first")
+    # check_feasible raises for an unbalanced instance
     if not check_feasible(inst):
         raise InstanceError("infeasible instance")
 
@@ -158,7 +157,7 @@ def build_lp(inst: RapInstance) -> RapLp:
     _require_feasible(inst)
     g = inst.graph
     m = g.n_edges
-    blocks = tuple(sorted(inst.vulnerable)) if inst.vulnerable else (NOMINAL_SCENARIO,)
+    blocks = inst.scenarios
     k = len(blocks)
     n_vars = m * (k + 1)
     n_deg = k * (g.n_r + g.n_t)
@@ -230,32 +229,19 @@ _DEGENERATE_SWITCH = 50
 def _simplex(lp: SparseLp) -> tuple[np.ndarray, float, int]:
     """Two-phase bounded-variable revised primal simplex.
 
-    Returns the variable values, the objective and the pivot count. Dense
-    basis inverse with product-form pivot updates and periodic
-    refactorization. Pricing is Dantzig's rule with first-index tie breaks;
-    after a run of degenerate pivots it falls back to Bland's rule until a
-    positive step is taken, which guarantees termination. Every lower bound
-    is 0, so a nonbasic column sits at 0 or at its upper bound, and
-    ``_SimplexState``'s ``sign`` and ``basic`` are the whole column state.
+    Returns the variable values, the objective and the pivot count. Phase 1
+    drives the artificials to 0 and phase 2 minimizes the objective, both
+    on ``_SimplexState``'s basis. Pricing is Dantzig's rule with first-index
+    tie breaks; after a run of degenerate pivots it falls back to Bland's
+    rule until a positive step is taken, which guarantees termination.
 
-    The working matrix (structurals, then one slack or artificial column
-    per row) is held only as its nonzeros, sorted by column and row. FTRAN
-    and refactorization scatter them into zeroed arrays, so the dense
-    products see the values a dense matrix would hold. Pricing sums each
-    column's nonzero terms in ascending row order; the coefficients are
-    +-1, so the products are exact and the sums match the dense one-thread
-    product bit for bit. A pivot updates the basis inverse only on the
-    rows where the entering column is nonzero and the columns where the
-    pivot row is nonzero, subtracting in place at that block's flat indices
-    a chunk of rows at a time, or in full, in slices of rows, when the
-    block exceeds a quarter of the matrix. Either way each updated entry
-    is b - d_i * row_c, rounded once per operation, and the two paths and
-    the dense rank-one update differ only in the sign of a zero entry. No
-    comparison sees that sign, and each phase ends on a fresh
-    refactorization (made at its end unless nothing moved since the last
-    one), so the returned point does not depend on it. A threaded BLAS
-    sums the dual and FTRAN products in another order and can take
-    another pivot path.
+    Pricing sums each column's nonzero terms in ascending row order; the
+    coefficients are +-1, so the sums are exact. The dual and FTRAN are
+    dense products with the basis inverse, which a threaded BLAS sums in
+    another order, so the pivot path is pinned for one thread only. A pivot
+    updates the inverse in place (``_update_inverse``). Every
+    ``_REFACTOR_EVERY`` pivots, and at the end of a phase in which anything
+    moved, ``np.linalg.inv`` rebuilds it.
     """
     if lp.n_rows == 0:
         values = np.zeros(lp.n_vars)
@@ -284,20 +270,13 @@ class _SimplexState:
 
     Built from the model, with one +1 slack ("L" row) or artificial ("E"
     row) column per row after the structurals; these form the starting
-    basis I, with every structural at 0. Every lower bound is 0, so
+    basis I, with every structural at 0. The working matrix is held only as
+    its nonzeros, sorted by column and row. Every lower bound is 0, so
     ``basic`` (the column of each row) and ``sign`` (-1 at 0, +1 at the
     upper bound, 0 when basic or fixed) are the whole column state, and
-    ``sign * reduced cost`` is a column's pricing violation.
-
-    ``run`` keeps its per-pivot state across the pivots of a phase and
-    changes it where a pivot does, at the entering column and the leaving
-    row: ``sign``, and the cost and upper bound of each row's basic
-    variable. The dual, pricing, FTRAN and ratio test write into buffers
-    allocated once per phase, and the entering column is scattered into a
-    zeroed buffer and cleared after FTRAN. The update's scratch is bounded
-    by _UPDATE_ROWS rows and freed on return. All of it computes the values
-    a per-pivot rebuild would, up to the sign of a zero in the inverse (see
-    ``_simplex``), so the pivot path and the returned point are unchanged.
+    ``sign * reduced cost`` is a column's pricing violation. ``x_b`` holds
+    the basic values and ``b_inv`` the basis inverse; ``run`` keeps the
+    cost and upper bound of each row's basic variable beside them.
 
     No view of ``b_inv`` outlives the pivot that made it: ``_refactorize``
     drops the old inverse before it allocates the new one, and a view held
@@ -366,19 +345,21 @@ class _SimplexState:
     def objective(self, cost: np.ndarray) -> float:
         return float(cost @ self.values())
 
-    def _update_inverse(self, leave_row, d, row) -> None:
+    def _update_inverse(self, leave_row: int, d: np.ndarray) -> None:
         """Pivot the basis inverse on ``leave_row``, where ``d`` = B⁻¹ a_j.
 
         Divides the pivot row by the pivot and subtracts d times it from
         every other row, only where d and the pivot row are nonzero, or in
         full when that block exceeds 1/_FULL_UPDATE_RATIO of the matrix.
-        ``d`` is clobbered and ``row`` receives the divided pivot row. The
-        flat view of the inverse and the scratch of _UPDATE_ROWS * n_rows
-        entries die with this call, so no refactorization finds the old
-        inverse still referenced or the scratch still held.
+        Either path gives each updated entry as b - d_i * row_c, rounded
+        once per operation, up to the sign of a zero that no comparison
+        sees. ``d`` is clobbered. The flat view of the inverse and the
+        scratch of _UPDATE_ROWS * n_rows entries die with this call, so no
+        refactorization finds the old inverse still referenced or the
+        scratch still held.
         """
         n = self.n_rows
-        np.divide(self.b_inv[leave_row], d[leave_row], out=row)
+        row = self.b_inv[leave_row] / d[leave_row]
         self.b_inv[leave_row] = row
         d[leave_row] = 0.0  # the pivot row keeps its divided values
         ri = np.flatnonzero(d)
@@ -421,24 +402,15 @@ class _SimplexState:
         sign[fixed] = 0.0
         # cost and upper bound of the basic variables, by row
         cost_b, upper_b = cost[basic], self.upper[basic]
-        # buffers every pivot writes into; a_j is zero between pivots
-        y_dual, a_j, d, dd, t_rows = (np.empty(n) for _ in range(5))
-        a_j.fill(0.0)
-        pos, neg = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-        terms = np.empty(self.nz_row.size)
-        viol = np.empty(self.n_cols)
-        row = np.empty(n)
 
         for _ in range(max_iter):
             self.iterations += 1
-            np.matmul(cost_b, self.b_inv, out=y_dual)
+            y_dual = cost_b @ self.b_inv
             # each column's terms summed in ascending row order, as the
-            # single-thread dense product does
-            np.take(y_dual, self.nz_row, out=terms)
+            # single-thread dense product does; in place, a temporary less per pivot
+            terms = y_dual[self.nz_row]
             terms *= self.nz_val
-            np.subtract(
-                cost, np.bincount(self.nz_col, weights=terms, minlength=self.n_cols), out=viol
-            )
+            viol = cost - np.bincount(self.nz_col, weights=terms, minlength=self.n_cols)
             viol *= sign
 
             if bland:
@@ -451,23 +423,19 @@ class _SimplexState:
                 return
 
             nz = slice(self.col_start[j], self.col_start[j + 1])
+            a_j = np.zeros(n)
             a_j[self.nz_row[nz]] = self.nz_val[nz]
-            np.matmul(self.b_inv, a_j, out=d)
-            a_j[self.nz_row[nz]] = 0.0
+            d = self.b_inv @ a_j
             sigma = -sign[j]
-            np.multiply(d, sigma, out=dd)
+            dd = d * sigma
 
             # ratio test: how far can the entering variable move before a
             # basic variable hits one of its bounds (an infinite upper bound
             # gives an infinite ratio)
-            np.greater(dd, _PIVOT_TOL, out=pos)
-            np.less(dd, -_PIVOT_TOL, out=neg)
-            t_rows.fill(np.inf)
-            np.copyto(t_rows, self.x_b, where=pos)
-            np.subtract(self.x_b, upper_b, out=t_rows, where=neg)
-            pos |= neg
-            np.divide(t_rows, dd, out=t_rows, where=pos)
-            np.maximum(t_rows, 0.0, out=t_rows)
+            t_rows = np.full(n, np.inf)
+            np.divide(self.x_b, dd, out=t_rows, where=dd > _PIVOT_TOL)
+            np.divide(self.x_b - upper_b, dd, out=t_rows, where=dd < -_PIVOT_TOL)
+            t_rows = np.maximum(t_rows, 0.0)
 
             t_bound = self.upper[j]
             t_min = float(t_rows.min())
@@ -493,8 +461,7 @@ class _SimplexState:
                 degenerate_run = 0
                 bland = False
 
-            dd *= step
-            self.x_b -= dd
+            self.x_b -= dd * step
             self._moved = True
             if leave_row < 0:
                 # bound flip: the entering variable crosses to its other bound
@@ -511,7 +478,7 @@ class _SimplexState:
 
             if abs(d[leave_row]) < _PIVOT_TOL:
                 raise LpError("numerically singular pivot")
-            self._update_inverse(leave_row, d, row)
+            self._update_inverse(leave_row, d)
 
             self._since_refactor += 1
             if self._since_refactor >= _REFACTOR_EVERY:
@@ -597,7 +564,6 @@ def _cut_loop(inst: RapInstance) -> tuple[np.ndarray, float, int, bool]:
         r, t = g.edges[f]
         for v in (r, n + t):
             cuts.setdefault((incident[v] - {f}, 1))
-    scenarios = sorted(inst.vulnerable) or [NOMINAL_SCENARIO]
     if len(cuts) > _MAX_MASTER_ROWS:
         raise LpError(f"relaxation master of {len(cuts)} rows passes {_MAX_MASTER_ROWS}")
     costs = np.asarray(inst.costs, dtype=float)
@@ -607,7 +573,7 @@ def _cut_loop(inst: RapInstance) -> tuple[np.ndarray, float, int, bool]:
         pivots += iters
         y = values[:m]
         found = len(cuts)
-        for f in scenarios:
+        for f in inst.scenarios:
             capacity = y.tolist()
             if f != NOMINAL_SCENARIO:
                 capacity[f] = 0.0
@@ -664,29 +630,27 @@ def _block_lp(inst: RapInstance, y: np.ndarray, f: int) -> SparseLp:
 class _LazyBlocks(Mapping[int, tuple[float, ...]]):
     """The x blocks of a relaxation point, each solved by ``_block_lp`` on first use.
 
-    Keys are the scenarios: the vulnerable edges in ascending id, or
-    ``NOMINAL_SCENARIO`` alone when nothing is vulnerable. A solved block
-    is kept, so every reader of the point shares it.
+    Keys are ``inst.scenarios``. A solved block is kept, so every reader of
+    the point shares it.
     """
 
     def __init__(self, inst: RapInstance, y: np.ndarray):
         self._inst, self._y = inst, y
-        self._keys = tuple(sorted(inst.vulnerable)) or (NOMINAL_SCENARIO,)
         self._solved: dict[int, tuple[float, ...]] = {}
 
     def __getitem__(self, f: int) -> tuple[float, ...]:
         if f not in self._solved:
-            if f not in self._keys:
+            if f not in self._inst.scenarios:
                 raise KeyError(f)
             values, _, _ = _solve_checked(_block_lp(self._inst, self._y, f))
             self._solved[f] = tuple(values[::-1].tolist())  # back in edge id order
         return self._solved[f]
 
     def __iter__(self):
-        return iter(self._keys)
+        return iter(self._inst.scenarios)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._inst.scenarios)
 
 
 def relaxation_point(inst: RapInstance) -> FractionalSolution:

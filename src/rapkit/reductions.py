@@ -9,7 +9,7 @@ instances.  All generators are deterministic given their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "make_set_cover",
     "parse_set_cover",
     "random_instance",
+    "random_snpp",
 ]
 
 VARIANTS = ("basic", "uniform_weighted", "uniform_card")
@@ -321,6 +322,33 @@ def from_snpp(
     return make_instance(h.n_r + 1, h.n_t + 1, edges, {m, m + 1}, [1.0] * len(edges))
 
 
+def _draw_feasible(
+    n_r: int,
+    n_t: int,
+    edge_prob: float,
+    seed: int,
+    build: Callable[[list[tuple[int, int]], np.random.Generator], RapInstance],
+) -> RapInstance:
+    """Draw edge sets until ``build`` makes a robustly feasible instance of one.
+
+    Each of the n_r * n_t node pairs gets an edge with probability
+    ``edge_prob``; ``build`` takes those edges and the generator, which it
+    may draw from further. Unbalanced results are judged after zero-cost
+    completion. Gives up after 100 attempts.
+    """
+    if n_r < 1 or n_t < 1:
+        raise InstanceError("need at least one node per side")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise InstanceError("edge_prob must lie in [0, 1]")
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        edges = [(r, t) for r in range(n_r) for t in range(n_t) if rng.random() < edge_prob]
+        inst = build(edges, rng)
+        if check_feasible(balanced_completion(inst).instance):
+            return inst
+    raise InstanceError("could not generate feasible instance")
+
+
 def random_instance(
     n_r: int,
     n_t: int,
@@ -331,34 +359,31 @@ def random_instance(
 ) -> RapInstance:
     """Seeded random instance, regenerated until it is robustly feasible.
 
-    Each of the n_r * n_t node pairs gets an edge with probability
-    ``edge_prob``; each edge is vulnerable with probability ``vuln_prob``
-    and costs an integer drawn uniformly from ``cost_range`` (both ends
-    included).  Unbalanced drafts are judged after zero-cost completion.
-    Gives up after 100 attempts.
+    Edges are drawn by ``_draw_feasible``; each is vulnerable with
+    probability ``vuln_prob`` and costs an integer drawn uniformly from
+    ``cost_range`` (both ends included).
     """
-    if n_r < 1 or n_t < 1:
-        raise InstanceError("need at least one node per side")
-    for name, p in (("edge_prob", edge_prob), ("vuln_prob", vuln_prob)):
-        if not 0.0 <= p <= 1.0:
-            raise InstanceError(f"{name} must lie in [0, 1]")
+    if not 0.0 <= vuln_prob <= 1.0:
+        raise InstanceError("vuln_prob must lie in [0, 1]")
     lo, hi = cost_range
     if lo < 0 or hi < lo:
         raise InstanceError("cost range must satisfy 0 <= lo <= hi")
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        edges = [
-            (r, t)
-            for r in range(n_r)
-            for t in range(n_t)
-            if rng.random() < edge_prob
-        ]
+
+    def build(edges: list[tuple[int, int]], rng: np.random.Generator) -> RapInstance:
         vulnerable = {e for e in range(len(edges)) if rng.random() < vuln_prob}
         costs = [float(c) for c in rng.integers(lo, hi, size=len(edges), endpoint=True)]
-        inst = make_instance(n_r, n_t, edges, vulnerable, costs)
-        if check_feasible(balanced_completion(inst).instance):
-            return inst
-    raise InstanceError("could not generate feasible instance")
+        return make_instance(n_r, n_t, edges, vulnerable, costs)
+
+    return _draw_feasible(n_r, n_t, edge_prob, seed, build)
+
+
+def random_snpp(n: int, edge_prob: float, seed: int = 0) -> RapInstance:
+    """Seeded random nice-path gadget: ``from_snpp`` on an n x n graph drawn
+    by ``_draw_feasible``, with the fixed terminals t0 and r0."""
+    return _draw_feasible(
+        n, n, edge_prob, seed,
+        lambda edges, _: from_snpp(BipartiteMultigraph(n, n, edges), ("t", 0), ("r", 0)),
+    )
 
 
 def parse_set_cover(text: str) -> SetCoverInstance:

@@ -5,6 +5,7 @@ can be asserted directly.
 """
 
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -110,13 +111,35 @@ class TestSolve:
         with pytest.raises(AssertionError, match="bound check"):
             main(["solve", "--algo", "ear", "--in", g3_file])
 
-    def test_oversized_relaxation_master_leaves_the_bound_blank(self, g3_file, capsys, monkeypatch):
+    def test_rejected_solver_output_exits_3(self, c4_file, tmp_path, capsys, monkeypatch):
+        # one matching of C4 fails when either of its edges does
+        monkeypatch.setattr(rapkit.cli, "solve_exact", lambda inst: solution_for(inst, {1, 3}))
+        sol = tmp_path / "pm.sol"
+        rc = main(["solve", "--algo", "exact", "--in", c4_file, "--out", str(sol)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "feasible=no" in captured.out
+        assert captured.err == "solver output rejected: infeasible at scenario e1\n"
+        assert parse_solution(sol.read_text()) == {1, 3}
+
+    def test_oversized_relaxation_master_leaves_the_bound_blank(
+        self, g3_file, tmp_path, capsys, monkeypatch
+    ):
         # gk3's seed master has 31 rows
         monkeypatch.setattr(rapkit.lp, "_MAX_MASTER_ROWS", 30)
-        assert main(["solve", "--algo", "ear", "--in", g3_file]) == 0
+        # at cost 2 per edge no counting bound applies
+        g3 = gk_family(3)
+        costly = write(tmp_path / "g3x2.txt", format_instance(dataclasses.replace(
+            g3, costs=(2.0,) * g3.graph.n_edges)))
+        assert main(["solve", "--algo", "exact", "--in", costly]) == 0
         captured = capsys.readouterr()
         assert captured.out.rstrip().endswith("lb=- ratio=-")
         assert captured.err == "lb: LpError: relaxation master of 31 rows passes 30\n"
+        # at unit cost the counting bound 2n stands in for the relaxation
+        assert main(["solve", "--algo", "ear", "--in", g3_file]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.rstrip().endswith("lb=8 ratio=1.1250")
+        assert captured.err == ""
 
     def test_refused_relaxation_is_reported(self, tmp_path, capsys):
         # the uniformized seed master of this instance has 980 rows

@@ -45,6 +45,20 @@ class TestBirkhoffDecompose:
         for _, m in cc.terms:
             assert 2 not in m.edge_ids
 
+    @pytest.mark.parametrize("x", [[1.0, 0.0, 1.0], [[1.0, 0.0, 1.0, 0.0]], [1.0] * 5])
+    def test_rejects_wrong_shape(self, x):
+        with pytest.raises(DecomposeError, match="one value per edge required"):
+            birkhoff_decompose(c4(), None, x)
+
+    def test_rejects_negative_coordinate(self):
+        with pytest.raises(DecomposeError, match="negative coordinate"):
+            birkhoff_decompose(c4(), None, [1.0, -0.5, 1.0, 0.5])
+
+    @pytest.mark.parametrize("f", [-1, 4])
+    def test_rejects_avoided_id_outside_the_edges(self, f):
+        with pytest.raises(DecomposeError, match=f"no edge with id {f}"):
+            birkhoff_decompose(c4(), f, [1.0, 0.0, 1.0, 0.0])
+
     def test_mass_on_avoided_edge_rejected(self):
         with pytest.raises(DecomposeError, match="avoided edge"):
             birkhoff_decompose(c4(), 0, [0.5, 0.5, 0.5, 0.5])

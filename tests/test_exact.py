@@ -16,7 +16,7 @@ from rapkit.instance import (
     uniform_instance,
     verify_solution,
 )
-from rapkit.lp import build_lp, solve_lp
+from rapkit.lp import LpError, build_lp, relaxation_value, solve_lp
 
 from oracles import brute_exact, brute_exact_unbalanced, min_cost_pm_value
 from strategies import small_graph, small_instance
@@ -190,6 +190,20 @@ def test_lower_bounds_ignore_a_plan_of_another_instance():
 def test_lower_bound_of_a_10x10_instance():
     # the k-block model of this instance takes 26,258 simplex pivots
     assert lower_bounds(random_instance(10, 10, 0.3, 0.5, (1, 10), seed=1)) == 79
+
+
+def test_lower_bounds_keep_the_counting_bound_past_the_row_cap():
+    # uniform unit costs: the seed master of 2,304 rows passes the cap, 2n remains
+    inst = random_instance(60, 60, 0.3, 1.0, (1, 1), seed=1)
+    with pytest.raises(LpError, match="master of 2304 rows"):
+        relaxation_value(inst)
+    assert lower_bounds(inst) == 120.0
+
+
+def test_lower_bounds_raise_when_no_counting_bound_applies():
+    inst = random_instance(60, 60, 0.3, 1.0, (1, 10), seed=1)
+    with pytest.raises(LpError, match="passes 600"):
+        lower_bounds(inst)
 
 
 @settings(max_examples=60, deadline=None)

@@ -322,6 +322,11 @@ class TestConstruction:
         with pytest.raises(GraphError):
             BipartiteMultigraph(1, 1, [(0, 1)])
 
+    @pytest.mark.parametrize("n_r, n_t", [(-1, 2), (2, -1)])
+    def test_negative_node_count(self, n_r, n_t):
+        with pytest.raises(GraphError, match="node counts must be non-negative"):
+            BipartiteMultigraph(n_r, n_t)
+
     def test_edge_ids_are_positions(self):
         g = BipartiteMultigraph(2, 2, [(0, 1), (1, 0)])
         assert g.edges[0] == (0, 1) and g.edges[1] == (1, 0)

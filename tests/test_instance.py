@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -439,3 +440,55 @@ class TestTextFormats:
     def test_solution_count_mismatch(self):
         with pytest.raises(InstanceError, match="header says"):
             parse_solution("solution 2\n1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rap 1\n", "expected 'graph <n_r> <n_t>'"),
+            ("rap 1\ngraph 2\n", "expected 'graph <n_r> <n_t>'"),
+            ("rap 1\nnodes 2 2\n", "expected 'graph <n_r> <n_t>'"),
+            ("rap 1\ngraph 2 two\n", "graph line needs two integers"),
+            ("rap 1\ngraph 1.5 2\n", "graph line needs two integers"),
+            ("rap 1\ngraph 1 1\nedge 0 0 1\n", "expected 'edge <r> <t> <cost> <v|i>'"),
+            ("rap 1\ngraph 1 1\narc 0 0 1 v\n", "expected 'edge <r> <t> <cost> <v|i>'"),
+            ("rap 1\ngraph 1 1\nedge 0 zero 1 v\n", "bad edge line 'edge 0 zero 1 v'"),
+            ("rap 1\ngraph 1 1\nedge 0 0 cheap v\n", "bad edge line"),
+        ],
+    )
+    def test_parse_instance_rejects(self, text, message):
+        with pytest.raises(InstanceError, match=re.escape(message)):
+            parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "expected header 'solution <count>'"),
+            ("solution\n1\n", "expected header 'solution <count>'"),
+            ("answer 1\n1\n", "expected header 'solution <count>'"),
+            ("solution one\n1\n", "solution count must be an integer"),
+            ("solution 2\n1 2\n", "expected one edge id per line, got '1 2'"),
+            ("solution 1\ne1\n", "bad edge id 'e1'"),
+        ],
+    )
+    def test_parse_solution_rejects(self, text, message):
+        with pytest.raises(InstanceError, match=re.escape(message)):
+            parse_solution(text)
+
+
+class TestRapInstance:
+    def test_rejects_wrong_cost_count(self):
+        with pytest.raises(InstanceError, match="one cost per edge required"):
+            make_instance(2, 2, C4_EDGES, [0], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("eid", [-1, 4])
+    def test_rejects_vulnerable_id_outside_the_edges(self, eid):
+        with pytest.raises(InstanceError, match=f"vulnerable id {eid} is not an edge"):
+            make_instance(2, 2, C4_EDGES, [0, eid], [1.0] * 4)
+
+    def test_rejects_negative_cost(self):
+        with pytest.raises(InstanceError, match="costs must be non-negative"):
+            make_instance(2, 2, C4_EDGES, [0], [1.0, -0.5, 1.0, 1.0])
+
+    def test_scenarios(self):
+        assert make_instance(2, 2, C4_EDGES, [3, 0, 2], [1.0] * 4).scenarios == (0, 2, 3)
+        assert make_instance(2, 2, C4_EDGES, [], [1.0] * 4).scenarios == (NOMINAL_SCENARIO,)

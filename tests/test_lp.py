@@ -20,6 +20,7 @@ from strategies import small_instance
 
 import rapkit
 from rapkit.instance import (
+    NOMINAL_SCENARIO,
     InstanceError,
     balanced_completion,
     check_feasible,
@@ -27,7 +28,15 @@ from rapkit.instance import (
     uniform_instance,
     uniformize,
 )
-from rapkit.lp import EPS_FEAS, LpError, build_lp, dump_lp, relaxation_value, solve_lp
+from rapkit.lp import (
+    EPS_FEAS,
+    LpError,
+    build_lp,
+    dump_lp,
+    relaxation_point,
+    relaxation_value,
+    solve_lp,
+)
 from rapkit.reductions import random_instance
 
 C4_EDGES = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -357,6 +366,18 @@ class TestRelaxationValue:
             relaxation_value(make_instance(2, 1, [(0, 0), (1, 0)], [], [1.0, 1.0]))
         with pytest.raises(InstanceError, match="infeasible"):
             relaxation_value(uniform_instance(1, 1, [(0, 0)]))
+
+    def test_point_blocks_are_keyed_by_scenario(self):
+        point = relaxation_point(make_instance(2, 2, C4_EDGES, [2, 0], [1.0] * 4))
+        assert list(point.x) == [0, 2] and len(point.x) == 2
+        with pytest.raises(KeyError):
+            point.x[1]  # an edge that is not vulnerable
+        with pytest.raises(KeyError):
+            point.x[NOMINAL_SCENARIO]
+        nominal = relaxation_point(make_instance(2, 2, C4_EDGES, [], [1.0] * 4))
+        assert list(nominal.x) == [NOMINAL_SCENARIO]
+        with pytest.raises(KeyError):
+            nominal.x[0]
 
     def test_master_point_is_checked(self, monkeypatch):
         # a master point that misses its first cut is an engine failure

@@ -1,6 +1,7 @@
 """Generator correctness: set-cover encodings, the tightness family, the
 nice-path gadget, and random instances."""
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from rapkit.instance import (
     InfeasibleSolutionError,
     InstanceError,
     check_feasible,
+    format_instance,
     is_feasible_set,
     parse_instance,
     solution_for,
@@ -30,6 +32,7 @@ from rapkit.reductions import (
     make_set_cover,
     parse_set_cover,
     random_instance,
+    random_snpp,
 )
 
 from oracles import min_cover_size, shortest_nice_path
@@ -126,6 +129,15 @@ class TestSetCoverInstance:
     def test_parse_rejects_bad_element(self):
         with pytest.raises(InstanceError, match="bad element"):
             parse_set_cover("setcover 1 1\nset one\n")
+
+    def test_parse_rejects_non_integer_header(self):
+        with pytest.raises(InstanceError, match="setcover header needs two integers"):
+            parse_set_cover("setcover 1 many\nset 1\n")
+
+    @pytest.mark.parametrize("line", ["set", "sets 1"])
+    def test_parse_rejects_bad_set_line(self, line):
+        with pytest.raises(InstanceError, match=f"expected 'set <elem> ...', got '{line}'"):
+            parse_set_cover(f"setcover 1 1\n{line}\n")
 
 
 class TestBasicVariant:
@@ -432,6 +444,33 @@ class TestRandomInstance:
             random_instance(2, 2, 0.5, 0.5, (4, 1))
         with pytest.raises(InstanceError, match="one node"):
             random_instance(0, 2, 0.5, 0.5)
+
+    def test_draws_pinned(self):
+        # random_instance and random_snpp share one draw loop; these bytes
+        # were written by the two generators before they shared it
+        h = hashlib.sha256()
+        for seed in range(5):
+            h.update(format_instance(random_snpp(4, 0.5, seed)).encode())
+            h.update(format_instance(random_instance(4, 5, 0.5, 0.5, (1, 9), seed=seed)).encode())
+        assert h.hexdigest() == "785a4a1f3d1b2f31b43a8e91b24fc1ad9fcf34d854eb0d2f6f85c970491161e3"
+
+
+class TestRandomSnpp:
+    def test_gadget_on_a_feasible_draw(self):
+        inst = random_snpp(3, 0.6, seed=4)
+        assert (inst.graph.n_r, inst.graph.n_t) == (4, 4)
+        m = inst.graph.n_edges
+        assert inst.graph.edges[-3:] == ((3, 0), (3, 3), (0, 3))
+        assert inst.vulnerable == {m - 3, m - 2}
+        assert check_feasible(inst)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(InstanceError, match="one node"):
+            random_snpp(0, 0.5)
+        with pytest.raises(InstanceError, match="edge_prob"):
+            random_snpp(3, -0.1)
+        with pytest.raises(InstanceError, match="could not generate"):
+            random_snpp(2, 0.0)
 
 
 @st.composite
