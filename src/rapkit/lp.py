@@ -206,17 +206,16 @@ def build_lp(inst: RapInstance) -> RapLp:
 
 
 # Update the whole basis inverse once the touched block exceeds 1/4 of it:
-# subtracting at a block's flat indices costs about 8.6 ns per entry
-# against 1.9 ns for a dense pass. On lp-small's relaxations (one thread,
-# Xeon SkylakeX), 9% of the updates go full at 4, and ratios from 3 to 6
-# solve them in the same time within noise.
+# on inverses of 365-572 rows, subtracting at a block's flat indices costs
+# about 6-7 ns per entry against 1.6-1.9 ns for a dense pass (one thread,
+# Xeon SkylakeX). lp-small's cut masters and x blocks (8-52 rows) go full
+# on 8% of their updates; the models of 15 x 15 to 40 x 40 instances (up
+# to 241-572 rows) on 35-41%.
 _FULL_UPDATE_RATIO = 4
 # Rows per slice of a full update; a restricted update's chunks hold as
-# many entries. The update allocates that scratch on each call: held
-# through a phase, beside each refactorization's arrays, it moved lp-small's
-# peak RSS between heap-layout levels of 52.4 and 54.6 MB, where scratch per
-# call read 52.2 MB (one thread, Xeon SkylakeX). 8 and 16 rows slowed the
-# full update by 40-50% (n_rows = 551), and 64 held 0.4 MB more at the peak.
+# many entries, so no temporary of the update outgrows _UPDATE_ROWS *
+# n_rows entries (146 kB at 572 rows). 8 and 16 rows slow the full update
+# by 20-100% at 365-572 rows.
 _UPDATE_ROWS = 32
 # smallest pivot magnitude accepted by the ratio test and the update
 _PIVOT_TOL = 1e-9
@@ -353,10 +352,10 @@ class _SimplexState:
         full when that block exceeds 1/_FULL_UPDATE_RATIO of the matrix.
         Either path gives each updated entry as b - d_i * row_c, rounded
         once per operation, up to the sign of a zero that no comparison
-        sees. ``d`` is clobbered. The flat view of the inverse and the
-        scratch of _UPDATE_ROWS * n_rows entries die with this call, so no
-        refactorization finds the old inverse still referenced or the
-        scratch still held.
+        sees. ``d`` is clobbered. Each chunk's products and indices hold at
+        most _UPDATE_ROWS * n_rows entries. They and the flat view of the
+        inverse die with this call, so no refactorization finds the old
+        inverse still referenced.
         """
         n = self.n_rows
         row = self.b_inv[leave_row] / d[leave_row]
@@ -364,32 +363,24 @@ class _SimplexState:
         d[leave_row] = 0.0  # the pivot row keeps its divided values
         ri = np.flatnonzero(d)
         ci = np.flatnonzero(row)
-        outer = np.empty(_UPDATE_ROWS * n)
         if _FULL_UPDATE_RATIO * ri.size * ci.size > n * n:
             # einsum's outer-product kernel takes about half the time of
             # np.multiply.outer on large blocks; a zero product may come out +0
             for s in range(0, n, _UPDATE_ROWS):
                 part = slice(s, s + _UPDATE_ROWS)
-                out = outer[: min(_UPDATE_ROWS, n - s) * n].reshape(-1, n)
-                np.einsum("i,j->ij", d[part], row, out=out)
-                self.b_inv[part] -= out
+                self.b_inv[part] -= np.einsum("i,j->ij", d[part], row)
             self.b_inv[leave_row] = row
             return
         # subtract the block's products in place at flat indices r * n + c,
-        # a chunk of rows at a time so that no temporary outgrows the scratch
-        idx = np.empty(outer.size, dtype=np.int64)
+        # a chunk of rows at a time; ufunc.at takes its fast path only with
+        # 1-D indices (9 times faster)
         flat = self.b_inv.reshape(-1)
         row_c = row[ci]
-        start = ri * n
-        chunk = max(1, outer.size // ci.size)
+        chunk = max(1, _UPDATE_ROWS * n // ci.size)
         for s in range(0, ri.size, chunk):
             rows = ri[s : s + chunk]
-            shape = (rows.size, ci.size)
-            at, prod = idx[: rows.size * ci.size], outer[: rows.size * ci.size]
-            np.add(start[s : s + chunk, None], ci, out=at.reshape(shape))
-            np.einsum("i,j->ij", d[rows], row_c, out=prod.reshape(shape))
-            # ufunc.at takes its fast path only with 1-D indices (9 times faster)
-            np.subtract.at(flat, at, prod)
+            at = (rows[:, None] * n + ci).ravel()
+            np.subtract.at(flat, at, np.multiply.outer(d[rows], row_c).ravel())
 
     def run(self, cost: np.ndarray) -> None:
         n = self.n_rows

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,10 @@ from rapkit.instance import (
 )
 from rapkit.lp import (
     EPS_FEAS,
+    _FULL_UPDATE_RATIO,
+    _UPDATE_ROWS,
     LpError,
+    _SimplexState,
     build_lp,
     dump_lp,
     relaxation_point,
@@ -299,6 +303,40 @@ class TestSolveLp:
             "gk4 598 18d02790ce0a5078 f9dbafeaff97695f",
             "rand5 1055 649a4783c46382a8 f6b6c9ecf2122f13",
         ]
+
+
+class TestUpdateInverse:
+    # (n, nonzeros of d off the pivot, nonzeros of the pivot row, whether the
+    # update goes full, how many row chunks a restricted update takes)
+    @pytest.mark.parametrize(
+        "n, d_nnz, row_nnz, full, chunks",
+        [(50, 40, 30, True, 0), (120, 10, 20, False, 1), (200, 90, 100, False, 2)],
+        ids=["full", "one-chunk", "several-chunks"],
+    )
+    def test_equals_the_dense_rank_one_update(self, n, d_nnz, row_nnz, full, chunks):
+        rng = np.random.default_rng(n)
+        b_inv = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3)
+        leave_row = int(rng.integers(n))
+        b_inv[leave_row] = 0.0
+        b_inv[leave_row, rng.choice(n, row_nnz, replace=False)] = rng.normal(size=row_nnz)
+        d = np.zeros(n)
+        off_pivot = np.delete(np.arange(n), leave_row)
+        d[rng.choice(off_pivot, d_nnz, replace=False)] = rng.normal(size=d_nnz)
+        d[leave_row] = rng.uniform(0.5, 2.0)
+        assert (_FULL_UPDATE_RATIO * d_nnz * row_nnz > n * n) == full
+        if not full:
+            assert -(-d_nnz // (_UPDATE_ROWS * n // row_nnz)) == chunks
+
+        # every path must give the dense rank-one update's values exactly:
+        # b - d' x row, with d' = d off the pivot, and the pivot row = row
+        row = b_inv[leave_row] / d[leave_row]
+        d_off = d.copy()
+        d_off[leave_row] = 0.0
+        expected = b_inv - np.multiply.outer(d_off, row)
+        expected[leave_row] = row
+        state = SimpleNamespace(b_inv=b_inv, n_rows=n)
+        _SimplexState._update_inverse(state, leave_row, d)
+        assert np.array_equal(state.b_inv, expected)
 
 
 class TestRelaxationValue:
