@@ -37,7 +37,7 @@ from .instance import (
     solution_for,
     verify_solution,
 )
-from .lp import LpError, build_lp, dump_lp
+from .lp import LpError, dump_lp
 from .reductions import (
     format_reduced,
     from_set_cover,
@@ -194,13 +194,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.trace:
             Path(args.trace).write_text(trace_text)
         if args.dump_lp:
-            # lp-round dumps the k-block model of the instance it rounded,
-            # uniformized if it had to be, of which the rounded point is an
-            # optimum; the others that of the balanced completion
+            # lp-round dumps the final cut master of the instance it rounded,
+            # uniformized if it had to be; the others that of the balanced
+            # completion, whose optimum is the relaxation bound of lb=
             target = plan.work if plan is not None else balanced_completion(inst).instance
-            Path(args.dump_lp).write_text(dump_lp(build_lp(target)))
+            Path(args.dump_lp).write_text(dump_lp(target))
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
+    except LpError as exc:
+        return _fail(_error_text(exc))
 
     print(report.line())
     return EXIT_OK if feasible else EXIT_REJECTED

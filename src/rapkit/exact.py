@@ -144,20 +144,21 @@ def lower_bounds(inst: RapInstance) -> float:
     matching covering the smaller side; with every edge vulnerable each of
     those nodes needs two incident edges) with the value of the LP
     relaxation of ``inst``'s balanced completion, which
-    ``lp.relaxation_value`` solves over y alone with Hall cuts, building no
-    k-block model. When that solve raises ``LpError`` (say, a seed master
-    past its row cap), the counting bound is returned if one applies;
-    otherwise the error propagates.
+    ``lp.relaxation_value`` solves over y alone with Hall cuts. An
+    infeasible completion has no relaxation to add. When that solve raises
+    ``LpError`` (say, a seed master past its row cap), the counting bound is
+    returned if one applies; otherwise the error propagates.
     """
     work = balanced_completion(inst).instance
     n = min(inst.graph.n_r, inst.graph.n_t)
     bounds = []
     if inst.graph.n_edges > 0 and all(c == 1 for c in inst.costs):
         bounds.append(2.0 * n if inst.uniform else float(n))
-    if check_feasible(work):
-        try:
-            bounds.append(relaxation_value(work))
-        except LpError:
-            if not bounds:
-                raise
+    try:
+        bounds.append(relaxation_value(work))
+    except InstanceError:
+        pass  # work is infeasible
+    except LpError:
+        if not bounds:
+            raise
     return max(bounds, default=0.0)

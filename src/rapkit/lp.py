@@ -1,22 +1,18 @@
 """Linear relaxation of the robust assignment formulation, plus a solver.
 
-The model has one y variable per edge and, for every vulnerable edge f, a
-block of x variables describing a fractional perfect matching that avoids f.
-On bipartite graphs the degree equalities alone carve out the perfect
-matching polytope, so each block contributes one equality per node and one
-coupling inequality x <= y per edge. Minimizing c*y over these constraints
-lower-bounds every robust solution. ``build_lp`` builds this k-block model,
-which ``dump_lp`` renders.
-
-No solver builds it. y restricted to E - f dominates a fractional perfect
-matching exactly when every Hall cut y(delta(A, T - B) - f) >= |A| - |B|
-holds (max-flow/min-cut; the perfect-matching dominant, Schrijver,
-*Combinatorial Optimization*). ``_cut_loop`` finds the cuts it needs by
-max-flow, one scenario at a time, and solves a master over y alone:
+The paper's relaxation has one y variable per edge and, for every
+vulnerable edge f, a block of x variables: a fractional perfect matching
+that avoids f and lies below y. Minimizing c*y over it lower-bounds every
+robust solution. No solver builds that k-block model. y restricted to
+E - f dominates a fractional perfect matching exactly when every Hall cut
+y(delta(A, T - B) - f) >= |A| - |B| holds (max-flow/min-cut; the
+perfect-matching dominant, Schrijver, *Combinatorial Optimization*).
+``_cut_loop`` finds the cuts it needs by max-flow, one scenario at a time,
+and solves a master over y alone (``build_lp``, solved by ``solve_lp``):
 ``relaxation_value`` returns its value, and ``relaxation_point`` its y with
 x blocks that are solved one at a time, on first use, as 2n-row min-cost
 matchings below y. y and those blocks form an optimal point of the k-block
-model.
+model. ``dump_lp`` renders the final master.
 
 Each model is kept as its nonzeros. Every variable has lower bound 0 and an
 upper bound (0 when it is fixed). ``_simplex``, a bounded-variable revised
@@ -28,8 +24,7 @@ results assume one thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,10 +45,6 @@ _MAX_MASTER_ROWS = 600
 
 class LpError(RuntimeError):
     """The solver failed: infeasible model, iteration limit, or numerics."""
-
-
-def _block_tag(f: int) -> str:
-    return "nom" if f == NOMINAL_SCENARIO else f"f{f}"
 
 
 @dataclass(frozen=True)
@@ -79,49 +70,6 @@ class SparseLp:
     def n_vars(self) -> int:
         return len(self.objective)
 
-    def row_name(self, i: int) -> str:
-        return f"{i}"
-
-
-@dataclass(frozen=True)
-class RapLp(SparseLp):
-    """The k-block relaxation in matrix form with deterministic variable order.
-
-    Columns: the y block first (by edge id), then one x block per scenario
-    of ``instance.scenarios``. With no vulnerable edges the nominal block
-    keeps the model non-vacuous, so the optimum is the cheapest perfect
-    matching. Rows: per-block degree
-    equalities (R nodes then T nodes), then per-block coupling rows
-    x_e - y_e <= 0. Every variable lies in [0, ``upper``]; the fixing
-    x^{-f}_f = 0 is the upper bound 0, not a row. Row and variable names
-    are built on first access; only dumps and error messages read them.
-    """
-
-    instance: RapInstance
-    blocks: tuple[int, ...]
-
-    def row_name(self, i: int) -> str:
-        return self.row_names[i]
-
-    @cached_property
-    def var_names(self) -> tuple[str, ...]:
-        m = self.instance.graph.n_edges
-        names = [f"y_{e}" for e in range(m)]
-        for f in self.blocks:
-            names += [f"x_{_block_tag(f)}_e{e}" for e in range(m)]
-        return tuple(names)
-
-    @cached_property
-    def row_names(self) -> tuple[str, ...]:
-        g = self.instance.graph
-        names: list[str] = []
-        for f in self.blocks:
-            names += [f"deg_{_block_tag(f)}_r{r}" for r in range(g.n_r)]
-            names += [f"deg_{_block_tag(f)}_t{t}" for t in range(g.n_t)]
-        for f in self.blocks:
-            names += [f"cpl_{_block_tag(f)}_e{e}" for e in range(g.n_edges)]
-        return tuple(names)
-
     @property
     def a_matrix(self) -> np.ndarray:
         """A dense copy of the matrix for inspection; the solver never builds one."""
@@ -129,8 +77,13 @@ class RapLp(SparseLp):
         a[self.rows, self.cols] = self.vals
         return a
 
-    def x_index(self, block_pos: int, e: int) -> int:
-        return (block_pos + 1) * self.instance.graph.n_edges + e
+
+class LpSolution(NamedTuple):
+    """An optimal point of a ``SparseLp``, its objective and the simplex's pivot count."""
+
+    values: np.ndarray
+    objective: float
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -145,64 +98,6 @@ class FractionalSolution:
     x: Mapping[int, tuple[float, ...]]
     objective: float
     iterations: int
-
-
-def _require_feasible(inst: RapInstance) -> None:
-    # check_feasible raises for an unbalanced instance
-    if not check_feasible(inst):
-        raise InstanceError("infeasible instance")
-
-
-def build_lp(inst: RapInstance) -> RapLp:
-    _require_feasible(inst)
-    g = inst.graph
-    m = g.n_edges
-    blocks = inst.scenarios
-    k = len(blocks)
-    n_vars = m * (k + 1)
-    n_deg = k * (g.n_r + g.n_t)
-    n_rows = n_deg + k * m
-
-    ends = np.array(g.edges, dtype=np.int64).reshape(m, 2)
-    block_pos = np.arange(k)[:, None]
-    edge = np.arange(m)[None, :]
-    coupling = n_deg + block_pos * m + edge  # (k, m): row of x^f_e - y_e <= 0
-    # y_e: -1 in the coupling row of e in every block
-    y_cols = np.repeat(np.arange(m), k)
-    y_rows = coupling.T.ravel()
-    # x^f_e: +1 in its block's R and T degree rows and in its coupling row
-    deg_base = block_pos * (g.n_r + g.n_t)
-    x_rows = np.stack(
-        [deg_base + ends[:, 0], deg_base + g.n_r + ends[:, 1], coupling], axis=2
-    ).ravel()
-    x_cols = np.repeat(((block_pos + 1) * m + edge).ravel(), 3)
-    cols = np.concatenate([y_cols, x_cols])
-    rows = np.concatenate([y_rows, x_rows])
-    vals = np.concatenate([np.full(y_cols.size, -1.0), np.ones(x_cols.size)])
-
-    rhs = np.concatenate([np.ones(n_deg), np.zeros(k * m)])
-    senses = ("E",) * n_deg + ("L",) * (k * m)
-
-    upper = np.ones(n_vars)
-    for pos, f in enumerate(blocks):
-        if f != NOMINAL_SCENARIO:
-            upper[(pos + 1) * m + f] = 0.0
-
-    objective = np.zeros(n_vars)
-    objective[:m] = np.asarray(inst.costs, dtype=float)
-
-    return RapLp(
-        instance=inst,
-        blocks=blocks,
-        n_rows=n_rows,
-        cols=cols,
-        rows=rows,
-        vals=vals,
-        senses=senses,
-        rhs=rhs,
-        upper=upper,
-        objective=objective,
-    )
 
 
 # Update the whole basis inverse once the touched block exceeds 1/4 of it:
@@ -478,11 +373,12 @@ class _SimplexState:
         raise LpError("iteration limit")
 
 
-def _solve_checked(lp: SparseLp) -> tuple[np.ndarray, float, int]:
+def solve_lp(lp: SparseLp) -> LpSolution:
     """``_simplex``'s result, once its point is checked against the model.
 
     The point must meet every row and bound within ``EPS_FEAS``; a
-    violation means the engine misbehaved and raises ``LpError``.
+    violation means the engine misbehaved and raises ``LpError``, which
+    names the first violated row by its index.
     """
     values, objective, iters = _simplex(lp)
     lhs = np.bincount(lp.rows, weights=lp.vals * values[lp.cols], minlength=lp.n_rows)
@@ -491,26 +387,17 @@ def _solve_checked(lp: SparseLp) -> tuple[np.ndarray, float, int]:
     bad = np.flatnonzero(np.where(equality, np.abs(residual), residual) > EPS_FEAS)
     if bad.size:
         i = int(bad[0])
-        raise LpError(f"residual {residual[i]:.2e} on row {lp.row_name(i)}")
+        raise LpError(f"residual {residual[i]:.2e} on row {i}")
     if np.any(values < -EPS_FEAS) or np.any(values > lp.upper + EPS_FEAS):
         raise LpError("variable bound violated")
-    return values, objective, iters
+    return LpSolution(values, objective, iters)
 
 
-def solve_lp(lp: RapLp) -> FractionalSolution:
-    """Solve the relaxation to optimality and validate the returned point."""
-    values, objective, iters = _solve_checked(lp)
-    m = lp.instance.graph.n_edges
-    y = tuple(float(v) for v in values[:m])
-    x: dict[int, tuple[float, ...]] = {}
-    for pos, f in enumerate(lp.blocks):
-        base = (pos + 1) * m
-        x[f] = tuple(float(v) for v in values[base : base + m])
-    return FractionalSolution(y=y, x=x, objective=objective, iterations=iters)
+def build_lp(costs: np.ndarray, cuts: Sequence[tuple[frozenset[int], int]]) -> SparseLp:
+    """The cut master: minimize costs * y over 0 <= y <= 1 and y(S) - s = b, s >= 0, per cut (S, b).
 
-
-def _cut_master(costs: np.ndarray, cuts: Sequence[tuple[frozenset[int], int]]) -> SparseLp:
-    """Minimize costs * y over 0 <= y <= 1 and y(S) - s = b, s >= 0, per cut (S, b)."""
+    Columns are y by edge id, then one surplus per cut; row i is cut i.
+    """
     m, c = len(costs), len(cuts)
     cut_cols = [e for edges, _ in cuts for e in edges]
     cut_rows = [i for i, (edges, _) in enumerate(cuts) for _ in edges]
@@ -531,20 +418,23 @@ def _cut_master(costs: np.ndarray, cuts: Sequence[tuple[frozenset[int], int]]) -
     )
 
 
-def _cut_loop(inst: RapInstance) -> tuple[np.ndarray, float, int, bool]:
-    """The cut master's last y and optimum, its pivots, and whether the cuts converged.
+def _cut_loop(inst: RapInstance) -> tuple[SparseLp, np.ndarray, float, int, bool]:
+    """The last cut master, its y and optimum, all pivots, and whether the cuts converged.
 
-    The master minimizes c * y over 0 <= y <= 1 and the Hall cuts found so
-    far, seeded with y(delta(v)) >= 1 at every node and y(delta(v) - f) >= 1
-    at both ends of each vulnerable f; ``_simplex`` solves it afresh each
-    round. Separation runs one max-flow per scenario (the nominal one when
-    nothing is vulnerable) with capacity y on E - f: a flow below n gives
-    the violated cut of its minimum cut's source side (A, B). Cuts are kept
-    once per (edge set, rhs), and the loop converges on a round that adds
-    none. A round that takes the master past ``_MAX_MASTER_ROWS`` rows
-    ends the loop unconverged; a seed master past it raises ``LpError``.
+    The master (``build_lp``) minimizes c * y over 0 <= y <= 1 and the
+    Hall cuts found so far, seeded with y(delta(v)) >= 1 at every node and
+    y(delta(v) - f) >= 1 at both ends of each vulnerable f; ``solve_lp``
+    solves it afresh each round. Separation runs one max-flow per scenario
+    (the nominal one when nothing is vulnerable) with capacity y on E - f:
+    a flow below n gives the violated cut of its minimum cut's source side
+    (A, B). Cuts are kept once per (edge set, rhs), and the loop converges
+    on a round that adds none. A round that takes the master past
+    ``_MAX_MASTER_ROWS`` rows ends the loop unconverged; a seed master past
+    it raises ``LpError``. An infeasible instance raises ``InstanceError``,
+    and so does an unbalanced one (``check_feasible``).
     """
-    _require_feasible(inst)
+    if not check_feasible(inst):
+        raise InstanceError("infeasible instance")
     g = inst.graph
     n, m = g.n_r, g.n_edges
     # node v < n is R node v, node n + t is T node t
@@ -560,7 +450,8 @@ def _cut_loop(inst: RapInstance) -> tuple[np.ndarray, float, int, bool]:
     costs = np.asarray(inst.costs, dtype=float)
     pivots = 0
     while True:
-        values, objective, iters = _solve_checked(_cut_master(costs, list(cuts)))
+        master = build_lp(costs, list(cuts))
+        values, objective, iters = solve_lp(master)
         pivots += iters
         y = values[:m]
         found = len(cuts)
@@ -576,19 +467,19 @@ def _cut_loop(inst: RapInstance) -> tuple[np.ndarray, float, int, bool]:
                 )
                 cuts.setdefault((edges, len(side_r) - len(side_t)))
         if len(cuts) == found or len(cuts) > _MAX_MASTER_ROWS:
-            return y, objective, pivots, len(cuts) == found
+            return master, y, objective, pivots, len(cuts) == found
 
 
 def relaxation_value(inst: RapInstance) -> float:
     """Optimum of the relaxation of a balanced, feasible instance, over y alone.
 
-    Equals ``solve_lp(build_lp(inst)).objective`` up to the solvers'
-    tolerances, by ``_cut_loop``. Every cut is valid, so each master
-    optimum is at most the relaxation's value: when the loop stops at
-    ``_MAX_MASTER_ROWS`` rows, the current optimum is returned. A seed
-    master past the cap raises ``LpError``.
+    Equals the k-block model's optimum up to the solvers' tolerances, by
+    ``_cut_loop``. Every cut is valid, so each master optimum is at most
+    the relaxation's value: when the loop stops at ``_MAX_MASTER_ROWS``
+    rows, the current optimum is returned. A seed master past the cap
+    raises ``LpError``.
     """
-    return _cut_loop(inst)[1]
+    return _cut_loop(inst)[2]
 
 
 def _block_lp(inst: RapInstance, y: np.ndarray, f: int) -> SparseLp:
@@ -633,7 +524,7 @@ class _LazyBlocks(Mapping[int, tuple[float, ...]]):
         if f not in self._solved:
             if f not in self._inst.scenarios:
                 raise KeyError(f)
-            values, _, _ = _solve_checked(_block_lp(self._inst, self._y, f))
+            values = solve_lp(_block_lp(self._inst, self._y, f)).values
             self._solved[f] = tuple(values[::-1].tolist())  # back in edge id order
         return self._solved[f]
 
@@ -645,7 +536,7 @@ class _LazyBlocks(Mapping[int, tuple[float, ...]]):
 
 
 def relaxation_point(inst: RapInstance) -> FractionalSolution:
-    """An optimal point of ``build_lp(inst)``: the cut model's y, with lazy blocks.
+    """An optimal point of the k-block model: the cut model's y, with lazy blocks.
 
     y and the objective come from ``_cut_loop``, and ``iterations`` counts
     its master's pivots. Block f of ``x`` is solved on first read (see
@@ -654,7 +545,7 @@ def relaxation_point(inst: RapInstance) -> FractionalSolution:
     A loop that stops at the row cap raises ``LpError``, since a capped y
     can miss a Hall cut and leave a block infeasible.
     """
-    y, objective, pivots, converged = _cut_loop(inst)
+    _, y, objective, pivots, converged = _cut_loop(inst)
     if not converged:
         raise LpError(
             f"relaxation master passed {_MAX_MASTER_ROWS} rows before its cuts converged"
@@ -664,8 +555,18 @@ def relaxation_point(inst: RapInstance) -> FractionalSolution:
     )
 
 
-def dump_lp(lp: RapLp) -> str:
-    """Render the model in the common textual LP interchange format."""
+def dump_lp(inst: RapInstance) -> str:
+    """The last cut master of ``inst`` in the common textual LP interchange format.
+
+    Variables are y_e per edge and s_i, the surplus of row cut_i; the rows
+    are the cuts in the order ``_cut_loop`` found them. When the loop
+    converged, the master's optimum is the relaxation's value; when it
+    stopped at the row cap, it is the weaker bound that ``relaxation_value``
+    returns. Raises as ``_cut_loop`` does.
+    """
+    lp = _cut_loop(inst)[0]
+    m = lp.n_vars - lp.n_rows
+    names = [f"y_{e}" for e in range(m)] + [f"s_{i}" for i in range(lp.n_rows)]
 
     def term(coef: float, name: str, first: bool) -> str:
         sign = "- " if coef < 0 else ("" if first else "+ ")
@@ -676,23 +577,18 @@ def dump_lp(lp: RapLp) -> str:
     lines = ["Minimize"]
     obj_terms: list[str] = []
     for j in np.flatnonzero(lp.objective):
-        obj_terms.append(term(float(lp.objective[j]), lp.var_names[j], not obj_terms))
+        obj_terms.append(term(float(lp.objective[j]), names[j], not obj_terms))
     lines.append(" obj: " + (" ".join(obj_terms) or "0"))
     lines.append("Subject To")
     terms: list[list[str]] = [[] for _ in range(lp.n_rows)]
     # each row's terms in ascending column order
     for p in np.lexsort((lp.cols, lp.rows)):
         row = terms[lp.rows[p]]
-        row.append(term(float(lp.vals[p]), lp.var_names[lp.cols[p]], not row))
+        row.append(term(float(lp.vals[p]), names[lp.cols[p]], not row))
     for i in range(lp.n_rows):
-        op = "=" if lp.senses[i] == "E" else "<="
-        lines.append(f" {lp.row_names[i]}: {' '.join(terms[i])} {op} {lp.rhs[i]:g}")
+        lines.append(f" cut_{i}: {' '.join(terms[i])} = {lp.rhs[i]:g}")
     lines.append("Bounds")
-    for j, name in enumerate(lp.var_names):
-        hi = lp.upper[j]
-        if hi == 0:
-            lines.append(f" {name} = 0")
-        else:
-            lines.append(f" 0 <= {name} <= {hi:g}")
+    lines += [f" 0 <= {name} <= 1" for name in names[:m]]
+    lines += [f" {name} >= 0" for name in names[m:]]
     lines.append("End")
     return "\n".join(lines) + "\n"

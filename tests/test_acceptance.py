@@ -18,6 +18,7 @@ from oracles import (
     brute_exact_unbalanced,
     brute_feasible,
     enumerate_perfect_matchings,
+    k_block_lp,
     min_cost_pm_value,
     min_cover_size,
     shortest_nice_path,
@@ -39,7 +40,7 @@ from rapkit.instance import (
     verify_solution,
 )
 from rapkit.ear import solve_ear
-from rapkit.lp import build_lp, solve_lp
+from rapkit.lp import solve_lp
 from rapkit.reductions import (
     from_set_cover,
     from_snpp,
@@ -298,12 +299,12 @@ def test_unit_cost_reduction_optimum_counts_cover():
 def test_relaxation_bounds_optimum_and_matches_assignment():
     problems = []
     for inst, best in zip(random_suite(), suite_optima()):
-        lp_value = solve_lp(build_lp(inst)).objective
+        lp_value = solve_lp(k_block_lp(inst)).objective
         if lp_value > best.cost + 1e-6:
             problems.append(f"lp {lp_value} above optimum {best.cost}")
         g = inst.graph
         plain = make_instance(g.n_r, g.n_t, list(g.edges), [], list(inst.costs))
-        plain_lp = solve_lp(build_lp(plain)).objective
+        plain_lp = solve_lp(k_block_lp(plain)).objective
         ref = min_cost_pm_value(g.n_r, g.n_t, list(g.edges), list(inst.costs))
         if ref is None or abs(plain_lp - ref) > 1e-6:
             problems.append(f"invulnerable lp {plain_lp} != assignment {ref}")

@@ -52,14 +52,14 @@ def write(path, text):
 # `test_lp_round_outputs_pinned` lines: name, seed, exit code, then digests
 # of stdout, stderr, --out, --trace and --dump-lp
 PINNED_LP_ROUND_LINES = [
-    "gk3 0 0 fd693aee709336bb e3b0c44298fc1c14 68da96bd7aeb82b3 fdc01cf1da7e890f 4911232d0fad1bb1",
-    "gk3 1 0 c10a6a0496c622e4 e3b0c44298fc1c14 8a6fc98612de209b 45de3ebdd462ce73 4911232d0fad1bb1",
-    "rand4 0 0 66ed86d5413bd8b7 e3b0c44298fc1c14 8816d99a471b764d 194990d23a55f88f 61e9d4068bcc3e4a",
-    "rand4 1 0 cd3d6065f9bfb8b4 e3b0c44298fc1c14 394a5fd90e1803cd b0cf7be9071fa1f1 61e9d4068bcc3e4a",
-    "unb3x4 0 0 bba1137fbd67f4d9 e3b0c44298fc1c14 b44f385ecb9a25d4 3e9c3d0d3e3a0401 42171ce69b9b3a14",
-    "unb3x4 1 0 8bc3456d60a8f12c e3b0c44298fc1c14 86c52f7668ea8578 ff5fe27cb43c9b55 42171ce69b9b3a14",
-    "nom4 0 0 3a28040759107dc7 e3b0c44298fc1c14 413a24fce1b0b792 7015fc7178f323b8 39c9dd1ba3d12498",
-    "nom4 1 0 d9169ccb723ceabb e3b0c44298fc1c14 413a24fce1b0b792 7015fc7178f323b8 39c9dd1ba3d12498",
+    "gk3 0 0 fd693aee709336bb e3b0c44298fc1c14 68da96bd7aeb82b3 fdc01cf1da7e890f 091f604541c94475",
+    "gk3 1 0 c10a6a0496c622e4 e3b0c44298fc1c14 8a6fc98612de209b 45de3ebdd462ce73 091f604541c94475",
+    "rand4 0 0 66ed86d5413bd8b7 e3b0c44298fc1c14 8816d99a471b764d 194990d23a55f88f 5e0bc6770d614a58",
+    "rand4 1 0 cd3d6065f9bfb8b4 e3b0c44298fc1c14 394a5fd90e1803cd b0cf7be9071fa1f1 5e0bc6770d614a58",
+    "unb3x4 0 0 bba1137fbd67f4d9 e3b0c44298fc1c14 b44f385ecb9a25d4 3e9c3d0d3e3a0401 45955dfa77281b87",
+    "unb3x4 1 0 8bc3456d60a8f12c e3b0c44298fc1c14 86c52f7668ea8578 ff5fe27cb43c9b55 45955dfa77281b87",
+    "nom4 0 0 3a28040759107dc7 e3b0c44298fc1c14 413a24fce1b0b792 7015fc7178f323b8 45fc62023907b380",
+    "nom4 1 0 d9169ccb723ceabb e3b0c44298fc1c14 413a24fce1b0b792 7015fc7178f323b8 45fc62023907b380",
 ]
 
 
@@ -192,7 +192,7 @@ class TestSolve:
             "from rapkit import gk_family, random_instance\n"
             "from rapkit.cli import main\n"
             "from rapkit.instance import format_instance, uniformize\n"
-            "from rapkit.lp import build_lp, dump_lp\n"
+            "from rapkit.lp import dump_lp\n"
             "rand = random_instance(4, 4, 0.6, 0.5, (1, 10), seed=4)\n"
             "assert rand.vulnerable and not rand.uniform\n"
             "cases = [('gk3', gk_family(3)), ('rand4', rand),\n"
@@ -214,7 +214,7 @@ class TestSolve:
             "            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
             "                rc = main(argv)\n"
             "            if inst is rand:\n"
-            "                assert lp.read_text() == dump_lp(build_lp(uniformize(rand).instance))\n"
+            "                assert lp.read_text() == dump_lp(uniformize(rand).instance)\n"
             "            print(name, seed, rc, digest(out.getvalue().encode()),\n"
             "                  digest(err.getvalue().encode()),\n"
             "                  *(digest(p.read_bytes()) for p in (sol, trace, lp)))\n"
@@ -264,6 +264,19 @@ class TestSolve:
         text = dump.read_text()
         assert text.startswith("Minimize")
         assert "Subject To" in text
+        # the final cut master: y per edge, a surplus per cut row
+        assert " cut_0: " in text and " 0 <= y_0 <= 1" in text and " s_0 >= 0" in text
+
+    def test_dump_lp_past_the_row_cap_exits_1(self, g3_file, tmp_path, capsys, monkeypatch):
+        # exact solves; the bound and the dump both meet a seed master over the cap
+        monkeypatch.setattr(rapkit.lp, "_MAX_MASTER_ROWS", 1)
+        dump = tmp_path / "g3.lp"
+        rc = main(["solve", "--algo", "exact", "--in", g3_file, "--dump-lp", str(dump)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.splitlines()[-1].startswith("LpError: relaxation master of ")
+        assert err.splitlines()[-1].endswith(" rows passes 1")
+        assert "Traceback" not in err
 
     def test_ear_warns_on_weights(self, tmp_path, capsys):
         inst = make_instance(2, 2, [(0, 0), (0, 1), (1, 1), (1, 0)], [], [1, 2, 1, 2])

@@ -16,9 +16,9 @@ from rapkit.instance import (
     uniform_instance,
     verify_solution,
 )
-from rapkit.lp import LpError, build_lp, relaxation_value, solve_lp
+from rapkit.lp import LpError, relaxation_value, solve_lp
 
-from oracles import brute_exact, brute_exact_unbalanced, min_cost_pm_value
+from oracles import brute_exact, brute_exact_unbalanced, k_block_lp, min_cost_pm_value
 from strategies import small_graph, small_instance
 from test_graph_core import C4_EDGES, gk_graph
 
@@ -170,18 +170,39 @@ def test_lower_bounds_examples():
 @pytest.mark.parametrize("vulnerable", [range(4), [], [0]], ids=["uniform", "nominal", "mixed"])
 def test_lower_bounds_build_no_k_block_model(monkeypatch, vulnerable):
     inst = make_instance(2, 2, C4_EDGES, vulnerable=list(vulnerable), costs=[2, 3, 5, 7])
-    expected = solve_lp(build_lp(inst)).objective
+    expected = solve_lp(k_block_lp(inst)).objective
+    shapes = []
+    real_simplex = rapkit.lp._simplex
 
-    def refuse(*_):
-        raise AssertionError("lower_bounds used the k-block model")
+    def recording_simplex(lp):
+        shapes.append((lp.n_rows, lp.n_vars))
+        return real_simplex(lp)
 
-    monkeypatch.setattr(rapkit.lp, "build_lp", refuse)
-    monkeypatch.setattr(rapkit.lp, "solve_lp", refuse)
-    assert not hasattr(rapkit.exact, "build_lp") and not hasattr(rapkit.exact, "solve_lp")
+    monkeypatch.setattr(rapkit.lp, "_simplex", recording_simplex)
     assert lower_bounds(inst) == pytest.approx(expected, abs=1e-9)
+    # every LP solved is a cut master: one surplus column per row
+    assert shapes and all(cols == 4 + rows for rows, cols in shapes)
 
 
-def test_lower_bounds_ignore_a_plan_of_another_instance():
+def test_lower_bounds_check_feasibility_once(monkeypatch):
+    # the cut loop's own check decides whether the relaxation applies
+    calls = []
+    real_check = rapkit.lp.check_feasible
+
+    def counting_check(inst):
+        calls.append(inst)
+        return real_check(inst)
+
+    monkeypatch.setattr(rapkit.lp, "check_feasible", counting_check)
+    monkeypatch.setattr(rapkit.exact, "check_feasible", counting_check)
+    assert lower_bounds(make_instance(2, 2, C4_EDGES, [0], [2, 3, 5, 7])) == 10.0
+    # infeasible: the counting bound of unit costs, or nothing
+    assert lower_bounds(make_instance(2, 2, [(0, 0), (1, 1)], [0], [1, 1])) == 2.0
+    assert lower_bounds(make_instance(2, 2, [(0, 0), (1, 1)], [0], [1, 2])) == 0.0
+    assert len(calls) == 3
+
+
+def test_lower_bound_meets_the_optimum_on_the_uniform_c4():
     y = make_instance(2, 2, C4_EDGES, range(4), [1] * 4)
     assert solve_exact(y).cost == 4.0
     assert lower_bounds(y) == 4.0

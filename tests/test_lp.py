@@ -50,91 +50,124 @@ def c4_uniform():
     return uniform_instance(2, 2, C4_EDGES)
 
 
+def run_one_thread(code: str) -> list[str]:
+    """The stdout lines of ``code``, run in a child with one BLAS thread.
+
+    The child imports rapkit from this tree and ``oracles`` from the tests.
+    """
+    paths = [str(Path(rapkit.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+
+
 class TestBuildLp:
     def test_c4_uniform_dimensions(self):
-        lp = build_lp(c4_uniform())
-        assert lp.n_vars == 4 + 4 * 4
-        assert sum(1 for s in lp.senses if s == "E") == 4 * 4
-        assert sum(1 for s in lp.senses if s == "L") == 4 * 4
+        # the final master: a node cut per node and the four singletons
+        # y(delta(v) - f) >= 1, after which no Hall cut is violated
+        lp = rapkit.lp._cut_loop(c4_uniform())[0]
+        assert lp.n_rows == 8 and lp.n_vars == 4 + 8
+        assert lp.senses == ("E",) * 8
+        assert lp.rhs.tolist() == [1.0] * 8
 
-    def test_scenario_edge_fixed_by_bound(self):
-        lp = build_lp(c4_uniform())
-        for pos, f in enumerate(lp.blocks):
-            j = lp.x_index(pos, f)
-            assert lp.upper[j] == 0.0
-        # fixings are bounds, not rows
-        assert not any(name.startswith("fix") for name in lp.row_names)
+    def test_seed_cuts_leave_the_scenario_edge_out(self):
+        # y(delta(v) - f) >= 1 at both ends of f stands for x^f_f = 0
+        inst = make_instance(2, 2, C4_EDGES, [2, 0], [1.0] * 4)
+        a = rapkit.lp._cut_loop(inst)[0].a_matrix
+        # node cuts of r0, r1, t0, t1, then f0's ends {3} and {1}; f2's
+        # ends give {1} and {3} again, which are kept once
+        assert a[:6, :4].tolist() == [
+            [1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1], [0, 1, 0, 0],
+        ]
 
     def test_nominal_block_when_no_vulnerable(self):
+        # only the nominal scenario is separated; the node cuts suffice
         inst = make_instance(2, 2, C4_EDGES, [], [1.0] * 4)
-        lp = build_lp(inst)
-        assert lp.blocks == (-1,)
+        lp = rapkit.lp._cut_loop(inst)[0]
         assert lp.n_vars == 8
+        assert lp.a_matrix[:, :4].tolist() == [[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
 
     def test_variable_order(self):
-        inst = make_instance(2, 2, C4_EDGES, [2, 0], [1.0] * 4)
-        lp = build_lp(inst)
-        assert lp.blocks == (0, 2)
-        assert lp.var_names[:4] == ("y_0", "y_1", "y_2", "y_3")
-        assert lp.var_names[4] == "x_f0_e0"
-        assert lp.var_names[8] == "x_f2_e0"
+        # y by edge id, then one surplus per cut, which has -1 in its row only
+        costs = np.array([2.0, 3.0, 5.0, 7.0])
+        lp = build_lp(costs, [(frozenset({0, 3}), 1), (frozenset({1, 2, 3}), 2)])
+        assert lp.objective.tolist() == [2.0, 3.0, 5.0, 7.0, 0.0, 0.0]
+        assert lp.upper.tolist() == [1.0] * 4 + [np.inf] * 2
+        np.testing.assert_array_equal(lp.a_matrix[:, 4:], -np.eye(2))
 
     def test_unbalanced_rejected(self):
         inst = make_instance(2, 1, [(0, 0), (1, 0)], [], [1.0, 1.0])
         with pytest.raises(InstanceError, match="balanced_completion"):
-            build_lp(inst)
+            dump_lp(inst)
 
     def test_infeasible_rejected(self):
         inst = uniform_instance(1, 1, [(0, 0)])
         with pytest.raises(InstanceError, match="infeasible"):
-            build_lp(inst)
+            dump_lp(inst)
 
     @settings(max_examples=60, deadline=None)
-    @given(small_instance(), st.booleans())
-    def test_nonzeros_are_the_model(self, data, uniformized):
-        n_r, n_t, edges, vulnerable, costs = data
-        if not oracles.brute_feasible(n_r, n_t, edges, vulnerable, set(range(len(edges)))):
-            return
-        inst = make_instance(n_r, n_t, edges, vulnerable, costs)
-        if uniformized and vulnerable and not inst.uniform:
-            # invulnerable edges gain parallel copies
-            inst = uniformize(inst).instance
-        g = inst.graph
-        lp = build_lp(inst)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.lists(st.tuples(st.frozensets(st.integers(0, m - 1)), st.integers(0, 3)),
+                         min_size=1, max_size=6),
+            )
+        )
+    )
+    def test_nonzeros_are_the_model(self, drawn):
+        m, cuts = drawn
+        lp = build_lp(np.arange(1.0, m + 1), cuts)
         # sorted by column, then row, with no cell twice
         keys = lp.cols * lp.n_rows + lp.rows
         assert np.all(np.diff(keys) > 0)
         assert np.all(np.abs(lp.vals) == 1.0)
-        rows = oracles.relaxation_rows(g.n_r, g.n_t, list(g.edges), set(inst.vulnerable))
-        assert lp.n_rows == len(rows)
-        np.testing.assert_array_equal(lp.a_matrix, np.array([a for a, _, _ in rows]))
-        assert lp.senses == tuple(sense for _, sense, _ in rows)
-        assert lp.rhs.tolist() == [rhs for _, _, rhs in rows]
+        # row i: y(S_i) - s_i = b_i
+        rows = [
+            [1.0 if e in edges else 0.0 for e in range(m)]
+            + [-1.0 if j == i else 0.0 for j in range(len(cuts))]
+            for i, (edges, _) in enumerate(cuts)
+        ]
+        assert lp.n_rows == len(cuts)
+        np.testing.assert_array_equal(lp.a_matrix, np.array(rows))
+        assert lp.senses == ("E",) * len(cuts)
+        assert lp.rhs.tolist() == [b for _, b in cuts]
+
+
+def solve_k_block(inst):
+    """The k-block model of ``inst`` solved by ``solve_lp``: (y, x blocks, solution)."""
+    sol = solve_lp(oracles.k_block_lp(inst))
+    return (*oracles.k_block_point(inst, sol.values), sol)
 
 
 class TestSolveLp:
+    # solve_lp on the paper's k-block model (tests/oracles.py), the largest
+    # LPs of the relaxation; the solvers' masters and blocks are smaller
+
     def test_c4_uniform_value(self):
-        sol = solve_lp(build_lp(c4_uniform()))
+        y, _, sol = solve_k_block(c4_uniform())
         assert sol.objective == pytest.approx(4.0, abs=1e-9)
-        assert all(v == pytest.approx(1.0, abs=1e-9) for v in sol.y)
+        assert all(v == pytest.approx(1.0, abs=1e-9) for v in y)
 
     def test_single_edge_nominal(self):
         inst = make_instance(1, 1, [(0, 0)], [], [2.5])
-        sol = solve_lp(build_lp(inst))
+        y, _, sol = solve_k_block(inst)
         assert sol.objective == pytest.approx(2.5, abs=1e-9)
-        assert sol.y[0] == pytest.approx(1.0, abs=1e-9)
+        assert y[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_nominal_equals_min_cost_matching(self):
         edges = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (0, 2), (2, 0)]
         costs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
         inst = make_instance(3, 3, edges, [], costs)
         expected = oracles.min_cost_pm_value(3, 3, edges, costs)
-        sol = solve_lp(build_lp(inst))
-        assert sol.objective == pytest.approx(expected, abs=1e-6)
+        assert solve_k_block(inst)[2].objective == pytest.approx(expected, abs=1e-6)
 
     def test_scenario_blocks_are_matchings_avoiding_f(self):
-        sol = solve_lp(build_lp(c4_uniform()))
-        for f, vec in sol.x.items():
+        _, x, _ = solve_k_block(c4_uniform())
+        for f, vec in x.items():
             assert vec[f] <= EPS_FEAS
             # C4 has one perfect matching avoiding each edge, so the block
             # must be integral on the complementary pair
@@ -144,15 +177,13 @@ class TestSolveLp:
 
     def test_deterministic(self):
         inst = make_instance(2, 2, C4_EDGES, [0, 2], [1.0, 2.0, 3.0, 4.0])
-        a = solve_lp(build_lp(inst))
-        b = solve_lp(build_lp(inst))
-        assert a.y == b.y and a.objective == b.objective
+        a = solve_lp(oracles.k_block_lp(inst))
+        b = solve_lp(oracles.k_block_lp(inst))
+        assert a.values.tobytes() == b.values.tobytes() and a.objective == b.objective
 
     def test_residuals_within_tolerance(self):
-        lp = build_lp(c4_uniform())
-        sol = solve_lp(lp)
-        values = np.array(sol.y + sum((sol.x[f] for f in lp.blocks), ()))
-        resid = lp.a_matrix @ values - lp.rhs
+        lp = oracles.k_block_lp(c4_uniform())
+        resid = lp.a_matrix @ solve_lp(lp).values - lp.rhs
         for i, sense in enumerate(lp.senses):
             if sense == "E":
                 assert abs(resid[i]) <= EPS_FEAS
@@ -160,7 +191,7 @@ class TestSolveLp:
                 assert resid[i] <= EPS_FEAS
 
     def test_residual_error_names_the_first_violating_row(self, monkeypatch):
-        lp = build_lp(c4_uniform())
+        lp = oracles.k_block_lp(c4_uniform())
         optimum, objective, iters = rapkit.lp._simplex(lp)
 
         def check(values, message):
@@ -168,13 +199,15 @@ class TestSolveLp:
             with pytest.raises(LpError, match=f"^{re.escape(message)}$"):
                 solve_lp(lp)
 
-        # every degree equality misses by -1; the first one is reported
-        check(np.zeros(lp.n_vars), "residual -1.00e+00 on row deg_f0_r0")
-        # y_1 = 0 breaks x_e - y_e <= 0 where a block uses edge 1 (the first
-        # is f0's), while coupling rows with slack (residual -1) stay valid
+        # every degree equality misses by -1; the first one (block f0's
+        # degree row of r0) is reported
+        check(np.zeros(lp.n_vars), "residual -1.00e+00 on row 0")
+        # y_1 = 0 breaks x_e - y_e <= 0 where a block uses edge 1; the first
+        # is f0's coupling row of e1, after the 4 blocks' 16 degree rows,
+        # while coupling rows with slack (residual -1) stay valid
         values = optimum.copy()
         values[1] = 0.0
-        check(values, "residual 1.00e+00 on row cpl_f0_e1")
+        check(values, "residual 1.00e+00 on row 17")
 
     @settings(max_examples=40, deadline=None)
     @given(small_instance(max_side=3, max_edges=8))
@@ -183,7 +216,7 @@ class TestSolveLp:
         if not oracles.brute_feasible(n_r, n_t, edges, vulnerable, set(range(len(edges)))):
             return
         inst = make_instance(n_r, n_t, edges, vulnerable, costs)
-        sol = solve_lp(build_lp(inst))
+        sol = solve_lp(oracles.k_block_lp(inst))
         brute = oracles.brute_exact(n_r, n_t, edges, vulnerable, costs)
         assert brute is not None
         assert sol.objective <= brute[0] + 1e-6
@@ -192,7 +225,7 @@ class TestSolveLp:
         edges = [(0, 0), (0, 1), (1, 0), (1, 1)]
         costs = [2.0, 7.0, 3.0, 1.0]
         inst = make_instance(2, 2, edges, [], costs)
-        sol = solve_lp(build_lp(inst))
+        sol = solve_lp(oracles.k_block_lp(inst))
         assert sol.objective == pytest.approx(3.0, abs=1e-6)
         assert round(sol.objective) == 3
 
@@ -200,9 +233,9 @@ class TestSolveLp:
         # the model is held as its nonzeros, so the solve's largest arrays
         # are the n_rows x n_rows basis inverse and what refactorizes it
         inst = uniformize(random_instance(5, 5, 0.6, 0.5, (1, 10), seed=0)).instance
+        lp = oracles.k_block_lp(inst)
         tracemalloc.start()
         try:
-            lp = build_lp(inst)
             solve_lp(lp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -214,20 +247,14 @@ class TestSolveLp:
         # can take another pivot path (gk_family(4): 637 pivots on two
         # threads), so the solves run in a child with one BLAS thread.
         code = (
+            "from oracles import k_block_lp\n"
             "from rapkit import gk_family\n"
-            "from rapkit.lp import build_lp, solve_lp\n"
+            "from rapkit.lp import solve_lp\n"
             "for k in (3, 4):\n"
-            "    sol = solve_lp(build_lp(gk_family(k)))\n"
+            "    sol = solve_lp(k_block_lp(gk_family(k)))\n"
             "    print(k, sol.iterations, repr(sol.objective))\n"
         )
-        src = str(Path(rapkit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.splitlines() == ["3 356 7.000000000000002", "4 598 8.5"]
+        assert run_one_thread(code) == ["3 356 7.000000000000002", "4 598 8.5"]
 
     def test_phase_end_refactorizes_only_after_a_move(self):
         # A phase ends with a refactorization unless no pivot or bound flip
@@ -237,17 +264,16 @@ class TestSolveLp:
         # optimum one pricing after a periodic refactorization; with zero
         # costs phase 2 starts optimal. One BLAS thread, as for the pins.
         code = (
-            "import numpy as np\n"
+            "from oracles import k_block_lp\n"
             "from rapkit import gk_family, random_instance\n"
             "from rapkit.instance import make_instance, uniformize\n"
-            "from rapkit.lp import _SimplexState, build_lp, solve_lp\n"
+            "from rapkit.lp import _SimplexState, solve_lp\n"
             "real = _SimplexState._refactorize\n"
             "def solve(inst):\n"
             "    calls = []\n"
             "    _SimplexState._refactorize = lambda self: calls.append(real(self))\n"
-            "    sol = solve_lp(build_lp(inst))\n"
-            "    x = [sol.x[f] for f in sorted(sol.x)]\n"
-            "    return len(calls), np.asarray([sol.y] + x).tobytes()\n"
+            "    values = solve_lp(k_block_lp(inst)).values\n"
+            "    return len(calls), values.tobytes()\n"
             "g = gk_family(3).graph\n"
             "cases = [uniformize(random_instance(3, 3, 0.6, 0.5, (1, 10), seed=1)).instance,\n"
             "         make_instance(g.n_r, g.n_t, g.edges, g.edge_ids(), [0] * g.n_edges)]\n"
@@ -258,14 +284,7 @@ class TestSolveLp:
             "    del _SimplexState._moved\n"
             "    print(old_count - count, point == old_point)\n"
         )
-        src = str(Path(rapkit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.splitlines() == ["1 True", "1 True"]
+        assert run_one_thread(code) == ["1 True", "1 True"]
 
     def test_solution_bytes_pinned(self):
         # Digests of the y vector and the x blocks (in block order), recorded
@@ -277,28 +296,21 @@ class TestSolveLp:
         # build or kernel may sum the dense products in another order.
         code = (
             "import hashlib\n"
-            "import numpy as np\n"
+            "from oracles import k_block_lp\n"
             "from rapkit import gk_family, random_instance\n"
             "from rapkit.instance import uniformize\n"
-            "from rapkit.lp import build_lp, solve_lp\n"
+            "from rapkit.lp import solve_lp\n"
             "rand = random_instance(5, 5, 0.6, 0.5, (1, 10), seed=0)\n"
             "cases = [('gk3', gk_family(3)), ('gk4', gk_family(4)),\n"
             "         ('rand5', uniformize(rand).instance)]\n"
             "for name, inst in cases:\n"
-            "    sol = solve_lp(build_lp(inst))\n"
-            "    y = np.asarray(sol.y).tobytes()\n"
-            "    x = np.asarray([sol.x[f] for f in sorted(sol.x)]).tobytes()\n"
+            "    sol = solve_lp(k_block_lp(inst))\n"
+            "    m = inst.graph.n_edges\n"
+            "    y, x = sol.values[:m].tobytes(), sol.values[m:].tobytes()\n"
             "    print(name, sol.iterations, hashlib.sha256(y).hexdigest()[:16],\n"
             "          hashlib.sha256(x).hexdigest()[:16])\n"
         )
-        src = str(Path(rapkit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.splitlines() == [
+        assert run_one_thread(code) == [
             "gk3 356 03918a38af8d9f61 e707fe34cf42e2ca",
             "gk4 598 18d02790ce0a5078 f9dbafeaff97695f",
             "rand5 1055 649a4783c46382a8 f6b6c9ecf2122f13",
@@ -357,7 +369,7 @@ class TestRelaxationValue:
 
         with mock.patch.object(rapkit.lp, "_simplex", recording_simplex):
             value = relaxation_value(work)
-        assert value == pytest.approx(solve_lp(build_lp(work)).objective, abs=1e-7)
+        assert value == pytest.approx(solve_lp(oracles.k_block_lp(work)).objective, abs=1e-7)
         # at return, the master's y lets every scenario's max-flow reach n
         g = work.graph
         y = masters[-1][: g.n_edges]
@@ -386,7 +398,7 @@ class TestRelaxationValue:
             with mock.patch.object(rapkit.lp, "_MAX_MASTER_ROWS", cap):
                 value = relaxation_value(work)
         assert max(rows) <= cap
-        assert value <= solve_lp(build_lp(work)).objective + 1e-7
+        assert value <= solve_lp(oracles.k_block_lp(work)).objective + 1e-7
 
     def test_row_cap_stops_the_loop(self, monkeypatch):
         # uncapped, the masters of this instance have 56, 64, 69, 71, 74,
@@ -427,16 +439,32 @@ class TestRelaxationValue:
 
 
 class TestDumpLp:
+    # the final cut master of the mixed C4 of TestBuildLp, whose seed cuts
+    # are its last rows too (its optimum 3.0 is the relaxation's value)
     def test_sections_and_fixing(self):
-        text = dump_lp(build_lp(c4_uniform()))
-        assert text.startswith("Minimize")
+        inst = make_instance(2, 2, C4_EDGES, [2, 0], [2.0, 3.0, 5.0, 7.0])
+        text = dump_lp(inst)
+        assert text.startswith("Minimize\n obj: 2 y_0 + 3 y_1 + 5 y_2 + 7 y_3\n")
         for section in ("Subject To", "Bounds", "End"):
             assert section in text
-        assert " x_f0_e0 = 0" in text
-        assert "deg_f0_r0:" in text
-        assert "cpl_f0_e0:" in text
+        # f0 = (r0, t0) is left out of the seed cuts at its ends
+        assert " cut_4: y_3 - s_4 = 1" in text
+        assert " cut_5: y_1 - s_5 = 1" in text
+        assert " 0 <= y_0 <= 1" in text and " s_0 >= 0" in text
 
-    def test_coupling_row_shape(self):
-        text = dump_lp(build_lp(c4_uniform()))
-        line = next(l for l in text.splitlines() if l.startswith(" cpl_f0_e1:"))
-        assert "x_f0_e1" in line and "y_1" in line and "<= 0" in line
+    def test_cut_row_shape(self):
+        text = dump_lp(c4_uniform())
+        line = next(l for l in text.splitlines() if l.startswith(" cut_0:"))
+        assert line == " cut_0: y_0 + y_3 - s_0 = 1"
+
+    def test_dump_is_the_final_master(self, monkeypatch):
+        inst = random_instance(4, 4, 0.6, 0.5, (1, 10), seed=4)
+        built = []
+        real_build = rapkit.lp.build_lp
+        monkeypatch.setattr(
+            rapkit.lp, "build_lp", lambda *args: built.append(real_build(*args)) or built[-1]
+        )
+        text = dump_lp(inst)
+        assert len(built) > 1  # rounds of cuts came after the seed master
+        assert text.count(" cut_") == built[-1].n_rows
+        assert text.count(" s_") == 2 * built[-1].n_rows  # in its row and its bound

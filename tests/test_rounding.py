@@ -24,7 +24,7 @@ from rapkit.instance import (
     uniformize,
     verify_solution,
 )
-from rapkit.lp import FractionalSolution, LpError, build_lp, solve_lp
+from rapkit.lp import FractionalSolution, LpError, solve_lp
 from rapkit.rounding import (
     format_trace,
     prepare,
@@ -108,7 +108,7 @@ class TestRelaxationPoint:
         g = work.graph
         y = np.array(frac.y)
         assert float(np.dot(work.costs, y)) == pytest.approx(
-            solve_lp(build_lp(work)).objective, abs=1e-7
+            solve_lp(oracles.k_block_lp(work)).objective, abs=1e-7
         )
         # every block, so every block a rounding can visit
         for f, block in frac.x.items():
@@ -125,20 +125,25 @@ class TestRelaxationPoint:
     def test_rounding_builds_no_k_block_model(self, monkeypatch, vulnerable):
         inst = make_instance(2, 2, C4_EDGES, vulnerable=list(vulnerable), costs=[2, 3, 5, 7])
         work = uniformize(inst).instance if inst.vulnerable and not inst.uniform else inst
-        expected = solve_lp(build_lp(work)).objective
+        expected = solve_lp(oracles.k_block_lp(work)).objective
+        shapes = []
+        real_simplex = rapkit.lp._simplex
 
-        def refuse(*_):
-            raise AssertionError("the rounding used the k-block model")
+        def recording_simplex(lp):
+            shapes.append((lp.n_rows, lp.n_vars))
+            return real_simplex(lp)
 
-        monkeypatch.setattr(rapkit.lp, "build_lp", refuse)
-        monkeypatch.setattr(rapkit.lp, "solve_lp", refuse)
-        assert not hasattr(rapkit.rounding, "build_lp")
-        assert not hasattr(rapkit.rounding, "solve_lp")
+        monkeypatch.setattr(rapkit.lp, "_simplex", recording_simplex)
         plan = prepare(inst)
         assert plan.fractional.objective == pytest.approx(expected, abs=1e-9)
         for seed in range(3):
             sol, _ = solve_lp_round(inst, seed=seed, plan=plan)
             verify_solution(inst, sol)
+        # every LP solved is a cut master (one surplus column per row) or a
+        # 2n-row x block, never the k-block model
+        m, n = work.graph.n_edges, work.graph.n_r
+        assert shapes
+        assert all(cols == m + rows or (rows, cols) == (2 * n, m) for rows, cols in shapes)
 
     def test_blocks_solved_once_for_visited_scenarios_only(self, monkeypatch):
         g = gk_graph(3)
