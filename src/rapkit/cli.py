@@ -37,7 +37,7 @@ from .instance import (
     solution_for,
     verify_solution,
 )
-from .lp import LpError, dump_lp
+from .lp import LpError, dump_lp, relax
 from .reductions import (
     format_reduced,
     from_set_cover,
@@ -194,11 +194,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.trace:
             Path(args.trace).write_text(trace_text)
         if args.dump_lp:
-            # lp-round dumps the final cut master of the instance it rounded,
-            # uniformized if it had to be; the others that of the balanced
-            # completion, whose optimum is the relaxation bound of lb=
-            target = plan.work if plan is not None else balanced_completion(inst).instance
-            Path(args.dump_lp).write_text(dump_lp(target))
+            # lp-round dumps the final cut master its plan solved (of the
+            # instance it rounded, uniformized if it had to be); the others
+            # solve that of the balanced completion again, as lb= did
+            relaxation = (plan.relaxation if plan is not None
+                          else relax(balanced_completion(inst).instance))
+            Path(args.dump_lp).write_text(dump_lp(relaxation.master))
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
     except LpError as exc:

@@ -20,7 +20,7 @@ from .instance import (
     check_feasible,
     solution_for,
 )
-from .lp import LpError, relaxation_value
+from .lp import LpError, relax
 
 __all__ = ["ExactError", "lower_bounds", "solve_exact"]
 
@@ -143,9 +143,10 @@ def lower_bounds(inst: RapInstance) -> float:
     Combines the counting bounds for unit costs (any solution contains a
     matching covering the smaller side; with every edge vulnerable each of
     those nodes needs two incident edges) with the value of the LP
-    relaxation of ``inst``'s balanced completion, which
-    ``lp.relaxation_value`` solves over y alone with Hall cuts. An
-    infeasible completion has no relaxation to add. When that solve raises
+    relaxation of ``inst``'s balanced completion: the ``objective`` of
+    ``lp.relax``, which solves it over y alone with Hall cuts (a lower
+    bound still when the loop stops at its row cap). An infeasible
+    completion has no relaxation to add. When that solve raises
     ``LpError`` (say, a seed master past its row cap), the counting bound is
     returned if one applies; otherwise the error propagates.
     """
@@ -155,7 +156,7 @@ def lower_bounds(inst: RapInstance) -> float:
     if inst.graph.n_edges > 0 and all(c == 1 for c in inst.costs):
         bounds.append(2.0 * n if inst.uniform else float(n))
     try:
-        bounds.append(relaxation_value(work))
+        bounds.append(relax(work).objective)
     except InstanceError:
         pass  # work is infeasible
     except LpError:

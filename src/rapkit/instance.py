@@ -387,14 +387,17 @@ def parse_solution(text: str) -> frozenset[int]:
         count = int(rows[0][1])
     except ValueError as exc:
         raise InstanceError("solution count must be an integer") from exc
-    ids = []
+    ids: set[int] = set()
     for row in rows[1:]:
         if len(row) != 1:
             raise InstanceError(f"expected one edge id per line, got {' '.join(row)!r}")
         try:
-            ids.append(int(row[0]))
+            e = int(row[0])
         except ValueError as exc:
             raise InstanceError(f"bad edge id {row[0]!r}") from exc
+        if e in ids:
+            raise InstanceError(f"edge id {e} is listed twice")
+        ids.add(e)
     if len(ids) != count:
         raise InstanceError(f"solution header says {count} edges, found {len(ids)}")
     return frozenset(ids)

@@ -7,12 +7,12 @@ robust solution. No solver builds that k-block model. y restricted to
 E - f dominates a fractional perfect matching exactly when every Hall cut
 y(delta(A, T - B) - f) >= |A| - |B| holds (max-flow/min-cut; the
 perfect-matching dominant, Schrijver, *Combinatorial Optimization*).
-``_cut_loop`` finds the cuts it needs by max-flow, one scenario at a time,
-and solves a master over y alone (``build_lp``, solved by ``solve_lp``):
-``relaxation_value`` returns its value, and ``relaxation_point`` its y with
-x blocks that are solved one at a time, on first use, as 2n-row min-cost
-matchings below y. y and those blocks form an optimal point of the k-block
-model. ``dump_lp`` renders the final master.
+``relax`` finds the cuts it needs by max-flow, one scenario at a time, and
+solves a master over y alone (``build_lp``, solved by ``solve_lp``). Its
+``Relaxation`` keeps the last master, its y and value, and x blocks that
+are solved one at a time, on first use, as 2n-row min-cost matchings below
+y. y and those blocks form an optimal point of the k-block model.
+``dump_lp`` renders a master.
 
 Each model is kept as its nonzeros. Every variable has lower bound 0 and an
 upper bound (0 when it is fixed). ``_simplex``, a bounded-variable revised
@@ -87,17 +87,27 @@ class LpSolution(NamedTuple):
 
 
 @dataclass(frozen=True)
-class FractionalSolution:
-    """Optimal point of the relaxation: y per edge, x per scenario block.
+class Relaxation:
+    """The relaxation of one instance, as ``relax``'s cut loop left it.
 
-    ``x`` maps each scenario to its block; ``relaxation_point`` fills it
-    lazily. ``iterations`` counts the simplex pivots that found y.
+    ``master`` is the last cut master, ``y`` and ``objective`` its optimal y
+    and optimum, and ``iterations`` the simplex pivots of every master the
+    loop solved. ``converged`` says the loop stopped on a round that found
+    no cut, so ``objective`` is the relaxation's value; otherwise the loop
+    stopped at ``_MAX_MASTER_ROWS`` rows, and since every cut is valid,
+    ``objective`` is still a lower bound on it. ``x`` maps each scenario f
+    to its block, solved on first read and kept (``_block_lp``): any
+    fractional perfect matching of E - f below y completes y to a point of
+    the k-block model with the same objective. A capped y can miss a Hall
+    cut and leave a block infeasible.
     """
 
+    master: SparseLp
     y: tuple[float, ...]
     x: Mapping[int, tuple[float, ...]]
     objective: float
     iterations: int
+    converged: bool
 
 
 # Update the whole basis inverse once the touched block exceeds 1/4 of it:
@@ -418,8 +428,8 @@ def build_lp(costs: np.ndarray, cuts: Sequence[tuple[frozenset[int], int]]) -> S
     )
 
 
-def _cut_loop(inst: RapInstance) -> tuple[SparseLp, np.ndarray, float, int, bool]:
-    """The last cut master, its y and optimum, all pivots, and whether the cuts converged.
+def relax(inst: RapInstance) -> Relaxation:
+    """The relaxation of a balanced, feasible instance, by a loop of Hall cuts over y.
 
     The master (``build_lp``) minimizes c * y over 0 <= y <= 1 and the
     Hall cuts found so far, seeded with y(delta(v)) >= 1 at every node and
@@ -431,7 +441,7 @@ def _cut_loop(inst: RapInstance) -> tuple[SparseLp, np.ndarray, float, int, bool
     on a round that adds none. A round that takes the master past
     ``_MAX_MASTER_ROWS`` rows ends the loop unconverged; a seed master past
     it raises ``LpError``. An infeasible instance raises ``InstanceError``,
-    and so does an unbalanced one (``check_feasible``).
+    and so does an unbalanced one (``check_feasible``, called once per loop).
     """
     if not check_feasible(inst):
         raise InstanceError("infeasible instance")
@@ -467,19 +477,10 @@ def _cut_loop(inst: RapInstance) -> tuple[SparseLp, np.ndarray, float, int, bool
                 )
                 cuts.setdefault((edges, len(side_r) - len(side_t)))
         if len(cuts) == found or len(cuts) > _MAX_MASTER_ROWS:
-            return master, y, objective, pivots, len(cuts) == found
-
-
-def relaxation_value(inst: RapInstance) -> float:
-    """Optimum of the relaxation of a balanced, feasible instance, over y alone.
-
-    Equals the k-block model's optimum up to the solvers' tolerances, by
-    ``_cut_loop``. Every cut is valid, so each master optimum is at most
-    the relaxation's value: when the loop stops at ``_MAX_MASTER_ROWS``
-    rows, the current optimum is returned. A seed master past the cap
-    raises ``LpError``.
-    """
-    return _cut_loop(inst)[2]
+            return Relaxation(
+                master, tuple(y.tolist()), _LazyBlocks(inst, y), objective, pivots,
+                converged=len(cuts) == found,
+            )
 
 
 def _block_lp(inst: RapInstance, y: np.ndarray, f: int) -> SparseLp:
@@ -510,10 +511,10 @@ def _block_lp(inst: RapInstance, y: np.ndarray, f: int) -> SparseLp:
 
 
 class _LazyBlocks(Mapping[int, tuple[float, ...]]):
-    """The x blocks of a relaxation point, each solved by ``_block_lp`` on first use.
+    """The x blocks of a ``Relaxation``, each solved by ``_block_lp`` on first use.
 
     Keys are ``inst.scenarios``. A solved block is kept, so every reader of
-    the point shares it.
+    the record shares it.
     """
 
     def __init__(self, inst: RapInstance, y: np.ndarray):
@@ -535,36 +536,13 @@ class _LazyBlocks(Mapping[int, tuple[float, ...]]):
         return len(self._inst.scenarios)
 
 
-def relaxation_point(inst: RapInstance) -> FractionalSolution:
-    """An optimal point of the k-block model: the cut model's y, with lazy blocks.
-
-    y and the objective come from ``_cut_loop``, and ``iterations`` counts
-    its master's pivots. Block f of ``x`` is solved on first read (see
-    ``_block_lp``); any fractional perfect matching of E - f below y
-    completes y to a point of the k-block model with the same objective.
-    A loop that stops at the row cap raises ``LpError``, since a capped y
-    can miss a Hall cut and leave a block infeasible.
-    """
-    _, y, objective, pivots, converged = _cut_loop(inst)
-    if not converged:
-        raise LpError(
-            f"relaxation master passed {_MAX_MASTER_ROWS} rows before its cuts converged"
-        )
-    return FractionalSolution(
-        y=tuple(y.tolist()), x=_LazyBlocks(inst, y), objective=objective, iterations=pivots
-    )
-
-
-def dump_lp(inst: RapInstance) -> str:
-    """The last cut master of ``inst`` in the common textual LP interchange format.
+def dump_lp(lp: SparseLp) -> str:
+    """A cut master (``build_lp``) in the common textual LP interchange format.
 
     Variables are y_e per edge and s_i, the surplus of row cut_i; the rows
-    are the cuts in the order ``_cut_loop`` found them. When the loop
-    converged, the master's optimum is the relaxation's value; when it
-    stopped at the row cap, it is the weaker bound that ``relaxation_value``
-    returns. Raises as ``_cut_loop`` does.
+    keep the master's order, which in ``Relaxation.master`` is the order the
+    cuts were found in. Starts no solve.
     """
-    lp = _cut_loop(inst)[0]
     m = lp.n_vars - lp.n_rows
     names = [f"y_{e}" for e in range(m)] + [f"s_{i}" for i in range(lp.n_rows)]
 

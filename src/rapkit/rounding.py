@@ -9,10 +9,10 @@ edges, and a non-uniform one uniformized (parallel copies for invulnerable
 edges); the result is mapped back to the completion, pruned and verified
 there, and returned in the caller's edge ids.
 
-The relaxation is ``lp.relaxation_point``: y from the cut model, and each
+The relaxation is ``lp.relax``'s record: y from the cut model, and each
 f-block solved the first time the loop visits f, as a min-cost fractional
-perfect matching of E - f below y. A plan keeps its solved blocks, so the
-seeds that round one plan share them.
+perfect matching of E - f below y. A plan keeps the record and its solved
+blocks, so the seeds that round one plan share them.
 
 The loop invariant, checked on every iteration on the oracle analysis
 (``instance._scan``) that finds the next f, is that every edge-bearing
@@ -30,6 +30,7 @@ invariant is unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from rapkit.instance import (
     uniformize,
     verify_solution,
 )
-from rapkit.lp import FractionalSolution, relaxation_point
+from rapkit import lp
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,21 @@ class RoundTrace:
 
 @dataclass(frozen=True)
 class RoundPlan:
-    """Reusable per-instance state: the (possibly uniformized) relaxation point.
+    """Reusable per-instance state: the (possibly uniformized) relaxation.
 
     Building a plan once lets many seeds share the cut loop and the x
     blocks. ``completion`` is the balanced completion of ``original``, and
     ``mapping`` the uniformizing of that; either is the identity (nothing
-    appended) when its step is not needed. ``fractional`` is an optimal
-    point of the relaxation of ``work``, the instance the rounding runs on:
-    the cut model's y, with x blocks solved on first read and kept.
+    appended) when its step is not needed. ``relaxation`` is ``lp.relax``
+    of ``work``, the instance the rounding runs on, and has converged: the
+    cut model's y and last master, with x blocks solved on first read and
+    kept.
     """
 
     original: RapInstance
     completion: InstanceMapping
     mapping: InstanceMapping
-    fractional: FractionalSolution
+    relaxation: lp.Relaxation
 
     @property
     def work(self) -> RapInstance:
@@ -93,7 +95,7 @@ class RoundPlan:
 def rounding_iteration(
     inst: RapInstance,
     pairs: PairAnalysis,
-    frac: FractionalSolution,
+    blocks: Mapping[int, Sequence[float]],
     f: int,
     rng: np.random.Generator,
 ) -> tuple[frozenset[int], frozenset[int]]:
@@ -104,12 +106,12 @@ def rounding_iteration(
     when r and t are matched and r's pair shares its ``scc`` with the pair
     matched at t, and f is an isolated edge exactly when ``pairs.arcs``
     lists f alone at its R node; a sampled edge parallel to it is then kept
-    too (see the module note). Returns the kept edges and the whole sampled
-    matching.
+    too (see the module note). ``blocks[f]`` is the relaxation's f-block.
+    Returns the kept edges and the whole sampled matching.
     """
     g = inst.graph
     avoid = None if f == NOMINAL_SCENARIO else f
-    matched = sample(birkhoff_decompose(g, avoid, frac.x[f]), rng)
+    matched = sample(birkhoff_decompose(g, avoid, blocks[f]), rng)
 
     scc, match_t = pairs.scc, pairs.matching.match_t
     rescue_pair = None
@@ -133,12 +135,18 @@ def _n_components(pairs: PairAnalysis) -> int:
 def prepare(inst: RapInstance) -> RoundPlan:
     """Complete and uniformize ``inst`` if needed, and solve the relaxation once.
 
-    Raises ``LpError`` when the relaxation's cut loop stops at its row cap.
+    Raises ``LpError`` when the relaxation's cut loop stops at its row cap,
+    since a capped y can leave a block infeasible.
     """
     completion = balanced_completion(inst)
     work = completion.instance
     mapping = uniformize(work) if work.vulnerable and not work.uniform else InstanceMapping(work)
-    return RoundPlan(inst, completion, mapping, relaxation_point(mapping.instance))
+    relaxation = lp.relax(mapping.instance)
+    if not relaxation.converged:
+        raise lp.LpError(
+            f"relaxation master passed {lp._MAX_MASTER_ROWS} rows before its cuts converged"
+        )
+    return RoundPlan(inst, completion, mapping, relaxation)
 
 
 def solve_lp_round(
@@ -148,14 +156,14 @@ def solve_lp_round(
 ) -> tuple[Solution, RoundTrace]:
     """Round the relaxation to a feasible solution, then prune it minimal.
 
-    ``plan`` carries the fractional optimum so repeated seeds skip the cut
+    ``plan`` carries the relaxation so repeated seeds skip the cut
     loop and reuse the blocks already solved. Every iteration checks the
     loop invariant and that it covered its scenario, and raises
     ``AssertionError`` if not.
     """
     if plan is None or plan.original is not inst:
         plan = prepare(inst)
-    work, frac = plan.work, plan.fractional
+    work, blocks = plan.work, plan.relaxation.x
     g = work.graph
     rng = np.random.default_rng(seed)
 
@@ -166,7 +174,7 @@ def solve_lp_round(
     while f is not None:
         if len(records) >= g.n_edges:
             raise RuntimeError("rounding exceeded its iteration bound")
-        delta, sampled = rounding_iteration(work, pairs, frac, f, rng)
+        delta, sampled = rounding_iteration(work, pairs, blocks, f, rng)
         x_set = x_set | delta
         pairs, next_f = _scan(work, x_set)
         # every edge-bearing component is matching-covered exactly when

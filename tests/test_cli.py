@@ -35,8 +35,9 @@ from rapkit.instance import (
     verify_solution,
     solution_for,
 )
-from rapkit.lp import LpError
+from rapkit.lp import LpError, dump_lp
 from rapkit.reductions import gk_family, random_instance
+from rapkit.rounding import prepare
 
 
 def c4_text():
@@ -192,7 +193,7 @@ class TestSolve:
             "from rapkit import gk_family, random_instance\n"
             "from rapkit.cli import main\n"
             "from rapkit.instance import format_instance, uniformize\n"
-            "from rapkit.lp import dump_lp\n"
+            "from rapkit.lp import dump_lp, relax\n"
             "rand = random_instance(4, 4, 0.6, 0.5, (1, 10), seed=4)\n"
             "assert rand.vulnerable and not rand.uniform\n"
             "cases = [('gk3', gk_family(3)), ('rand4', rand),\n"
@@ -214,7 +215,7 @@ class TestSolve:
             "            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
             "                rc = main(argv)\n"
             "            if inst is rand:\n"
-            "                assert lp.read_text() == dump_lp(uniformize(rand).instance)\n"
+            "                assert lp.read_text() == dump_lp(relax(uniformize(rand).instance).master)\n"
             "            print(name, seed, rc, digest(out.getvalue().encode()),\n"
             "                  digest(err.getvalue().encode()),\n"
             "                  *(digest(p.read_bytes()) for p in (sol, trace, lp)))\n"
@@ -266,6 +267,24 @@ class TestSolve:
         assert "Subject To" in text
         # the final cut master: y per edge, a surplus per cut row
         assert " cut_0: " in text and " 0 <= y_0 <= 1" in text and " s_0 >= 0" in text
+
+    @pytest.mark.parametrize("name", ["gk3", "rand4"])
+    def test_dump_lp_starts_no_cut_loop(self, name, tmp_path, capsys, monkeypatch):
+        # relax checks feasibility once per cut loop: one loop for the plan
+        # and one for lb=, and the dump writes the plan's master
+        inst = gk_family(3) if name == "gk3" else random_instance(4, 4, 0.6, 0.5, (1, 10), seed=4)
+        path = write(tmp_path / "inst.txt", format_instance(inst))
+        dump = tmp_path / "inst.lp"
+        loops = []
+        real_check = rapkit.lp.check_feasible
+        monkeypatch.setattr(
+            rapkit.lp, "check_feasible", lambda work: loops.append(work) or real_check(work)
+        )
+        assert main(["solve", "--algo", "lp-round", "--in", path, "--dump-lp", str(dump)]) == 0
+        capsys.readouterr()
+        assert len(loops) == 2
+        monkeypatch.undo()
+        assert dump.read_text() == dump_lp(prepare(inst).relaxation.master)
 
     def test_dump_lp_past_the_row_cap_exits_1(self, g3_file, tmp_path, capsys, monkeypatch):
         # exact solves; the bound and the dump both meet a seed master over the cap
@@ -482,6 +501,12 @@ class TestVerify:
         sol = write(tmp_path / "s.sol", "solution 1\nfifty\n")
         assert main(["verify", c4_file, sol]) == 1
         assert capsys.readouterr().err
+
+    def test_repeated_solution_id_exits_1(self, c4_file, tmp_path, capsys):
+        # the header counts two edges; the file names one of them twice
+        sol = write(tmp_path / "s.sol", "solution 2\n1\n1\n")
+        assert main(["verify", c4_file, sol]) == 1
+        assert capsys.readouterr().err == "edge id 1 is listed twice\n"
 
 
 class TestBench:

@@ -16,7 +16,7 @@ from rapkit.instance import (
     uniform_instance,
     verify_solution,
 )
-from rapkit.lp import LpError, relaxation_value, solve_lp
+from rapkit.lp import LpError, relax, solve_lp
 
 from oracles import brute_exact, brute_exact_unbalanced, k_block_lp, min_cost_pm_value
 from strategies import small_graph, small_instance
@@ -217,7 +217,7 @@ def test_lower_bounds_keep_the_counting_bound_past_the_row_cap():
     # uniform unit costs: the seed master of 2,304 rows passes the cap, 2n remains
     inst = random_instance(60, 60, 0.3, 1.0, (1, 1), seed=1)
     with pytest.raises(LpError, match="master of 2304 rows"):
-        relaxation_value(inst)
+        relax(inst)
     assert lower_bounds(inst) == 120.0
 
 

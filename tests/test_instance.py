@@ -468,6 +468,7 @@ class TestTextFormats:
             ("solution one\n1\n", "solution count must be an integer"),
             ("solution 2\n1 2\n", "expected one edge id per line, got '1 2'"),
             ("solution 1\ne1\n", "bad edge id 'e1'"),
+            ("solution 2\n1\n1\n", "edge id 1 is listed twice"),
         ],
     )
     def test_parse_solution_rejects(self, text, message):

@@ -37,8 +37,7 @@ from rapkit.lp import (
     _SimplexState,
     build_lp,
     dump_lp,
-    relaxation_point,
-    relaxation_value,
+    relax,
     solve_lp,
 )
 from rapkit.reductions import random_instance
@@ -68,7 +67,7 @@ class TestBuildLp:
     def test_c4_uniform_dimensions(self):
         # the final master: a node cut per node and the four singletons
         # y(delta(v) - f) >= 1, after which no Hall cut is violated
-        lp = rapkit.lp._cut_loop(c4_uniform())[0]
+        lp = relax(c4_uniform()).master
         assert lp.n_rows == 8 and lp.n_vars == 4 + 8
         assert lp.senses == ("E",) * 8
         assert lp.rhs.tolist() == [1.0] * 8
@@ -76,7 +75,7 @@ class TestBuildLp:
     def test_seed_cuts_leave_the_scenario_edge_out(self):
         # y(delta(v) - f) >= 1 at both ends of f stands for x^f_f = 0
         inst = make_instance(2, 2, C4_EDGES, [2, 0], [1.0] * 4)
-        a = rapkit.lp._cut_loop(inst)[0].a_matrix
+        a = relax(inst).master.a_matrix
         # node cuts of r0, r1, t0, t1, then f0's ends {3} and {1}; f2's
         # ends give {1} and {3} again, which are kept once
         assert a[:6, :4].tolist() == [
@@ -86,7 +85,7 @@ class TestBuildLp:
     def test_nominal_block_when_no_vulnerable(self):
         # only the nominal scenario is separated; the node cuts suffice
         inst = make_instance(2, 2, C4_EDGES, [], [1.0] * 4)
-        lp = rapkit.lp._cut_loop(inst)[0]
+        lp = relax(inst).master
         assert lp.n_vars == 8
         assert lp.a_matrix[:, :4].tolist() == [[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
 
@@ -101,12 +100,12 @@ class TestBuildLp:
     def test_unbalanced_rejected(self):
         inst = make_instance(2, 1, [(0, 0), (1, 0)], [], [1.0, 1.0])
         with pytest.raises(InstanceError, match="balanced_completion"):
-            dump_lp(inst)
+            relax(inst)
 
     def test_infeasible_rejected(self):
         inst = uniform_instance(1, 1, [(0, 0)])
         with pytest.raises(InstanceError, match="infeasible"):
-            dump_lp(inst)
+            relax(inst)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -368,7 +367,7 @@ class TestRelaxationValue:
             return masters[-1], float(lp.objective @ masters[-1]), 0
 
         with mock.patch.object(rapkit.lp, "_simplex", recording_simplex):
-            value = relaxation_value(work)
+            value = relax(work).objective
         assert value == pytest.approx(solve_lp(oracles.k_block_lp(work)).objective, abs=1e-7)
         # at return, the master's y lets every scenario's max-flow reach n
         g = work.graph
@@ -392,11 +391,11 @@ class TestRelaxationValue:
             return real_simplex(lp)
 
         with mock.patch.object(rapkit.lp, "_simplex", recording_simplex):
-            relaxation_value(work)
+            relax(work)
             cap = rows[0] + extra
             rows.clear()
             with mock.patch.object(rapkit.lp, "_MAX_MASTER_ROWS", cap):
-                value = relaxation_value(work)
+                value = relax(work).objective
         assert max(rows) <= cap
         assert value <= solve_lp(oracles.k_block_lp(work)).objective + 1e-7
 
@@ -404,27 +403,29 @@ class TestRelaxationValue:
         # uncapped, the masters of this instance have 56, 64, 69, 71, 74,
         # 76 and 79 rows, and the last one's optimum is 79
         inst = random_instance(10, 10, 0.3, 0.5, (1, 10), seed=1)
-        assert relaxation_value(inst) == 79
+        full = relax(inst)
+        assert full.objective == 79 and full.converged
         monkeypatch.setattr(rapkit.lp, "_MAX_MASTER_ROWS", 70)
-        assert relaxation_value(inst) < 79
+        capped = relax(inst)
+        assert capped.objective < 79 and not capped.converged
         monkeypatch.setattr(rapkit.lp, "_MAX_MASTER_ROWS", 55)
         with pytest.raises(LpError, match="^relaxation master of 56 rows passes 55$"):
-            relaxation_value(inst)
+            relax(inst)
 
     def test_rejects_unbalanced_and_infeasible(self):
         with pytest.raises(InstanceError, match="balanced_completion"):
-            relaxation_value(make_instance(2, 1, [(0, 0), (1, 0)], [], [1.0, 1.0]))
+            relax(make_instance(2, 1, [(0, 0), (1, 0)], [], [1.0, 1.0]))
         with pytest.raises(InstanceError, match="infeasible"):
-            relaxation_value(uniform_instance(1, 1, [(0, 0)]))
+            relax(uniform_instance(1, 1, [(0, 0)]))
 
     def test_point_blocks_are_keyed_by_scenario(self):
-        point = relaxation_point(make_instance(2, 2, C4_EDGES, [2, 0], [1.0] * 4))
+        point = relax(make_instance(2, 2, C4_EDGES, [2, 0], [1.0] * 4))
         assert list(point.x) == [0, 2] and len(point.x) == 2
         with pytest.raises(KeyError):
             point.x[1]  # an edge that is not vulnerable
         with pytest.raises(KeyError):
             point.x[NOMINAL_SCENARIO]
-        nominal = relaxation_point(make_instance(2, 2, C4_EDGES, [], [1.0] * 4))
+        nominal = relax(make_instance(2, 2, C4_EDGES, [], [1.0] * 4))
         assert list(nominal.x) == [NOMINAL_SCENARIO]
         with pytest.raises(KeyError):
             nominal.x[0]
@@ -435,7 +436,7 @@ class TestRelaxationValue:
             rapkit.lp, "_simplex", lambda lp: (np.zeros(lp.n_vars), 0.0, 0)
         )
         with pytest.raises(LpError, match=r"^residual -1\.00e\+00 on row 0$"):
-            relaxation_value(c4_uniform())
+            relax(c4_uniform())
 
 
 class TestDumpLp:
@@ -443,7 +444,7 @@ class TestDumpLp:
     # are its last rows too (its optimum 3.0 is the relaxation's value)
     def test_sections_and_fixing(self):
         inst = make_instance(2, 2, C4_EDGES, [2, 0], [2.0, 3.0, 5.0, 7.0])
-        text = dump_lp(inst)
+        text = dump_lp(relax(inst).master)
         assert text.startswith("Minimize\n obj: 2 y_0 + 3 y_1 + 5 y_2 + 7 y_3\n")
         for section in ("Subject To", "Bounds", "End"):
             assert section in text
@@ -453,7 +454,7 @@ class TestDumpLp:
         assert " 0 <= y_0 <= 1" in text and " s_0 >= 0" in text
 
     def test_cut_row_shape(self):
-        text = dump_lp(c4_uniform())
+        text = dump_lp(relax(c4_uniform()).master)
         line = next(l for l in text.splitlines() if l.startswith(" cut_0:"))
         assert line == " cut_0: y_0 + y_3 - s_0 = 1"
 
@@ -464,7 +465,7 @@ class TestDumpLp:
         monkeypatch.setattr(
             rapkit.lp, "build_lp", lambda *args: built.append(real_build(*args)) or built[-1]
         )
-        text = dump_lp(inst)
+        text = dump_lp(relax(inst).master)
         assert len(built) > 1  # rounds of cuts came after the seed master
         assert text.count(" cut_") == built[-1].n_rows
         assert text.count(" s_") == 2 * built[-1].n_rows  # in its row and its bound

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from strategies import small_instance
 
-import rapkit
 from rapkit.exact import solve_exact
 from rapkit.instance import balanced_completion, check_feasible, make_instance, uniformize
-from rapkit.lp import relaxation_value, solve_lp
+from rapkit.lp import relax, solve_lp
 from rapkit.reductions import random_instance
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -59,21 +58,21 @@ def test_relaxation_value_matches_highs(data, uniformized):
     if uniformized and work.vulnerable and not work.uniform:
         work = uniformize(work).instance
     expected = highs_objective(oracles.k_block_lp(work))
-    assert relaxation_value(work) == pytest.approx(expected, abs=1e-7)
+    assert relax(work).objective == pytest.approx(expected, abs=1e-7)
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_instance(balanced=False), st.booleans())
 def test_final_master_matches_highs(data, uniformized):
     # the master that --dump-lp writes is the relaxation: HiGHS's optimum
-    # on it is relaxation_value and HiGHS's k-block optimum
+    # on it is relax's objective and HiGHS's k-block optimum
     work = balanced_completion(make_instance(*data)).instance
     assume(check_feasible(work))
     if uniformized and work.vulnerable and not work.uniform:
         work = uniformize(work).instance
-    master = rapkit.lp._cut_loop(work)[0]
-    value = highs_objective(master)
-    assert value == pytest.approx(relaxation_value(work), abs=1e-7)
+    relaxation = relax(work)
+    value = highs_objective(relaxation.master)
+    assert value == pytest.approx(relaxation.objective, abs=1e-7)
     assert value == pytest.approx(highs_objective(oracles.k_block_lp(work)), abs=1e-7)
 
 

@@ -24,7 +24,7 @@ from rapkit.instance import (
     uniformize,
     verify_solution,
 )
-from rapkit.lp import FractionalSolution, LpError, solve_lp
+from rapkit.lp import LpError, solve_lp
 from rapkit.rounding import (
     format_trace,
     prepare,
@@ -47,7 +47,7 @@ class TestRoundingIteration:
         plan = prepare(inst)
         x_set = frozenset()
         delta, _ = rounding_iteration(
-            inst, PairAnalysis(inst.graph, x_set), plan.fractional, 0,
+            inst, PairAnalysis(inst.graph, x_set), plan.relaxation.x, 0,
             np.random.default_rng(0),
         )
         assert delta == frozenset({1, 3})
@@ -57,7 +57,7 @@ class TestRoundingIteration:
         plan = prepare(inst)
         x_set = frozenset({0, 2})
         delta, _ = rounding_iteration(
-            inst, PairAnalysis(inst.graph, x_set), plan.fractional, 1,
+            inst, PairAnalysis(inst.graph, x_set), plan.relaxation.x, 1,
             np.random.default_rng(0),
         )
         # avoiding edge 1 forces matching {0, 2}; both its edges lie inside
@@ -65,7 +65,7 @@ class TestRoundingIteration:
         assert delta == frozenset()
         x_set = frozenset({1, 3})
         delta, _ = rounding_iteration(
-            inst, PairAnalysis(inst.graph, x_set), plan.fractional, 1,
+            inst, PairAnalysis(inst.graph, x_set), plan.relaxation.x, 1,
             np.random.default_rng(0),
         )
         assert delta == frozenset({0, 2})
@@ -75,7 +75,7 @@ class TestRoundingIteration:
         plan = prepare(inst)
         x_set = frozenset({0})
         delta, _ = rounding_iteration(
-            inst, PairAnalysis(inst.graph, x_set), plan.fractional, 0,
+            inst, PairAnalysis(inst.graph, x_set), plan.relaxation.x, 0,
             np.random.default_rng(0),
         )
         # the only matching avoiding edge 0 is its parallel twin, which
@@ -85,10 +85,9 @@ class TestRoundingIteration:
     def test_parallel_edge_dropped_when_scenario_not_isolated(self):
         inst = uniform_instance(2, 2, [(0, 0), (0, 0), (1, 1), (0, 1), (1, 0)])
         x_set = frozenset({0, 2, 3, 4})
-        frac = FractionalSolution(y=(1.0,) * 5, x={0: (0.0, 1.0, 1.0, 0.0, 0.0)},
-                                  objective=0.0, iterations=0)
+        blocks = {0: (0.0, 1.0, 1.0, 0.0, 0.0)}
         delta, sampled = rounding_iteration(
-            inst, PairAnalysis(inst.graph, x_set), frac, 0, np.random.default_rng(0),
+            inst, PairAnalysis(inst.graph, x_set), blocks, 0, np.random.default_rng(0),
         )
         # f = 0 lies on the selected 4-cycle, so its twin merges nothing and
         # no rescue applies
@@ -104,14 +103,14 @@ class TestRelaxationPoint:
         if not check_feasible(inst):
             return
         plan = prepare(inst)
-        work, frac = plan.work, plan.fractional
+        work, relaxation = plan.work, plan.relaxation
         g = work.graph
-        y = np.array(frac.y)
+        y = np.array(relaxation.y)
         assert float(np.dot(work.costs, y)) == pytest.approx(
             solve_lp(oracles.k_block_lp(work)).objective, abs=1e-7
         )
         # every block, so every block a rounding can visit
-        for f, block in frac.x.items():
+        for f, block in relaxation.x.items():
             x = np.array(block)
             for adj in g.adj_r + g.adj_t:
                 assert abs(x[list(adj)].sum() - 1.0) <= 1e-9
@@ -135,7 +134,7 @@ class TestRelaxationPoint:
 
         monkeypatch.setattr(rapkit.lp, "_simplex", recording_simplex)
         plan = prepare(inst)
-        assert plan.fractional.objective == pytest.approx(expected, abs=1e-9)
+        assert plan.relaxation.objective == pytest.approx(expected, abs=1e-9)
         for seed in range(3):
             sol, _ = solve_lp_round(inst, seed=seed, plan=plan)
             verify_solution(inst, sol)
@@ -162,7 +161,7 @@ class TestRelaxationPoint:
             _, trace = solve_lp_round(inst, seed=seed, plan=plan)
             visited |= {rec.scenario for rec in trace.records}
         assert sorted(solved) == sorted(visited)
-        assert len(visited) < len(plan.fractional.x)
+        assert len(visited) < len(plan.relaxation.x)
         # the plan keeps its blocks, so the same seeds solve none again
         for seed in range(5):
             solve_lp_round(inst, seed=seed, plan=plan)
@@ -235,7 +234,7 @@ class TestSolveLpRound:
         ids=["edge-not-allowed", "no-progress"],
     )
     def test_broken_iteration_raises(self, monkeypatch, added, message):
-        def broken_iteration(inst, pairs, frac, f, rng):
+        def broken_iteration(inst, pairs, blocks, f, rng):
             return added, added
 
         monkeypatch.setattr(rapkit.rounding, "rounding_iteration", broken_iteration)
