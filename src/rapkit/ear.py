@@ -20,6 +20,7 @@ from .graph_core import (
     BipartiteMultigraph,
     GraphError,
     PairAnalysis,
+    Start,
 )
 from .instance import (
     InstanceError,
@@ -118,6 +119,8 @@ def ear_decomposition(
     g: BipartiteMultigraph,
     component_edges: Optional[Iterable[int]] = None,
     rng: Optional[np.random.Generator] = None,
+    *,
+    start: Optional[Start] = None,
 ) -> EarDecomposition:
     """Decompose one matching-covered component of g into ears.
 
@@ -126,10 +129,16 @@ def ear_decomposition(
     component; each ear is grown depth-first, preferring edges that reach
     pairs not yet covered, so ears come out long and few.  Choices follow
     ascending edge ids unless rng is given, which shuffles them instead.
+    ``start``, a matching of g (see ``max_matching``), seeds the
+    component's matching with its edges inside the component; the ears do
+    not depend on it, since they are read off the least perfect matching.
     """
+    if start is not None and component_edges is not None:
+        component_edges = frozenset(component_edges)
+        start = tuple([e if e in component_edges else -1 for e in side] for side in start)
     # matching-covered: every edge allowed (so every node it touches is
     # matched) and every pair in one strongly connected component
-    pairs = PairAnalysis(g, component_edges)
+    pairs = PairAnalysis(g, component_edges, start)
     active = pairs.edge_list
     sccs = {pairs.scc[g.edges[e][0]] for e in active}
     if not pairs.allowed.issuperset(active) or len(sccs) != 1:
@@ -292,14 +301,16 @@ def solve_ear(
     pairs, failing = _scan(work, None)
     if failing is not None:
         raise InstanceError("infeasible instance")
-    # the components of the allowed subgraph, each matching-covered; the
-    # whole-graph analysis is dropped before the per-component ones
+    # the components of the allowed subgraph, each matching-covered and
+    # perfectly matched by the whole graph's matching, which starts each
+    # one's analysis; the rest of the whole-graph analysis is dropped first
     comps = pairs.allowed_components()
+    pm = (pairs.matching.match_r, pairs.matching.match_t)
     del pairs
 
     chosen: set[int] = set()
     for comp_edges in comps:
-        dec = ear_decomposition(work.graph, comp_edges, rng)
+        dec = ear_decomposition(work.graph, comp_edges, rng, start=pm)
         if trace is not None:
             trace.append(dec)
         kept: set[int] = set(dec.ears[0].edge_ids)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from .graph_core import Start
 from .instance import (
     InstanceError,
     RapInstance,
@@ -24,7 +25,7 @@ from .lp import LpError, relax
 
 __all__ = ["ExactError", "lower_bounds", "solve_exact"]
 
-# nodes visited x completed edges; 0.3-1.9 us each (2-core host), so a refusal takes seconds
+# nodes visited x completed edges; 0.5-2.5 us each (2-core host), so a refusal takes seconds
 _WORK_BUDGET = 10_000_000
 
 
@@ -49,17 +50,28 @@ class _Degrees:
         self.ends = [(r, g.n_r + t) for r, t in g.edges]
         self.weight = [1 if e in inst.vulnerable else 2 for e in range(g.n_edges)]
         self.lists = [[e for e in order if v in self.ends[e]] for v in nodes]
+        # position of each node's last (cheapest) invulnerable edge, -1 if none
+        self.heavy = [
+            max((i for i, e in enumerate(lst) if self.weight[e] == 2), default=-1)
+            for lst in self.lists
+        ]
         self.seen = [0] * len(nodes)
         self.held = [sum(self.weight[e] for e in fixed if v in self.ends[e]) for v in nodes]
         self.needs = [self._need(v) for v in nodes]
 
     def _need(self, v: int) -> Optional[float]:
-        if self.held[v] >= 2:
+        held, seen = self.held[v], self.seen[v]
+        if held >= 2:
             return 0.0
-        left = self.lists[v][self.seen[v] :]
-        one = [self.costs[e] for e in left if self.held[v] + self.weight[e] >= 2][-1:]
-        two = [self.costs[left[-1]] + self.costs[left[-2]]] if len(left) >= 2 else []
-        return min(one + two, default=None)
+        edges, costs = self.lists[v], self.costs
+        # the cheapest undecided edge that meets the need alone: the last
+        # one once v holds weight 1, else the last invulnerable one
+        i = len(edges) - 1 if held else self.heavy[v]
+        one = costs[edges[i]] if i >= seen else None
+        if len(edges) - seen < 2:
+            return one
+        two = costs[edges[-1]] + costs[edges[-2]]
+        return two if one is None else min(one, two)
 
     def move(self, e: int, seen: int, held: int) -> None:
         """Shift e's decided and held counts and rework its two ends' needs."""
@@ -73,6 +85,18 @@ class _Degrees:
         if None in self.needs:
             return None
         return max(math.fsum(self.needs[: self.n_r]), math.fsum(self.needs[self.n_r :]))
+
+
+def _unmatched(pm: Optional[Start], inst: RapInstance, e: int) -> Optional[Start]:
+    """``pm`` with edge e taken out, or ``pm`` itself when e is not in it."""
+    if pm is None:
+        return None
+    r, t = inst.graph.edges[e]
+    if pm[0][r] != e:
+        return pm
+    match_r, match_t = list(pm[0]), list(pm[1])
+    match_r[r] = match_t[t] = -1
+    return match_r, match_t
 
 
 def solve_exact(inst: RapInstance) -> Solution:
@@ -105,11 +129,13 @@ def solve_exact(inst: RapInstance) -> Solution:
         bound = degrees.bound()
         return bound is None or (best is not None and cost + bound > best[0] * (1 + 1e-9))
 
-    # (depth, cost, stage) frames; a child's subtree ends before its parent's next stage
+    # (depth, cost, stage, pm) frames, pm a perfect matching of the frame's
+    # edge set as (match_r, match_t), None at the root; a child's subtree
+    # ends before its parent's next stage
     work_done = 0
-    stack = [(0, 0.0, 0)]
+    stack: list[tuple[int, float, int, Optional[Start]]] = [(0, 0.0, 0, None)]
     while stack:
-        depth, cost, stage = stack.pop()
+        depth, cost, stage, pm = stack.pop()
         if stage == 0:
             work_done += m
             if work_done > _WORK_BUDGET:
@@ -121,16 +147,19 @@ def solve_exact(inst: RapInstance) -> Solution:
             e = order[depth]
             degrees.move(e, 1, 0)
             excluded.add(e)
-            stack.append((depth, cost, 1))
-            if not pruned(cost) and _scan(work, all_ids - excluded)[1] is None:
-                stack.append((depth + 1, cost, 0))
+            stack.append((depth, cost, 1, pm))
+            if not pruned(cost):
+                pairs, failing = _scan(work, all_ids - excluded, _unmatched(pm, work, e))
+                if failing is None:
+                    child = pairs.matching
+                    stack.append((depth + 1, cost, 0, (child.match_r, child.match_t)))
         elif stage == 1:
             e = order[depth]
             excluded.remove(e)
             degrees.move(e, 0, 1)
-            stack.append((depth, cost, 2))
+            stack.append((depth, cost, 2, None))
             if not pruned(cost + work.costs[e]):
-                stack.append((depth + 1, cost + work.costs[e], 0))
+                stack.append((depth + 1, cost + work.costs[e], 0, pm))
         else:
             degrees.move(order[depth], -1, -1)
     assert best is not None

@@ -86,21 +86,34 @@ class BipartiteMultigraph:
         return f"BipartiteMultigraph(n_r={self.n_r}, n_t={self.n_t}, m={len(self.edges)})"
 
 
+# a starting matching: the matched edge id at each R and T node, or -1
+Start = tuple[Sequence[int], Sequence[int]]
+
+
 def _match_arrays(
-    g: BipartiteMultigraph, forbidden: frozenset[int]
+    g: BipartiteMultigraph, forbidden: frozenset[int], start: Start | None = None
 ) -> tuple[list[int], list[int]]:
     """Maximum matching by augmenting paths; returns per-node matched edge ids.
 
-    R nodes are processed in ascending index and adjacency is scanned in
-    ascending edge id, so the result is deterministic for a fixed input.
-    The depth-first search keeps its path on an explicit stack, so long
-    augmenting paths cannot overflow the interpreter's call stack.
+    The search starts from ``start`` (empty by default) and roots one
+    augmenting search at each R node it leaves unmatched: a node without an
+    augmenting path keeps none after later augmentations, so the result is
+    maximum whatever the start. R nodes are processed in ascending index
+    and adjacency is scanned in ascending edge id, so the result is
+    deterministic for a fixed input. The depth-first search keeps its path
+    on an explicit stack, so long augmenting paths cannot overflow the
+    interpreter's call stack.
     """
     edges, adj_r = g.edges, g.adj_r
-    match_r = [-1] * g.n_r
-    match_t = [-1] * g.n_t
-    # a path re-matches only matched R nodes and its root: no root is matched before its turn
+    if start is None:
+        match_r, match_t = [-1] * g.n_r, [-1] * g.n_t
+    else:
+        match_r, match_t = list(start[0]), list(start[1])
+    # a path re-matches only matched R nodes and its root, so a root matched
+    # before its turn was matched by the start
     for root in range(g.n_r):
+        if match_r[root] != -1:
+            continue
         seen: set[int] = set()
         # one frame per R node on the search path:
         # [node, next adjacency position, edge taken from the node]
@@ -130,25 +143,45 @@ def _match_arrays(
     return match_r, match_t
 
 
-def max_matching(g: BipartiteMultigraph, forbidden: Iterable[int] = ()) -> Matching:
-    """Maximum-cardinality matching of ``g`` avoiding every forbidden edge id."""
+def _check_start(g: BipartiteMultigraph, forbidden: frozenset[int], start: Start) -> None:
+    """Raise GraphError unless ``start`` is a matching of g avoiding ``forbidden``."""
+    match_r, match_t = start
+    if len(match_r) != g.n_r or len(match_t) != g.n_t:
+        raise GraphError("start needs one entry per node")
+    edges = g.edges
+    expected_t = [-1] * g.n_t
+    for r, e in enumerate(match_r):
+        if e == -1:
+            continue
+        if not (0 <= e < len(edges)) or e in forbidden:
+            raise GraphError(f"start edge {e} is not allowed")
+        if edges[e][0] != r:
+            raise GraphError(f"start edge {e} does not meet R node {r}")
+        if expected_t[edges[e][1]] != -1:
+            raise GraphError(f"start edges {expected_t[edges[e][1]]} and {e} share a T node")
+        expected_t[edges[e][1]] = e
+    if list(match_t) != expected_t:
+        raise GraphError("start's match_t disagrees with its match_r")
+
+
+def max_matching(
+    g: BipartiteMultigraph, forbidden: Iterable[int] = (), start: Start | None = None
+) -> Matching:
+    """Maximum-cardinality matching of ``g`` avoiding every forbidden edge id.
+
+    ``start``, a matching of g as the matched edge id at each R and T node
+    (or -1), is grown rather than an empty one; each of its edges must be
+    allowed and sit at the nodes it names, or GraphError is raised.
+    """
     forb = frozenset(forbidden)
-    for eid in forb:
-        if not (0 <= eid < len(g.edges)):
-            raise GraphError(f"forbidden id {eid} is not an edge")
-    match_r, match_t = _match_arrays(g, forb)
-    ids = frozenset(e for e in match_r if e != -1)
+    if forb and (min(forb) < 0 or max(forb) >= len(g.edges)):
+        raise GraphError("forbidden ids must be edges")
+    if start is not None:
+        _check_start(g, forb, start)
+    match_r, match_t = _match_arrays(g, forb, start)
+    ids = frozenset(match_r) - {-1}
     perfect = g.balanced and len(ids) == g.n_r
     return Matching(ids, perfect, tuple(match_r), tuple(match_t))
-
-
-def has_pm_avoiding(g: BipartiteMultigraph, f: int) -> bool:
-    """True iff the graph has a perfect matching that avoids edge ``f``."""
-    if not g.balanced:
-        raise GraphError("not balanced")
-    if not (0 <= f < len(g.edges)):
-        raise GraphError(f"no edge with id {f}")
-    return max_matching(g, (f,)).perfect
 
 
 # residual capacity at or below this counts as none
@@ -304,13 +337,25 @@ class PairAnalysis:
     matching of that part, and each component, with the allowed edges of
     its pairs, is one connected component of the allowed subgraph
     (Lovasz-Plummer, *Matching Theory*; Tassa, TCS 2012).
+
+    ``start``, a matching inside the edge set (see ``max_matching``), is
+    grown into the analysis' matching instead of an empty one. When the
+    result is perfect, ``allowed``, the partition of the pairs into
+    components and every fact read from them are the same whichever
+    perfect matching is found; ``matching``, ``arcs`` and the scc ids are
+    not. A start therefore serves readers of the former only.
     """
 
-    def __init__(self, g: BipartiteMultigraph, active: Iterable[int] | None = None):
+    def __init__(
+        self,
+        g: BipartiteMultigraph,
+        active: Iterable[int] | None = None,
+        start: Start | None = None,
+    ):
         act = _active_ids(g, active)
         self.graph = g
         self.edge_list = sorted(act)
-        self.matching = max_matching(g, frozenset(g.edge_ids()) - act)
+        self.matching = max_matching(g, frozenset(g.edge_ids()) - act, start)
         edges, match_r, match_t = g.edges, self.matching.match_r, self.matching.match_t
         self.arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
         for eid in self.edge_list:

@@ -16,6 +16,7 @@ from rapkit.graph_core import (
     BipartiteMultigraph,
     GraphError,
     PairAnalysis,
+    Start,
     max_matching,
 )
 
@@ -167,13 +168,26 @@ def check_feasible(inst: RapInstance) -> bool:
     return first_failing_scenario(inst) is None
 
 
-def _scan(inst: RapInstance, active: Iterable[int] | None) -> tuple[PairAnalysis, int | None]:
+def _scan(
+    inst: RapInstance, active: Iterable[int] | None, start: Start | None = None
+) -> tuple[PairAnalysis, int | None]:
     """Pair analysis of ``active`` and its lowest failing scenario.
 
-    ``first_failing_scenario`` states the rule.
+    ``first_failing_scenario`` states the rule. ``start``, a matching
+    inside ``active``, is grown into the analysis' matching (see
+    ``PairAnalysis``). Given a perfect matching, the verdict, ``allowed``
+    and the components do not depend on which one is found, so callers
+    that read only these may start warm; the exact search starts each
+    exclusion from its parent's perfect matching less the excluded edge,
+    one augmenting search from done. The others stay cold and keep the
+    cold scan order: the verifier, to stay independent of the solvers; the
+    rounding loop, which reads ``arcs`` and the scc ids on selections that
+    are not yet perfect; and ``prune_to_minimal``, through
+    ``first_failing_scenario``, which takes no start. Birkhoff peeling
+    calls ``max_matching`` cold as well, since its terms are the matchings.
     """
     g = inst.graph
-    pairs = PairAnalysis(g, active)
+    pairs = PairAnalysis(g, active, start)
     pm = pairs.matching
     if not pm.perfect:
         return pairs, min(inst.vulnerable, default=NOMINAL_SCENARIO)

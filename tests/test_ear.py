@@ -24,6 +24,7 @@ from rapkit.graph_core import (
 )
 from rapkit.instance import (
     InstanceError,
+    _cycle_swap,
     make_instance,
     uniform_instance,
     verify_solution,
@@ -358,6 +359,37 @@ def test_ear_output_pinned(name, order):
     trace_text = "\n".join(format_ears(d) for d in decs)
     got = tuple(hashlib.sha256(t.encode()).hexdigest() for t in (edge_text, trace_text))
     assert got == PINNED_EAR_DIGESTS[name, order]
+
+
+def _start_from(g, ids):
+    match_r, match_t = [-1] * g.n_r, [-1] * g.n_t
+    for e in ids:
+        r, t = g.edges[e]
+        match_r[r] = match_t[t] = e
+    return match_r, match_t
+
+
+@pytest.mark.parametrize("order", ["lowest", "random:1"])
+@pytest.mark.parametrize("name", ["gk10", "rand40"])
+def test_decomposition_ignores_the_start(name, order):
+    # solve_ear starts each component from the whole graph's matching M; the
+    # ears must be those of a cold start, and so they are from M swapped
+    # along an alternating cycle, a different perfect matching, and from
+    # M's edges at odd R nodes alone
+    inst = _pinned_case(name)
+    g = inst.graph
+    pairs = PairAnalysis(g)
+    pm = pairs.matching.edge_ids
+    swapped = _cycle_swap(pairs, min(pm))
+    assert swapped is not None and swapped != pm
+    odd = {e for e in pm if g.edges[e][0] % 2 == 1}
+    starts = [_start_from(g, ids) for ids in (pm, swapped, odd)]
+    for comp in pairs.allowed_components():
+        cold = ear_decomposition(g, comp, parse_ear_order(order))
+        for start in starts:
+            assert ear_decomposition(g, comp, parse_ear_order(order), start=start) == cold
+    ids = ",".join(map(str, sorted(solve_ear(inst, ear_order=order).edge_ids)))
+    assert hashlib.sha256(ids.encode()).hexdigest() == PINNED_EAR_DIGESTS[name, order][0]
 
 
 def test_long_cycle_needs_full_swap():

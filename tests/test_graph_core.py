@@ -15,7 +15,6 @@ from rapkit.graph_core import (
     PairAnalysis,
     allowed_edges,
     components,
-    has_pm_avoiding,
     matching_covered_components,
     max_flow_min_cut,
     max_matching,
@@ -112,13 +111,14 @@ class TestMaxMatching:
 
 
 class TestHasPmAvoiding:
+    # a perfect matching avoiding edge f is a perfect one with f forbidden
     def test_c4_any_edge(self):
         for f in range(4):
-            assert has_pm_avoiding(c4(), f) is True
+            assert max_matching(c4(), (f,)).perfect is True
 
     def test_single_edge(self):
         g = BipartiteMultigraph(1, 1, [(0, 0)])
-        assert has_pm_avoiding(g, 0) is False
+        assert max_matching(g, (0,)).perfect is False
 
     def test_p4_values(self):
         # frozen from the enumeration oracle: the unique perfect matching is
@@ -129,24 +129,20 @@ class TestHasPmAvoiding:
             True,
             False,
         ]
-        assert has_pm_avoiding(g, 0) is False
-        assert has_pm_avoiding(g, 1) is True
-        assert has_pm_avoiding(g, 2) is False
+        assert [max_matching(g, (f,)).perfect for f in range(3)] == [False, True, False]
 
-    def test_unbalanced_rejected(self):
+    def test_unbalanced_never_perfect(self):
         g = BipartiteMultigraph(2, 1, [(0, 0), (1, 0)])
-        with pytest.raises(GraphError, match="not balanced"):
-            has_pm_avoiding(g, 0)
+        assert max_matching(g, (0,)).perfect is False
+        assert oracles.brute_has_pm_avoiding(2, 1, [(0, 0), (1, 0)], 0) is False
 
     @settings(max_examples=120)
     @given(small_graph(balanced=True))
     def test_matches_brute_force(self, data):
         n_r, n_t, edges = data
-        if not edges:
-            return
         g = BipartiteMultigraph(n_r, n_t, edges)
         for f in range(len(edges)):
-            assert has_pm_avoiding(g, f) == oracles.brute_has_pm_avoiding(
+            assert max_matching(g, (f,)).perfect == oracles.brute_has_pm_avoiding(
                 n_r, n_t, edges, f
             )
 
@@ -279,6 +275,46 @@ def test_active_ids_must_be_edges(routine, bad_id):
     # a negative id would otherwise index g.edges from its end
     with pytest.raises(GraphError, match="active ids must be edges"):
         routine(c4(), [*range(len(C4_EDGES)), bad_id])
+
+
+# C4's perfect matchings as (match_r, match_t): {0, 2} and {1, 3}
+C4_PM_02 = ([0, 2], [0, 2])
+C4_PM_13 = ([3, 1], [1, 3])
+
+
+class TestStart:
+    def test_start_is_grown(self):
+        # a perfect start is kept whole (cold, the search finds {1, 3}); from
+        # edge 1 alone, r0's search takes edge 0 and moves r1 onto edge 2
+        assert max_matching(c4()).edge_ids == frozenset({1, 3})
+        assert max_matching(c4(), start=C4_PM_02).edge_ids == frozenset({0, 2})
+        grown = max_matching(c4(), start=([-1, 1], [1, -1]))
+        assert grown.perfect and grown.edge_ids == frozenset({0, 2})
+
+    @pytest.mark.parametrize(
+        "forbidden,start",
+        [
+            ({0}, C4_PM_02),  # a forbidden start edge
+            ((), ([1, -1], [1, -1])),  # edge 1 is at R node 1, not 0
+            ((), ([0, 2], [0, -1])),  # match_t drops edge 2
+            ((), ([0, -1], [0, 2])),  # match_t holds edge 2, match_r does not
+            ((), ([0, 2], [2, 0])),  # match_t swaps the two edges
+            ((), ([0, 2, -1], [0, 2])),  # one entry too many
+        ],
+        ids=["forbidden", "wrong-r-node", "t-drops", "t-adds", "t-swaps", "length"],
+    )
+    @pytest.mark.parametrize("routine", ["max_matching", "PairAnalysis"])
+    def test_invalid_start_raises(self, routine, forbidden, start):
+        with pytest.raises(GraphError, match="start"):
+            if routine == "max_matching":
+                max_matching(c4(), forbidden, start)
+            else:
+                PairAnalysis(c4(), set(range(len(C4_EDGES))) - set(forbidden), start)
+
+    def test_two_start_edges_at_one_t_node(self):
+        # edges 0 and 1 both end at T node 0
+        with pytest.raises(GraphError, match="share a T node"):
+            max_matching(c4(), start=([0, 1], [0, -1]))
 
 
 class TestMaxFlowMinCut:

@@ -18,6 +18,7 @@ from rapkit.instance import (
     NOMINAL_SCENARIO,
     InfeasibleSolutionError,
     InstanceError,
+    _scan,
     balanced_completion,
     check_feasible,
     first_failing_scenario,
@@ -232,6 +233,48 @@ class TestFirstFailingScenario:
         for f, pm in cert.matchings.items():
             assert f not in pm
             assert pm in oracles.enumerate_perfect_matchings(n_r, n_t, edges, x)
+
+
+def _scc_partition(pairs):
+    """The pairs grouped by component, as a set of frozensets of R nodes."""
+    groups = {}
+    for r, c in enumerate(pairs.scc):
+        if c != -1:
+            groups.setdefault(c, set()).add(r)
+    return {frozenset(group) for group in groups.values()}
+
+
+class TestWarmStart:
+    @settings(max_examples=200, deadline=None)
+    @given(small_instance(max_edges=12), st.data())
+    def test_warm_scan_agrees_with_cold(self, data, picks):
+        n_r, n_t, edges, vulnerable, costs = data
+        inst = make_instance(n_r, n_t, edges, vulnerable, costs)
+        x = picks.draw(st.sets(st.sampled_from(range(len(edges)))) if edges else st.just(set()))
+        # any matching inside x: the listed edges that touch no earlier one
+        listed = picks.draw(st.lists(st.sampled_from(sorted(x))) if x else st.just([]))
+        match_r, match_t = [-1] * n_r, [-1] * n_t
+        for e in listed:
+            r, t = edges[e]
+            if match_r[r] == match_t[t] == -1:
+                match_r[r] = match_t[t] = e
+        cold, cold_failing = _scan(inst, x)
+        warm, warm_failing = _scan(inst, x, (match_r, match_t))
+        if vulnerable:
+            failing = [
+                f
+                for f in sorted(vulnerable)
+                if not oracles.brute_has_pm_avoiding(n_r, n_t, edges, f, x)
+            ]
+            expected = failing[0] if failing else None
+        else:
+            perfect = oracles.max_matching_size(n_r, n_t, edges, x) == n_r
+            expected = None if perfect else NOMINAL_SCENARIO
+        assert warm_failing == cold_failing == expected
+        assert len(warm.matching) == len(cold.matching)
+        if cold.matching.perfect:
+            assert warm.allowed == cold.allowed
+            assert _scc_partition(warm) == _scc_partition(cold)
 
 
 class TestPruneToMinimal:
