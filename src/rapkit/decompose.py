@@ -75,12 +75,9 @@ def birkhoff_decompose(
             raise DecomposeError("avoided edge carries mass")
         residual[f] = 0.0
 
-    all_ids = np.arange(g.n_edges)
     terms: list[tuple[float, Matching]] = []
     while residual.size and float(residual.max()) > DEFAULT_EPS:
-        support = residual > DEFAULT_EPS
-        forbidden = frozenset(all_ids[~support].tolist())
-        matching = max_matching(g, forbidden)
+        matching = max_matching(g, np.flatnonzero(residual > DEFAULT_EPS).tolist())
         if not matching.perfect:
             raise DecomposeError("support has no perfect matching")
         ids = sorted(matching.edge_ids)

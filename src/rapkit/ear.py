@@ -129,13 +129,14 @@ def ear_decomposition(
     component; each ear is grown depth-first, preferring edges that reach
     pairs not yet covered, so ears come out long and few.  Choices follow
     ascending edge ids unless rng is given, which shuffles them instead.
-    ``start``, a matching of g (see ``max_matching``), seeds the
-    component's matching with its edges inside the component; the ears do
-    not depend on it, since they are read off the least perfect matching.
+    ``start``, a matching of g as the matched edge at each R node (see
+    ``max_matching``), seeds the component's matching with its edges inside
+    the component; the ears do not depend on it, since they are read off
+    the least perfect matching.
     """
     if start is not None and component_edges is not None:
         component_edges = frozenset(component_edges)
-        start = tuple([e if e in component_edges else -1 for e in side] for side in start)
+        start = [e if e in component_edges else -1 for e in start]
     # matching-covered: every edge allowed (so every node it touches is
     # matched) and every pair in one strongly connected component
     pairs = PairAnalysis(g, component_edges, start)
@@ -305,7 +306,7 @@ def solve_ear(
     # perfectly matched by the whole graph's matching, which starts each
     # one's analysis; the rest of the whole-graph analysis is dropped first
     comps = pairs.allowed_components()
-    pm = (pairs.matching.match_r, pairs.matching.match_t)
+    pm = pairs.matching.match_r
     del pairs
 
     chosen: set[int] = set()

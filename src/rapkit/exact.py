@@ -18,7 +18,6 @@ from .instance import (
     Solution,
     _scan,
     balanced_completion,
-    check_feasible,
     solution_for,
 )
 from .lp import LpError, relax
@@ -87,16 +86,14 @@ class _Degrees:
         return max(math.fsum(self.needs[: self.n_r]), math.fsum(self.needs[self.n_r :]))
 
 
-def _unmatched(pm: Optional[Start], inst: RapInstance, e: int) -> Optional[Start]:
+def _unmatched(pm: Start, inst: RapInstance, e: int) -> Start:
     """``pm`` with edge e taken out, or ``pm`` itself when e is not in it."""
-    if pm is None:
-        return None
-    r, t = inst.graph.edges[e]
-    if pm[0][r] != e:
+    r = inst.graph.edges[e][0]
+    if pm[r] != e:
         return pm
-    match_r, match_t = list(pm[0]), list(pm[1])
-    match_r[r] = match_t[t] = -1
-    return match_r, match_t
+    match_r = list(pm)
+    match_r[r] = -1
+    return match_r
 
 
 def solve_exact(inst: RapInstance) -> Solution:
@@ -114,7 +111,8 @@ def solve_exact(inst: RapInstance) -> Solution:
     completion = balanced_completion(inst)
     work = completion.instance
     m = work.graph.n_edges
-    if not check_feasible(work):
+    pairs, failing = _scan(work, None)
+    if failing is not None:
         raise InstanceError("infeasible instance")
 
     all_ids = frozenset(range(m))
@@ -130,10 +128,10 @@ def solve_exact(inst: RapInstance) -> Solution:
         return bound is None or (best is not None and cost + bound > best[0] * (1 + 1e-9))
 
     # (depth, cost, stage, pm) frames, pm a perfect matching of the frame's
-    # edge set as (match_r, match_t), None at the root; a child's subtree
-    # ends before its parent's next stage
+    # edge set as its match_r; a child's subtree ends before its parent's
+    # next stage
     work_done = 0
-    stack: list[tuple[int, float, int, Optional[Start]]] = [(0, 0.0, 0, None)]
+    stack: list[tuple[int, float, int, Start]] = [(0, 0.0, 0, pairs.matching.match_r)]
     while stack:
         depth, cost, stage, pm = stack.pop()
         if stage == 0:
@@ -151,13 +149,12 @@ def solve_exact(inst: RapInstance) -> Solution:
             if not pruned(cost):
                 pairs, failing = _scan(work, all_ids - excluded, _unmatched(pm, work, e))
                 if failing is None:
-                    child = pairs.matching
-                    stack.append((depth + 1, cost, 0, (child.match_r, child.match_t)))
+                    stack.append((depth + 1, cost, 0, pairs.matching.match_r))
         elif stage == 1:
             e = order[depth]
             excluded.remove(e)
             degrees.move(e, 0, 1)
-            stack.append((depth, cost, 2, None))
+            stack.append((depth, cost, 2, pm))
             if not pruned(cost + work.costs[e]):
                 stack.append((depth + 1, cost + work.costs[e], 0, pm))
         else:

@@ -21,7 +21,7 @@ class Matching:
     """Pairwise non-adjacent edges; ``perfect`` means every node is covered.
 
     ``max_matching`` also fills ``match_r`` and ``match_t``, the matched
-    edge id at each R and T node, or -1.
+    edge id at each R and T node, or -1; ``match_r`` alone is a ``Start``.
     """
 
     edge_ids: frozenset[int]
@@ -86,29 +86,48 @@ class BipartiteMultigraph:
         return f"BipartiteMultigraph(n_r={self.n_r}, n_t={self.n_t}, m={len(self.edges)})"
 
 
-# a starting matching: the matched edge id at each R and T node, or -1
-Start = tuple[Sequence[int], Sequence[int]]
+# a starting matching: the matched edge id at each R node, or -1
+Start = Sequence[int]
+
+
+def _check_start(g: BipartiteMultigraph, active: frozenset[int], start: Start) -> list[int]:
+    """The T side of ``start``; GraphError unless it is a matching within ``active``."""
+    if len(start) != g.n_r:
+        raise GraphError("start needs one entry per R node")
+    edges, match_t = g.edges, [-1] * g.n_t
+    for r, e in enumerate(start):
+        if e == -1:
+            continue
+        if e not in active:
+            raise GraphError(f"start edge {e} is not allowed")
+        if edges[e][0] != r:
+            raise GraphError(f"start edge {e} does not meet R node {r}")
+        t = edges[e][1]
+        if match_t[t] != -1:
+            raise GraphError(f"start edges {match_t[t]} and {e} share a T node")
+        match_t[t] = e
+    return match_t
 
 
 def _match_arrays(
-    g: BipartiteMultigraph, forbidden: frozenset[int], start: Start | None = None
+    g: BipartiteMultigraph, active: frozenset[int], start: Start | None = None
 ) -> tuple[list[int], list[int]]:
     """Maximum matching by augmenting paths; returns per-node matched edge ids.
 
-    The search starts from ``start`` (empty by default) and roots one
-    augmenting search at each R node it leaves unmatched: a node without an
-    augmenting path keeps none after later augmentations, so the result is
-    maximum whatever the start. R nodes are processed in ascending index
-    and adjacency is scanned in ascending edge id, so the result is
-    deterministic for a fixed input. The depth-first search keeps its path
-    on an explicit stack, so long augmenting paths cannot overflow the
-    interpreter's call stack.
+    Only edges in ``active`` are used. The search starts from ``start``
+    (empty by default) and roots one augmenting search at each R node it
+    leaves unmatched: a node without an augmenting path keeps none after
+    later augmentations, so the result is maximum whatever the start. R
+    nodes are processed in ascending index and adjacency is scanned in
+    ascending edge id, so the result is deterministic for a fixed input.
+    The depth-first search keeps its path on an explicit stack, so long
+    augmenting paths cannot overflow the interpreter's call stack.
     """
     edges, adj_r = g.edges, g.adj_r
     if start is None:
         match_r, match_t = [-1] * g.n_r, [-1] * g.n_t
     else:
-        match_r, match_t = list(start[0]), list(start[1])
+        match_r, match_t = list(start), _check_start(g, active, start)
     # a path re-matches only matched R nodes and its root, so a root matched
     # before its turn was matched by the start
     for root in range(g.n_r):
@@ -125,7 +144,7 @@ def _match_arrays(
                 eid = adj[frame[1]]
                 frame[1] += 1
                 t = edges[eid][1]
-                if eid in forbidden or t in seen:
+                if eid not in active or t in seen:
                     continue
                 seen.add(t)
                 frame[2] = eid
@@ -143,42 +162,17 @@ def _match_arrays(
     return match_r, match_t
 
 
-def _check_start(g: BipartiteMultigraph, forbidden: frozenset[int], start: Start) -> None:
-    """Raise GraphError unless ``start`` is a matching of g avoiding ``forbidden``."""
-    match_r, match_t = start
-    if len(match_r) != g.n_r or len(match_t) != g.n_t:
-        raise GraphError("start needs one entry per node")
-    edges = g.edges
-    expected_t = [-1] * g.n_t
-    for r, e in enumerate(match_r):
-        if e == -1:
-            continue
-        if not (0 <= e < len(edges)) or e in forbidden:
-            raise GraphError(f"start edge {e} is not allowed")
-        if edges[e][0] != r:
-            raise GraphError(f"start edge {e} does not meet R node {r}")
-        if expected_t[edges[e][1]] != -1:
-            raise GraphError(f"start edges {expected_t[edges[e][1]]} and {e} share a T node")
-        expected_t[edges[e][1]] = e
-    if list(match_t) != expected_t:
-        raise GraphError("start's match_t disagrees with its match_r")
-
-
 def max_matching(
-    g: BipartiteMultigraph, forbidden: Iterable[int] = (), start: Start | None = None
+    g: BipartiteMultigraph, active: Iterable[int] | None = None, start: Start | None = None
 ) -> Matching:
-    """Maximum-cardinality matching of ``g`` avoiding every forbidden edge id.
+    """Maximum-cardinality matching within the edge set ``active`` (every edge by default).
 
-    ``start``, a matching of g as the matched edge id at each R and T node
-    (or -1), is grown rather than an empty one; each of its edges must be
-    allowed and sit at the nodes it names, or GraphError is raised.
+    ``start``, a matching within ``active`` as the matched edge id at each
+    R node (or -1), is grown rather than an empty one. An id in ``active``
+    that is not an edge, or a start that is no such matching, raises
+    GraphError.
     """
-    forb = frozenset(forbidden)
-    if forb and (min(forb) < 0 or max(forb) >= len(g.edges)):
-        raise GraphError("forbidden ids must be edges")
-    if start is not None:
-        _check_start(g, forb, start)
-    match_r, match_t = _match_arrays(g, forb, start)
+    match_r, match_t = _match_arrays(g, _active_ids(g, active), start)
     ids = frozenset(match_r) - {-1}
     perfect = g.balanced and len(ids) == g.n_r
     return Matching(ids, perfect, tuple(match_r), tuple(match_t))
@@ -309,7 +303,7 @@ def _scc_of_pairs(arcs: list[list[tuple[int, int]]], match_r: Sequence[int]) -> 
 
 
 def _active_ids(g: BipartiteMultigraph, active: Iterable[int] | None) -> frozenset[int]:
-    """``active`` as a frozenset, every edge by default; each id must be an edge."""
+    """``active`` as a frozenset, every edge by default; the one check that ids are edges."""
     if active is None:
         return frozenset(g.edge_ids())
     act = frozenset(active)
@@ -322,9 +316,9 @@ class PairAnalysis:
     """One maximum matching of an edge set and its matched-pair digraph.
 
     The edge set is ``active`` (every edge by default; an id that is not
-    an edge raises GraphError) on the full node set, kept in ascending
-    order as ``edge_list``. Its ``matching`` is
-    maximum, not necessarily perfect.
+    an edge raises GraphError from ``max_matching``) on the full node set,
+    kept in ascending order as ``edge_list``. Its ``matching`` is maximum,
+    not necessarily perfect.
 
     Each matched (r, t) pair is one vertex, named by its r node.
     ``arcs[r]`` lists, in ascending id, every edge of the set at r whose
@@ -338,12 +332,13 @@ class PairAnalysis:
     its pairs, is one connected component of the allowed subgraph
     (Lovasz-Plummer, *Matching Theory*; Tassa, TCS 2012).
 
-    ``start``, a matching inside the edge set (see ``max_matching``), is
-    grown into the analysis' matching instead of an empty one. When the
-    result is perfect, ``allowed``, the partition of the pairs into
-    components and every fact read from them are the same whichever
-    perfect matching is found; ``matching``, ``arcs`` and the scc ids are
-    not. A start therefore serves readers of the former only.
+    ``start``, a matching within the edge set as the matched edge at each
+    R node (see ``max_matching``), is grown into the analysis' matching
+    instead of an empty one. When the result is perfect, ``allowed``, the
+    partition of the pairs into components and every fact read from them
+    are the same whichever perfect matching is found; ``matching``,
+    ``arcs`` and the scc ids are not. A start therefore serves readers of
+    the former only.
     """
 
     def __init__(
@@ -352,10 +347,10 @@ class PairAnalysis:
         active: Iterable[int] | None = None,
         start: Start | None = None,
     ):
-        act = _active_ids(g, active)
+        act = frozenset(g.edge_ids() if active is None else active)
         self.graph = g
+        self.matching = max_matching(g, act, start)
         self.edge_list = sorted(act)
-        self.matching = max_matching(g, frozenset(g.edge_ids()) - act, start)
         edges, match_r, match_t = g.edges, self.matching.match_r, self.matching.match_t
         self.arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
         for eid in self.edge_list:

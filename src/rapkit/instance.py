@@ -174,17 +174,18 @@ def _scan(
     """Pair analysis of ``active`` and its lowest failing scenario.
 
     ``first_failing_scenario`` states the rule. ``start``, a matching
-    inside ``active``, is grown into the analysis' matching (see
-    ``PairAnalysis``). Given a perfect matching, the verdict, ``allowed``
-    and the components do not depend on which one is found, so callers
-    that read only these may start warm; the exact search starts each
-    exclusion from its parent's perfect matching less the excluded edge,
-    one augmenting search from done. The others stay cold and keep the
-    cold scan order: the verifier, to stay independent of the solvers; the
-    rounding loop, which reads ``arcs`` and the scc ids on selections that
-    are not yet perfect; and ``prune_to_minimal``, through
-    ``first_failing_scenario``, which takes no start. Birkhoff peeling
-    calls ``max_matching`` cold as well, since its terms are the matchings.
+    within ``active`` given by its ``match_r``, is grown into the analysis'
+    matching (see ``PairAnalysis``). Given a perfect matching, the verdict,
+    ``allowed`` and the components do not depend on which one is found, so
+    callers that read only these may start warm; the exact search scans
+    its whole edge set cold once, then starts each exclusion from its
+    parent's perfect matching less the excluded edge, one augmenting
+    search from done. The others stay cold and keep the cold scan order:
+    the verifier, to stay independent of the solvers; the rounding loop,
+    which reads ``arcs`` and the scc ids on selections that are not yet
+    perfect; and ``prune_to_minimal``, through ``first_failing_scenario``,
+    which takes no start. Birkhoff peeling calls ``max_matching`` cold as
+    well, since its terms are the matchings.
     """
     g = inst.graph
     pairs = PairAnalysis(g, active, start)
@@ -207,7 +208,7 @@ def first_failing_scenario(
     edge of X at f's R node lies in a perfect matching (the mandatory-edge
     characterization: Lovasz-Plummer, *Matching Theory*; Tassa, TCS 2012).
     An id in ``active`` that is not an edge raises GraphError("active ids
-    must be edges"), from ``PairAnalysis``, the one check of the ids.
+    must be edges"), from ``max_matching``, the one check of the ids.
     """
     _require_balanced(inst)
     return _scan(inst, active)[1]
@@ -241,7 +242,7 @@ def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
     ids = completion.encode(x.edge_ids)
     pairs, failing = _scan(completion.instance, ids)
     if failing is not None:
-        if max_matching(g, frozenset(g.edge_ids()).difference(ids - {failing})).perfect:
+        if max_matching(g, ids - {failing}).perfect:
             raise AssertionError(f"scenario {failing} reported failing but survives")
         if failing == NOMINAL_SCENARIO:
             raise InfeasibleSolutionError(
@@ -272,7 +273,10 @@ def prune_to_minimal(inst: RapInstance, x: Solution) -> Solution:
 
     Edges are tried in descending cost, ties broken by descending id; an
     edge is dropped when the edges left without it are still feasible.
+    Balanced instances only: an unbalanced one raises InstanceError before
+    ``x`` is verified.
     """
+    _require_balanced(inst)
     verify_solution(inst, x)
     current = set(x.edge_ids)
     for e in sorted(current, key=lambda e: (-inst.costs[e], -e)):

@@ -362,11 +362,10 @@ def test_ear_output_pinned(name, order):
 
 
 def _start_from(g, ids):
-    match_r, match_t = [-1] * g.n_r, [-1] * g.n_t
+    match_r = [-1] * g.n_r
     for e in ids:
-        r, t = g.edges[e]
-        match_r[r] = match_t[t] = e
-    return match_r, match_t
+        match_r[g.edges[e][0]] = e
+    return match_r
 
 
 @pytest.mark.parametrize("order", ["lowest", "random:1"])

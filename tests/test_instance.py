@@ -253,13 +253,14 @@ class TestWarmStart:
         x = picks.draw(st.sets(st.sampled_from(range(len(edges)))) if edges else st.just(set()))
         # any matching inside x: the listed edges that touch no earlier one
         listed = picks.draw(st.lists(st.sampled_from(sorted(x))) if x else st.just([]))
-        match_r, match_t = [-1] * n_r, [-1] * n_t
+        match_r, used_t = [-1] * n_r, set()
         for e in listed:
             r, t = edges[e]
-            if match_r[r] == match_t[t] == -1:
-                match_r[r] = match_t[t] = e
+            if match_r[r] == -1 and t not in used_t:
+                match_r[r] = e
+                used_t.add(t)
         cold, cold_failing = _scan(inst, x)
-        warm, warm_failing = _scan(inst, x, (match_r, match_t))
+        warm, warm_failing = _scan(inst, x, match_r)
         if vulnerable:
             failing = [
                 f
@@ -293,6 +294,12 @@ class TestPruneToMinimal:
         inst = c4_uniform()
         with pytest.raises(InfeasibleSolutionError):
             prune_to_minimal(inst, solution_for(inst, {0, 2}))
+
+    def test_unbalanced_rejected_before_verifying(self):
+        # x is infeasible too, but the instance's shape is refused first
+        inst = make_instance(1, 2, [(0, 0), (0, 1)], [0], [1, 1])
+        with pytest.raises(InstanceError, match="apply balanced_completion first"):
+            prune_to_minimal(inst, solution_for(inst, {0}))
 
     @settings(max_examples=60, deadline=None)
     @given(small_instance())
