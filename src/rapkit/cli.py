@@ -48,7 +48,7 @@ from .reductions import (
 )
 from .rounding import RoundPlan, format_trace, prepare, solve_lp_round
 
-__all__ = ["RunReport", "cmd_bench", "cmd_gen", "cmd_solve", "cmd_verify", "main"]
+__all__ = ["cmd_bench", "cmd_gen", "cmd_solve", "cmd_verify", "main"]
 
 ALGOS = ("lp-round", "ear", "exact")
 
@@ -60,39 +60,6 @@ EXIT_REJECTED = 3
 CSV_COLUMNS = (
     "instance", "algo", "seed", "cost", "lb", "exact", "ratio", "iters", "ms", "error"
 )
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Outcome of a single solver run.
-
-    ``feasible`` always comes from re-verifying the produced solution,
-    never from the solver itself.  ``lower_bound`` is absent when its
-    solve failed, and ``ratio`` when the bound is absent or zero.
-    """
-
-    instance: str
-    algo: str
-    seed: Optional[int]
-    cost: float
-    feasible: bool
-    iterations: Optional[int]
-    lower_bound: Optional[float]
-    ratio: Optional[float] = None
-
-    def line(self) -> str:
-        # wall time deliberately left out: repeated runs must print
-        # byte-identical reports
-        seed = "-" if self.seed is None else str(self.seed)
-        iters = "-" if self.iterations is None else str(self.iterations)
-        lb = "-" if self.lower_bound is None else _num(self.lower_bound)
-        ratio = "-" if self.ratio is None else f"{self.ratio:.4f}"
-        flag = "yes" if self.feasible else "no"
-        return (
-            f"instance={self.instance} algo={self.algo} seed={seed} "
-            f"cost={_num(self.cost)} feasible={flag} iters={iters} "
-            f"lb={lb} ratio={ratio}"
-        )
 
 
 def _num(x: float) -> str:
@@ -176,16 +143,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     lb, error = _attempt(lower_bounds, inst)
     if error is not None:
         print(f"lb: {error}", file=sys.stderr)
-    ratio = sol.cost / lb if lb is not None and lb > 0 else None
-    report = RunReport(
-        instance=_instance_id(args.infile, text),
-        algo=args.algo,
-        seed=seed,
-        cost=sol.cost,
-        feasible=feasible,
-        iterations=iters,
-        lower_bound=lb,
-        ratio=ratio,
+    ratio = f"{sol.cost / lb:.4f}" if lb is not None and lb > 0 else "-"
+    # wall time deliberately left out: repeated runs must print
+    # byte-identical reports
+    report = (
+        f"instance={_instance_id(args.infile, text)} algo={args.algo} "
+        f"seed={'-' if seed is None else seed} cost={_num(sol.cost)} "
+        f"feasible={'yes' if feasible else 'no'} iters={'-' if iters is None else iters} "
+        f"lb={'-' if lb is None else _num(lb)} ratio={ratio}"
     )
 
     try:
@@ -205,7 +170,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except LpError as exc:
         return _fail(_error_text(exc))
 
-    print(report.line())
+    print(report)
     return EXIT_OK if feasible else EXIT_REJECTED
 
 

@@ -12,16 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import (
-    BipartiteMultigraph,
-    GraphError,
-    PairAnalysis,
-    Start,
-)
+from .graph_core import GraphError, PairAnalysis
 from .instance import (
     InstanceError,
     RapInstance,
@@ -116,33 +111,21 @@ def _lex_min_pm(pairs: PairAnalysis) -> tuple[list[int], list[int]]:
 
 
 def ear_decomposition(
-    g: BipartiteMultigraph,
-    component_edges: Optional[Iterable[int]] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    start: Optional[Start] = None,
+    pairs: PairAnalysis, rng: Optional[np.random.Generator] = None
 ) -> EarDecomposition:
-    """Decompose one matching-covered component of g into ears.
+    """Decompose the analysed edge set, one matching-covered component, into ears.
 
-    component_edges restricts attention to a single component (all edges of
-    g by default).  The starting edge is the lowest-numbered edge of the
-    component; each ear is grown depth-first, preferring edges that reach
-    pairs not yet covered, so ears come out long and few.  Choices follow
-    ascending edge ids unless rng is given, which shuffles them instead.
-    ``start``, a matching of g as the matched edge at each R node (see
-    ``max_matching``), seeds the component's matching with its edges inside
-    the component; the ears do not depend on it, since they are read off
-    the least perfect matching.
+    The starting edge is the lowest-numbered edge of the set; each ear is
+    grown depth-first, preferring edges that reach pairs not yet covered,
+    so ears come out long and few.  Choices follow ascending edge ids
+    unless rng is given, which shuffles them instead.  The ears do not
+    depend on the analysis' matching, since they are read off the least
+    perfect matching, so the analysis may have been started warm.
     """
-    if start is not None and component_edges is not None:
-        component_edges = frozenset(component_edges)
-        start = [e if e in component_edges else -1 for e in start]
     # matching-covered: every edge allowed (so every node it touches is
-    # matched) and every pair in one strongly connected component
-    pairs = PairAnalysis(g, component_edges, start)
-    active = pairs.edge_list
-    sccs = {pairs.scc[g.edges[e][0]] for e in active}
-    if not pairs.allowed.issuperset(active) or len(sccs) != 1:
+    # matched) and the pairs in one part
+    g, active = pairs.graph, pairs.edge_list
+    if not pairs.allowed.issuperset(active) or len(pairs.allowed_components()) != 1:
         raise GraphError("component not matching-covered")
 
     match_r, match_t = _lex_min_pm(pairs)
@@ -303,15 +286,17 @@ def solve_ear(
     if failing is not None:
         raise InstanceError("infeasible instance")
     # the components of the allowed subgraph, each matching-covered and
-    # perfectly matched by the whole graph's matching, which starts each
-    # one's analysis; the rest of the whole-graph analysis is dropped first
+    # perfectly matched by the whole graph's matching, whose edges inside
+    # it start its analysis; the rest of the whole-graph analysis is
+    # dropped first
     comps = pairs.allowed_components()
     pm = pairs.matching.match_r
     del pairs
 
     chosen: set[int] = set()
     for comp_edges in comps:
-        dec = ear_decomposition(work.graph, comp_edges, rng, start=pm)
+        start = [e if e in comp_edges else -1 for e in pm]
+        dec = ear_decomposition(PairAnalysis(work.graph, comp_edges, start), rng)
         if trace is not None:
             trace.append(dec)
         kept: set[int] = set(dec.ears[0].edge_ids)

@@ -313,32 +313,32 @@ def _active_ids(g: BipartiteMultigraph, active: Iterable[int] | None) -> frozens
 
 
 class PairAnalysis:
-    """One maximum matching of an edge set and its matched-pair digraph.
+    """One maximum matching of an edge set, and the parts and edges it implies.
 
     The edge set is ``active`` (every edge by default; an id that is not
     an edge raises GraphError from ``max_matching``) on the full node set,
     kept in ascending order as ``edge_list``. Its ``matching`` is maximum,
     not necessarily perfect.
 
-    Each matched (r, t) pair is one vertex, named by its r node.
-    ``arcs[r]`` lists, in ascending id, every edge of the set at r whose
-    two ends are matched, as (edge id, head pair): an edge (r, t) leads to
-    the pair matched at t, so r's matching edge and any edge parallel to it
-    are self-loops. ``scc[r]`` names the strongly connected component of
-    pair r, -1 for an unmatched r. ``allowed`` holds the edges whose arc
-    stays inside one component. On a part of the graph that the matching
-    covers perfectly, these are exactly the edges lying in some perfect
-    matching of that part, and each component, with the allowed edges of
-    its pairs, is one connected component of the allowed subgraph
-    (Lovasz-Plummer, *Matching Theory*; Tassa, TCS 2012).
+    The analysis reads a digraph on the matched (r, t) pairs: an edge
+    (r, t) of the set whose two ends are matched leads from r's pair to
+    the pair matched at t. The parts are its strongly connected classes,
+    each holding the two nodes of every pair in it, plus each unmatched
+    node in a part of its own (``same_part``, ``n_parts``). ``allowed`` holds the
+    edges inside one part, and ``mandatory`` the matching's edges at R
+    nodes with no other allowed edge. On a part of the graph that the
+    matching covers perfectly, ``allowed`` holds exactly the edges lying in
+    some perfect matching of that part, ``mandatory`` the edges lying in
+    every one, and each part, with its allowed edges, is one connected
+    component of the allowed subgraph (Lovasz-Plummer, *Matching Theory*;
+    Tassa, TCS 2012).
 
     ``start``, a matching within the edge set as the matched edge at each
     R node (see ``max_matching``), is grown into the analysis' matching
-    instead of an empty one. When the result is perfect, ``allowed``, the
-    partition of the pairs into components and every fact read from them
-    are the same whichever perfect matching is found; ``matching``,
-    ``arcs`` and the scc ids are not. A start therefore serves readers of
-    the former only.
+    instead of an empty one. When the result is perfect, ``allowed``,
+    ``mandatory``, the parts and every fact read from them are the same
+    whichever perfect matching is found; ``matching`` is not. A start
+    therefore serves readers of the former only.
     """
 
     def __init__(
@@ -351,24 +351,49 @@ class PairAnalysis:
         self.graph = g
         self.matching = max_matching(g, act, start)
         self.edge_list = sorted(act)
+        self._active = act
         edges, match_r, match_t = g.edges, self.matching.match_r, self.matching.match_t
-        self.arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
+        # _arcs[r]: every edge of the set at r whose two ends are matched, in
+        # ascending id, as (edge id, head pair); pairs are named by their r
+        # node, and r's matching edge and its parallels are self-loops.
+        # _scc[r]: the strongly connected class of pair r, -1 for unmatched r
+        self._arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
         for eid in self.edge_list:
             r, t = edges[eid]
             if match_r[r] != -1 and match_t[t] != -1:
-                self.arcs[r].append((eid, edges[match_t[t]][0]))
-        self.scc = scc = _scc_of_pairs(self.arcs, match_r)
+                self._arcs[r].append((eid, edges[match_t[t]][0]))
+        self._scc = scc = _scc_of_pairs(self._arcs, match_r)
         self.allowed = frozenset(
-            [e for r, out in enumerate(self.arcs) for e, h in out if scc[r] == scc[h]]
+            [e for r, out in enumerate(self._arcs) for e, h in out if scc[r] == scc[h]]
         )
 
+    @property
+    def mandatory(self) -> frozenset[int]:
+        """The matching's edges at R nodes with no other allowed edge."""
+        pm, match_r, edges = self.matching.edge_ids, self.matching.match_r, self.graph.edges
+        return pm - {match_r[edges[e][0]] for e in self.allowed - pm}
+
+    def same_part(self, r: int, t: int) -> bool:
+        """Whether R node r and T node t lie in one part."""
+        mate = self.matching.match_t[t]
+        return mate != -1 and self._scc[r] == self._scc[self.graph.edges[mate][0]]
+
+    def n_parts(self) -> int:
+        """The number of parts, each unmatched node counted as one."""
+        scc = self._scc
+        return len(set(scc) - {-1}) + scc.count(-1) + self.matching.match_t.count(-1)
+
+    def edges_at(self, r: int) -> list[int]:
+        """The set's edges at R node r, in ascending id."""
+        return [e for e in self.graph.adj_r[r] if e in self._active]
+
     def allowed_components(self) -> list[frozenset[int]]:
-        """The allowed edges of each component, ordered by lowest r node."""
+        """The allowed edges of each part that holds a pair, ordered by lowest r node."""
         groups: dict[int, set[int]] = {}
-        for r, out in enumerate(self.arcs):
-            if self.scc[r] != -1:
-                group = groups.setdefault(self.scc[r], set())
-                group.update(e for e, head in out if self.scc[head] == self.scc[r])
+        for r, out in enumerate(self._arcs):
+            if self._scc[r] != -1:
+                group = groups.setdefault(self._scc[r], set())
+                group.update(e for e, head in out if self._scc[head] == self._scc[r])
         return [frozenset(group) for group in groups.values()]
 
     def alternating_path(
@@ -376,15 +401,15 @@ class PairAnalysis:
     ) -> list[int] | None:
         """Non-matching edges of a shortest path from pair ``source`` to ``goal``.
 
-        Breadth-first over ``arcs``, scanning each pair's edges in ascending
-        id. Heads are read from ``match_t``, the current matching, so the
-        search stays valid after the matching is swapped along earlier
-        paths. Each pair's own matching edge is skipped, and so is every
-        pair in ``fixed``. With ``source == goal`` the path is an
+        Breadth-first over the pair digraph, scanning each pair's edges in
+        ascending id. Heads are read from ``match_t``, the current matching,
+        so the search stays valid after the matching is swapped along
+        earlier paths. Each pair's own matching edge is skipped, and so is
+        every pair in ``fixed``. With ``source == goal`` the path is an
         alternating cycle through that pair. Edges are listed from the goal
         back to the source; None when there is no path.
         """
-        edges, arcs = self.graph.edges, self.arcs
+        edges, arcs = self.graph.edges, self._arcs
         reached_by = {source: -1}  # pair -> edge that reached it
         queue = deque([source])
         while queue:

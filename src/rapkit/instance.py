@@ -69,6 +69,19 @@ class RapInstance:
         return math.fsum(self.costs[e] for e in edge_ids)
 
 
+def _checked_total(inst: RapInstance) -> RapInstance:
+    # uniformize at most doubles a total, and the exact search adds a bound
+    # of at most the total to a cost, so twice an input's total must be
+    # finite; the instances a solver builds from an input are not checked again
+    try:
+        doubled = 2 * math.fsum(inst.costs)
+    except OverflowError:
+        doubled = math.inf
+    if not math.isfinite(doubled):
+        raise InstanceError("costs must total less than half the largest float")
+    return inst
+
+
 def make_instance(
     n_r: int,
     n_t: int,
@@ -76,11 +89,11 @@ def make_instance(
     vulnerable: Iterable[int],
     costs: Iterable[float],
 ) -> RapInstance:
-    return RapInstance(
+    return _checked_total(RapInstance(
         BipartiteMultigraph(n_r, n_t, edges),
         frozenset(vulnerable),
         tuple(float(c) for c in costs),
-    )
+    ))
 
 
 def uniform_instance(
@@ -88,7 +101,7 @@ def uniform_instance(
 ) -> RapInstance:
     g = BipartiteMultigraph(n_r, n_t, edges)
     cs = tuple(1.0 for _ in g.edges) if costs is None else tuple(map(float, costs))
-    return RapInstance(g, frozenset(g.edge_ids()), cs)
+    return _checked_total(RapInstance(g, frozenset(g.edge_ids()), cs))
 
 
 @dataclass(frozen=True)
@@ -182,19 +195,15 @@ def _scan(
     parent's perfect matching less the excluded edge, one augmenting
     search from done. The others stay cold and keep the cold scan order:
     the verifier, to stay independent of the solvers; the rounding loop,
-    which reads ``arcs`` and the scc ids on selections that are not yet
+    which reads the analysis' parts on selections that are not yet
     perfect; and ``prune_to_minimal``, through ``first_failing_scenario``,
     which takes no start. Birkhoff peeling calls ``max_matching`` cold as
     well, since its terms are the matchings.
     """
-    g = inst.graph
-    pairs = PairAnalysis(g, active, start)
-    pm = pairs.matching
-    if not pm.perfect:
+    pairs = PairAnalysis(inst.graph, active, start)
+    if not pairs.matching.perfect:
         return pairs, min(inst.vulnerable, default=NOMINAL_SCENARIO)
-    spare = {g.edges[e][0] for e in pairs.allowed - pm.edge_ids}
-    at_risk = pm.edge_ids & inst.vulnerable
-    return pairs, min((f for f in at_risk if g.edges[f][0] not in spare), default=None)
+    return pairs, min(pairs.mandatory & inst.vulnerable, default=None)
 
 
 def first_failing_scenario(
@@ -203,10 +212,11 @@ def first_failing_scenario(
     """Lowest scenario under which the edge set X = ``active`` fails, or None.
 
     ``active`` defaults to every edge. With nothing vulnerable the answer is
-    ``NOMINAL_SCENARIO`` when X has no perfect matching. Otherwise, given one
-    perfect matching M of X, f fails exactly when f is in M and no other
-    edge of X at f's R node lies in a perfect matching (the mandatory-edge
-    characterization: Lovasz-Plummer, *Matching Theory*; Tassa, TCS 2012).
+    ``NOMINAL_SCENARIO`` when X has no perfect matching. Otherwise f fails
+    exactly when it lies in every perfect matching of X: given one, M, when
+    f is in M and no other edge of X at f's R node lies in a perfect
+    matching (``PairAnalysis.mandatory``; Lovasz-Plummer, *Matching
+    Theory*; Tassa, TCS 2012).
     An id in ``active`` that is not an edge raises GraphError("active ids
     must be edges"), from ``max_matching``, the one check of the ids.
     """

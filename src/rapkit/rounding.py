@@ -17,8 +17,8 @@ blocks, so the seeds that round one plan share them.
 The loop invariant, checked on every iteration on the oracle analysis
 (``instance._scan``) that finds the next f, is that every edge-bearing
 component of the selection is matching-covered. The components are read
-off that analysis: each edge-bearing one is a strongly connected pair
-component (``PairAnalysis.scc``), and each unmatched node is its own.
+off that analysis: under the invariant they are its parts
+(``PairAnalysis.same_part``, ``n_parts``), the unmatched nodes included.
 
 On multigraphs, when the selected f is an isolated edge and the sampled
 matching covers f's ends with an edge parallel to f, that edge merges
@@ -103,33 +103,25 @@ def rounding_iteration(
 
     ``pairs`` is the oracle's analysis of the current selection. Under the
     loop invariant, a sampled edge (r, t) lies inside one component exactly
-    when r and t are matched and r's pair shares its ``scc`` with the pair
-    matched at t, and f is an isolated edge exactly when ``pairs.arcs``
-    lists f alone at its R node; a sampled edge parallel to it is then kept
-    too (see the module note). ``blocks[f]`` is the relaxation's f-block.
-    Returns the kept edges and the whole sampled matching.
+    when r and t lie in one part of ``pairs``, and f is an isolated edge
+    exactly when it is the selection's only edge at its R node; a sampled
+    edge parallel to it is then kept too (see the module note).
+    ``blocks[f]`` is the relaxation's f-block. Returns the kept edges and
+    the whole sampled matching.
     """
     g = inst.graph
     avoid = None if f == NOMINAL_SCENARIO else f
     matched = sample(birkhoff_decompose(g, avoid, blocks[f]), rng)
 
-    scc, match_t = pairs.scc, pairs.matching.match_t
     rescue_pair = None
-    if avoid is not None and [e for e, _ in pairs.arcs[g.edges[f][0]]] == [f]:
+    if avoid is not None and pairs.edges_at(g.edges[f][0]) == [f]:
         rescue_pair = g.edges[f]
     delta = set()
     for e in matched.edge_ids:
         r, t = g.edges[e]
-        mate = match_t[t]
-        if mate == -1 or scc[r] != scc[g.edges[mate][0]] or (r, t) == rescue_pair:
+        if not pairs.same_part(r, t) or (r, t) == rescue_pair:
             delta.add(e)
     return frozenset(delta), matched.edge_ids
-
-
-def _n_components(pairs: PairAnalysis) -> int:
-    """Components of the selection, isolated nodes included (under the invariant)."""
-    scc = pairs.scc
-    return len(set(scc) - {-1}) + scc.count(-1) + pairs.matching.match_t.count(-1)
 
 
 def prepare(inst: RapInstance) -> RoundPlan:
@@ -170,7 +162,7 @@ def solve_lp_round(
     x_set: frozenset[int] = frozenset()
     records: list[IterationRecord] = []
     pairs, f = _scan(work, x_set)
-    n_comps = _n_components(pairs)
+    n_comps = pairs.n_parts()
     while f is not None:
         if len(records) >= g.n_edges:
             raise RuntimeError("rounding exceeded its iteration bound")
@@ -181,7 +173,7 @@ def solve_lp_round(
         # every selected edge is allowed
         if not x_set <= pairs.allowed:
             raise AssertionError(f"edges {sorted(x_set - pairs.allowed)} break the invariant")
-        before, n_comps = n_comps, _n_components(pairs)
+        before, n_comps = n_comps, pairs.n_parts()
         records.append(IterationRecord(f, sampled, delta, before, n_comps))
         # scenarios up to f were covered; adding edges keeps them so
         if next_f is not None and next_f <= f:

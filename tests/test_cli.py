@@ -325,6 +325,27 @@ class TestSolve:
         assert rc == 1
         assert "costs must be finite" in capsys.readouterr().err
 
+    def test_overflowing_cost_total_exits_1(self, tmp_path, capsys):
+        # each cost is finite, but their total is not: one line, no traceback
+        text = "rap 1\ngraph 1 1\nedge 0 0 1e308 v\nedge 0 0 1e308 v\n"
+        path = write(tmp_path / "huge.txt", text)
+        sol = write(tmp_path / "huge.sol", "solution 2\n0\n1\n")
+        runs = [["solve", "--algo", algo, "--in", path] for algo in ("exact", "ear", "lp-round")]
+        for argv in [*runs, ["verify", path, sol]]:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "costs must total less than half the largest float\n"
+
+    @pytest.mark.parametrize("flags", ["v v", "v i"], ids=["uniform", "mixed"])
+    def test_costs_below_the_total_limit_solve(self, tmp_path, capsys, flags):
+        # twice the total, 1.6e308, is finite; lp-round uniformizes the mixed
+        # one to a total of 1.2e308, which is not checked again
+        first, second = flags.split()
+        text = f"rap 1\ngraph 1 1\nedge 0 0 4e307 {first}\nedge 0 0 4e307 {second}\n"
+        path = write(tmp_path / "big.txt", text)
+        for algo in ("exact", "ear", "lp-round"):
+            assert main(["solve", "--algo", algo, "--in", path]) == 0
+            assert " feasible=yes " in capsys.readouterr().out
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         rc = main(["solve", "--algo", "exact", "--in", str(tmp_path / "none.txt")])
         assert rc == 1

@@ -80,14 +80,14 @@ def check_decomposition(g, comp, dec):
 
 def test_single_edge_component():
     g = BipartiteMultigraph(1, 1, [(0, 0)])
-    dec = ear_decomposition(g)
+    dec = ear_decomposition(PairAnalysis(g))
     assert dec.ears == (Ear((0,), trivial=False),)
     assert dec.edge_set() == {0}
 
 
 def test_four_cycle_decomposition():
     g = BipartiteMultigraph(2, 2, C4_EDGES)
-    dec = ear_decomposition(g)
+    dec = ear_decomposition(PairAnalysis(g))
     assert dec.ears == (
         Ear((0,), trivial=False),
         Ear((1, 2, 3), trivial=False),
@@ -99,7 +99,7 @@ def test_four_cycle_decomposition():
 def test_six_cycle_decomposition():
     edges = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)]
     g = BipartiteMultigraph(3, 3, edges)
-    dec = ear_decomposition(g)
+    dec = ear_decomposition(PairAnalysis(g))
     assert dec.ears == (
         Ear((0,), trivial=False),
         Ear((1, 2, 3, 4, 5), trivial=False),
@@ -108,7 +108,7 @@ def test_six_cycle_decomposition():
 
 def test_parallel_pair_decomposition():
     g = BipartiteMultigraph(1, 1, [(0, 0), (0, 0)])
-    dec = ear_decomposition(g)
+    dec = ear_decomposition(PairAnalysis(g))
     assert dec.ears == (
         Ear((0,), trivial=False),
         Ear((1,), trivial=True),
@@ -120,18 +120,18 @@ def test_not_matching_covered_rejected():
     # path of three edges: middle edge is on no perfect matching
     g = BipartiteMultigraph(2, 2, [(0, 0), (1, 0), (1, 1)])
     with pytest.raises(GraphError, match="not matching-covered"):
-        ear_decomposition(g)
+        ear_decomposition(PairAnalysis(g))
     # two separate components at once are also rejected
     g2 = BipartiteMultigraph(2, 2, [(0, 0), (1, 1)])
     with pytest.raises(GraphError, match="not matching-covered"):
-        ear_decomposition(g2)
+        ear_decomposition(PairAnalysis(g2))
 
 
 def test_gk_decomposition_is_structural():
     for k in (3, 4, 5):
         g = gk_graph(k)
         comp = matching_covered_components(g)[0]
-        dec = ear_decomposition(g)
+        dec = ear_decomposition(PairAnalysis(g))
         check_decomposition(g, comp, dec)
 
 
@@ -139,7 +139,7 @@ def test_random_order_decomposition_is_structural():
     g = gk_graph(3)
     comp = matching_covered_components(g)[0]
     for seed in range(6):
-        dec = ear_decomposition(g, rng=np.random.default_rng(seed))
+        dec = ear_decomposition(PairAnalysis(g), rng=np.random.default_rng(seed))
         check_decomposition(g, comp, dec)
 
 
@@ -232,10 +232,10 @@ def test_parse_ear_order():
 
 def test_format_ears():
     g = BipartiteMultigraph(2, 2, C4_EDGES)
-    text = format_ears(ear_decomposition(g))
+    text = format_ears(ear_decomposition(PairAnalysis(g)))
     assert text == "ear 0 e0\near 1 e1,e2,e3"
     g2 = BipartiteMultigraph(1, 1, [(0, 0), (0, 0)])
-    assert format_ears(ear_decomposition(g2)).splitlines()[1] == "ear 1 e1 trivial"
+    assert format_ears(ear_decomposition(PairAnalysis(g2))).splitlines()[1] == "ear 1 e1 trivial"
 
 
 @settings(max_examples=120, deadline=None)
@@ -266,7 +266,7 @@ def test_decomposition_structure_and_ear_count(data):
     for comp in matching_covered_components(g, active):
         if not comp.edge_ids:
             continue
-        dec = ear_decomposition(g, comp.edge_ids)
+        dec = ear_decomposition(PairAnalysis(g, comp.edge_ids))
         check_decomposition(g, comp, dec)
         assert len(dec.nontrivial()) <= max(len(comp.t_nodes) - 1, 0)
 
@@ -371,10 +371,10 @@ def _start_from(g, ids):
 @pytest.mark.parametrize("order", ["lowest", "random:1"])
 @pytest.mark.parametrize("name", ["gk10", "rand40"])
 def test_decomposition_ignores_the_start(name, order):
-    # solve_ear starts each component from the whole graph's matching M; the
-    # ears must be those of a cold start, and so they are from M swapped
-    # along an alternating cycle, a different perfect matching, and from
-    # M's edges at odd R nodes alone
+    # solve_ear starts each component's analysis from the whole graph's
+    # matching M; the ears must be those of a cold start, and so they are
+    # from M swapped along an alternating cycle, a different perfect
+    # matching, and from M's edges at odd R nodes alone
     inst = _pinned_case(name)
     g = inst.graph
     pairs = PairAnalysis(g)
@@ -382,11 +382,11 @@ def test_decomposition_ignores_the_start(name, order):
     swapped = _cycle_swap(pairs, min(pm))
     assert swapped is not None and swapped != pm
     odd = {e for e in pm if g.edges[e][0] % 2 == 1}
-    starts = [_start_from(g, ids) for ids in (pm, swapped, odd)]
     for comp in pairs.allowed_components():
-        cold = ear_decomposition(g, comp, parse_ear_order(order))
-        for start in starts:
-            assert ear_decomposition(g, comp, parse_ear_order(order), start=start) == cold
+        cold = ear_decomposition(PairAnalysis(g, comp), parse_ear_order(order))
+        for ids in (pm, swapped, odd):
+            warm = PairAnalysis(g, comp, _start_from(g, ids & comp))
+            assert ear_decomposition(warm, parse_ear_order(order)) == cold
     ids = ",".join(map(str, sorted(solve_ear(inst, ear_order=order).edge_ids)))
     assert hashlib.sha256(ids.encode()).hexdigest() == PINNED_EAR_DIGESTS[name, order][0]
 
@@ -407,6 +407,6 @@ def test_long_cycle_needs_full_swap():
     active = frozenset(g.edge_ids())
     match_r, _ = _lex_min_pm(PairAnalysis(g, active))
     assert set(match_r) == b_ids
-    dec = ear_decomposition(g)
+    dec = ear_decomposition(PairAnalysis(g))
     assert len(dec.ears) == 2 and len(dec.ears[1]) == 2 * n - 1
     check_decomposition(g, matching_covered_components(g)[0], dec)

@@ -19,7 +19,6 @@ from rapkit.graph_core import (
     max_flow_min_cut,
     max_matching,
 )
-from rapkit.ear import ear_decomposition
 from rapkit.instance import make_instance, uniformize
 
 # 4-cycle r0-t0-r1-t1-r0, edge ids in cycle order
@@ -255,6 +254,41 @@ class TestMatchingCoveredComponents:
         assert (x <= PairAnalysis(g, x).allowed) == covered
 
 
+class TestPairAnswers:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graph(balanced=True), st.data())
+    def test_mandatory_is_in_every_perfect_matching(self, data, picks):
+        n_r, n_t, edges = data
+        ids = st.sampled_from(range(len(edges))) if edges else st.nothing()
+        x = frozenset(picks.draw(st.sets(ids)))
+        pairs = PairAnalysis(BipartiteMultigraph(n_r, n_t, edges), x)
+        assert pairs.mandatory <= pairs.matching.edge_ids
+        if pairs.matching.perfect:
+            pms = oracles.enumerate_perfect_matchings(n_r, n_t, edges, x)
+            assert pairs.mandatory == frozenset.intersection(*pms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graph(balanced=True), st.integers(0, 2), st.integers(0, 2))
+    def test_parts_are_the_components_of_a_covered_union(self, data, extra_r, extra_t):
+        # the allowed edges of a balanced graph, with empty nodes added on
+        # both sides: matching-covered components and isolated nodes
+        n_r, n_t, edges = data
+        x = oracles.brute_allowed_edges(n_r, n_t, edges)
+        g = BipartiteMultigraph(n_r + extra_r, n_t + extra_t, edges)
+        pairs = PairAnalysis(g, x)
+        comps = components(g, x)
+        assert pairs.n_parts() == len(comps)
+        for r in range(g.n_r):
+            for t in range(g.n_t):
+                shared = any(r in comp_r and t in comp_t for comp_r, comp_t, _ in comps)
+                assert pairs.same_part(r, t) == shared
+
+    def test_edges_at(self):
+        g = BipartiteMultigraph(2, 2, [(0, 0), (1, 0), (0, 1), (0, 0)])
+        pairs = PairAnalysis(g, {0, 1, 3})
+        assert pairs.edges_at(0) == [0, 3] and pairs.edges_at(1) == [1]
+
+
 def _relabel(g: BipartiteMultigraph, comp) -> list[tuple[int, int]]:
     """Component edges re-indexed to local contiguous node ids."""
     rs = {v: i for i, v in enumerate(sorted(comp.r_nodes))}
@@ -280,7 +314,6 @@ class TestComponents:
         max_matching,
         PairAnalysis,
         components,
-        ear_decomposition,
         allowed_edges,
         matching_covered_components,
     ],

@@ -236,12 +236,13 @@ class TestFirstFailingScenario:
 
 
 def _scc_partition(pairs):
-    """The pairs grouped by component, as a set of frozensets of R nodes."""
-    groups = {}
-    for r, c in enumerate(pairs.scc):
-        if c != -1:
-            groups.setdefault(c, set()).add(r)
-    return {frozenset(group) for group in groups.values()}
+    """The matched R nodes grouped by part, as a set of frozensets."""
+    g = pairs.graph
+    return {
+        frozenset(r for r in range(g.n_r) if pairs.same_part(r, g.edges[e][1]))
+        for e in pairs.matching.match_r
+        if e != -1
+    }
 
 
 class TestWarmStart:
@@ -476,6 +477,17 @@ class TestTextFormats:
     def test_rejects_non_finite_cost(self, cost):
         with pytest.raises(InstanceError, match="costs must be finite"):
             make_instance(2, 2, C4_EDGES, [0], [1.0, cost, 1.0, 1.0])
+
+    @pytest.mark.parametrize("costs", [[1e308, 1e308], [1e308, 0.0]], ids=["sum", "double"])
+    def test_rejects_costs_whose_doubled_total_overflows(self, costs):
+        # every cost is finite; the exact total overflows, or twice it does
+        with pytest.raises(InstanceError, match="half the largest float"):
+            make_instance(1, 1, [(0, 0), (0, 0)], [0, 1], costs)
+
+    def test_uniformize_accepts_an_input_below_the_total_limit(self):
+        # the input's doubled total is finite, the copy's is not
+        inst = make_instance(1, 1, [(0, 0), (0, 0)], [0], [4e307, 4e307])
+        assert uniformize(inst).instance.costs == (4e307, 4e307, 4e307)
 
     def test_parse_rejects_bad_endpoint(self):
         with pytest.raises(InstanceError):
