@@ -63,7 +63,11 @@ CSV_COLUMNS = (
 
 
 def _num(x: float) -> str:
-    return f"{int(x)}" if float(x).is_integer() else f"{x:g}"
+    # an integral float prints as an integer while every integer of its
+    # size is a float, and past 2**53 as its shortest round-trip form
+    if not float(x).is_integer():
+        return f"{x:g}"
+    return f"{int(x)}" if abs(x) < 2**53 else repr(float(x))
 
 
 def _fail(message: str) -> int:

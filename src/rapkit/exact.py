@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .graph_core import Start
+from .graph_core import PairAnalysis
 from .instance import (
     InstanceError,
     RapInstance,
     Solution,
     _scan,
+    _scan_without,
     balanced_completion,
     solution_for,
 )
@@ -24,7 +25,7 @@ from .lp import LpError, relax
 
 __all__ = ["ExactError", "lower_bounds", "solve_exact"]
 
-# nodes visited x completed edges; 0.5-2.5 us each (2-core host), so a refusal takes seconds
+# nodes visited x completed edges; 0.2-0.5 us each (2-core host), so a refusal takes seconds
 _WORK_BUDGET = 10_000_000
 
 
@@ -86,16 +87,6 @@ class _Degrees:
         return max(math.fsum(self.needs[: self.n_r]), math.fsum(self.needs[self.n_r :]))
 
 
-def _unmatched(pm: Start, inst: RapInstance, e: int) -> Start:
-    """``pm`` with edge e taken out, or ``pm`` itself when e is not in it."""
-    r = inst.graph.edges[e][0]
-    if pm[r] != e:
-        return pm
-    match_r = list(pm)
-    match_r[r] = -1
-    return match_r
-
-
 def solve_exact(inst: RapInstance) -> Solution:
     """Provably cheapest feasible edge set.
 
@@ -104,7 +95,9 @@ def solve_exact(inst: RapInstance) -> Solution:
     stable.  Unbalanced instances are completed with zero-cost dummy edges
     that are always kept, never branched on and never returned.  A child is
     pruned, before the oracle tests an exclusion, when its cost plus the
-    ``_Degrees`` bound exceeds the best cost by a relative 1e-9.  The search
+    ``_Degrees`` bound exceeds the best cost by a relative 1e-9.  Each frame
+    holds the pair analysis of its edge set, and an exclusion is tested on
+    the child analysis ``_scan_without`` derives from it.  The search
     runs on an explicit stack, and raises ``ExactError`` once its nodes
     times the completed edge count pass ``_WORK_BUDGET``.
     """
@@ -123,17 +116,23 @@ def solve_exact(inst: RapInstance) -> Solution:
     best: Optional[tuple[float, tuple[int, ...]]] = None
     excluded: set[int] = set()
 
+    # an edge outside a frame's allowed set lies in no perfect matching of
+    # any subset, so a robust set holding it stays robust without it; when
+    # its cost exceeds the spacing of floats at the cost total, no sum can
+    # absorb it, the smaller set costs strictly less, and the include
+    # branch holds no optimum (a zero-cost edge can tie and win on ids)
+    spacing = math.ulp(math.fsum(work.costs))
+
     def pruned(cost: float) -> bool:
         bound = degrees.bound()
         return bound is None or (best is not None and cost + bound > best[0] * (1 + 1e-9))
 
-    # (depth, cost, stage, pm) frames, pm a perfect matching of the frame's
-    # edge set as its match_r; a child's subtree ends before its parent's
-    # next stage
+    # (depth, cost, stage, pairs) frames, pairs the analysis of the frame's
+    # edge set; a child's subtree ends before its parent's next stage
     work_done = 0
-    stack: list[tuple[int, float, int, Start]] = [(0, 0.0, 0, pairs.matching.match_r)]
+    stack: list[tuple[int, float, int, PairAnalysis]] = [(0, 0.0, 0, pairs)]
     while stack:
-        depth, cost, stage, pm = stack.pop()
+        depth, cost, stage, pairs = stack.pop()
         if stage == 0:
             work_done += m
             if work_done > _WORK_BUDGET:
@@ -145,18 +144,20 @@ def solve_exact(inst: RapInstance) -> Solution:
             e = order[depth]
             degrees.move(e, 1, 0)
             excluded.add(e)
-            stack.append((depth, cost, 1, pm))
+            stack.append((depth, cost, 1, pairs))
             if not pruned(cost):
-                pairs, failing = _scan(work, all_ids - excluded, _unmatched(pm, work, e))
+                child, failing = _scan_without(work, pairs, e)
                 if failing is None:
-                    stack.append((depth + 1, cost, 0, pairs.matching.match_r))
+                    stack.append((depth + 1, cost, 0, child))
         elif stage == 1:
             e = order[depth]
             excluded.remove(e)
             degrees.move(e, 0, 1)
-            stack.append((depth, cost, 2, pm))
+            stack.append((depth, cost, 2, pairs))
+            if work.costs[e] > spacing and not pairs.same_part(*work.graph.edges[e]):
+                continue
             if not pruned(cost + work.costs[e]):
-                stack.append((depth + 1, cost + work.costs[e], 0, pm))
+                stack.append((depth + 1, cost + work.costs[e], 0, pairs))
         else:
             degrees.move(order[depth], -1, -1)
     assert best is not None

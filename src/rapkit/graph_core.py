@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Collection, Iterable, Sequence
 
 
@@ -256,10 +258,12 @@ def max_flow_min_cut(
         value += step
 
 
-def _scc_of_pairs(arcs: list[list[tuple[int, int]]], match_r: Sequence[int]) -> list[int]:
-    """Strongly connected components of the matched-pair digraph ``arcs``.
+def _scc_of_pairs(arcs: list[list[tuple[int, int]]], roots: Iterable[int]) -> list[int]:
+    """Strongly connected components of the pair digraph ``arcs``.
 
-    Returns scc ids indexed by r, -1 for unmatched r nodes.
+    ``arcs[v]`` lists pair v's arcs as (edge id, head pair). Returns scc ids
+    indexed by pair, numbered from 0 in the order Tarjan closes them, and
+    -1 for pairs not reached from ``roots``.
     """
     n = len(arcs)
     # Tarjan, iterative to keep deep digraphs off the call stack; a visited
@@ -270,8 +274,8 @@ def _scc_of_pairs(arcs: list[list[tuple[int, int]]], match_r: Sequence[int]) -> 
     stack: list[int] = []
     counter = 0
     n_sccs = 0
-    for root in range(n):
-        if index[root] != -1 or match_r[root] == -1:
+    for root in roots:
+        if index[root] != -1:
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -312,6 +316,59 @@ def _active_ids(g: BipartiteMultigraph, active: Iterable[int] | None) -> frozens
     return act
 
 
+def _pair_arcs(
+    g: BipartiteMultigraph, edge_list: list[int], match_r: Sequence[int], match_t: Sequence[int]
+) -> list[list[tuple[int, int]]]:
+    """The pair digraph of ``edge_list`` under a matching, as ``PairAnalysis`` reads it.
+
+    Entry r lists every edge at R node r whose two ends are matched, in
+    ascending id, as (edge id, head pair); pairs are named by their r
+    node, and r's matching edge and its parallels are self-loops.
+    """
+    edges = g.edges
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
+    for eid in edge_list:
+        r, t = edges[eid]
+        if match_r[r] != -1 and match_t[t] != -1:
+            arcs[r].append((eid, edges[match_t[t]][0]))
+    return arcs
+
+
+def _pair_path(
+    out: Sequence[Sequence[int]],
+    edges: Sequence[tuple[int, int]],
+    match_t: Sequence[int],
+    source: int,
+    goal: int,
+) -> list[int] | None:
+    """Non-matching edges of a shortest path from pair ``source`` to ``goal``.
+
+    Breadth-first over ``out[v]``, the edges pair v may leave by, with
+    heads read from ``match_t``; each pair's own matching edge is skipped,
+    so with ``source == goal`` the path is an alternating cycle. Edges are
+    listed from the goal back to the source; None when there is no path.
+    """
+    reached_by = {source: -1}  # pair -> edge that reached it
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for f in out[u]:
+            mate = match_t[edges[f][1]]
+            if mate == f:
+                continue
+            head = edges[mate][0]
+            if head == goal:
+                path = [f]
+                while u != source:
+                    path.append(reached_by[u])
+                    u = edges[path[-1]][0]
+                return path
+            if head not in reached_by:
+                reached_by[head] = f
+                queue.append(head)
+    return None
+
+
 class PairAnalysis:
     """One maximum matching of an edge set, and the parts and edges it implies.
 
@@ -338,7 +395,8 @@ class PairAnalysis:
     instead of an empty one. When the result is perfect, ``allowed``,
     ``mandatory``, the parts and every fact read from them are the same
     whichever perfect matching is found; ``matching`` is not. A start
-    therefore serves readers of the former only.
+    therefore serves readers of the former only. ``without`` derives the
+    analysis of the set less one edge from a perfect analysis.
     """
 
     def __init__(
@@ -352,20 +410,61 @@ class PairAnalysis:
         self.matching = max_matching(g, act, start)
         self.edge_list = sorted(act)
         self._active = act
-        edges, match_r, match_t = g.edges, self.matching.match_r, self.matching.match_t
-        # _arcs[r]: every edge of the set at r whose two ends are matched, in
-        # ascending id, as (edge id, head pair); pairs are named by their r
-        # node, and r's matching edge and its parallels are self-loops.
+        match_r = self.matching.match_r
         # _scc[r]: the strongly connected class of pair r, -1 for unmatched r
-        self._arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
-        for eid in self.edge_list:
-            r, t = edges[eid]
-            if match_r[r] != -1 and match_t[t] != -1:
-                self._arcs[r].append((eid, edges[match_t[t]][0]))
-        self._scc = scc = _scc_of_pairs(self._arcs, match_r)
+        self._arcs = _pair_arcs(g, self.edge_list, match_r, self.matching.match_t)
+        self._scc = scc = _scc_of_pairs(self._arcs, [r for r, e in enumerate(match_r) if e != -1])
         self.allowed = frozenset(
             [e for r, out in enumerate(self._arcs) for e, h in out if scc[r] == scc[h]]
         )
+
+    # An analysis from ``without`` is given _pm, _scc, _allowed_at and
+    # changed, and builds the whole-graph fields (matching, allowed,
+    # edge_list, _active, _arcs) when first read; the constructor above
+    # builds those and derives the former when first read.
+
+    @cached_property
+    def _pm(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The matching's ``match_r`` and ``match_t``."""
+        return self.matching.match_r, self.matching.match_t
+
+    @cached_property
+    def _allowed_at(self) -> list[list[int]]:
+        """The allowed edges at each R node, in ascending id."""
+        scc = self._scc
+        return [[e for e, h in out if scc[h] == scc[r]] for r, out in enumerate(self._arcs)]
+
+    @cached_property
+    def changed(self) -> Sequence[int]:
+        """The R nodes whose allowed edges ``without`` changed; every R node of a cold analysis."""
+        return range(self.graph.n_r)
+
+    @cached_property
+    def matching(self) -> Matching:
+        match_r, match_t = self._pm
+        return Matching(frozenset(match_r), True, tuple(match_r), tuple(match_t))
+
+    @cached_property
+    def allowed(self) -> frozenset[int]:
+        return frozenset(chain.from_iterable(self._allowed_at))
+
+    @cached_property
+    def _active(self) -> frozenset[int]:
+        # the set of the nearest analysis up the chain that holds one, less
+        # the edges removed since
+        removed, node = [], self
+        while "_active" not in vars(node):
+            removed.append(node._removed)
+            node = node._parent
+        return node._active.difference(removed)
+
+    @cached_property
+    def edge_list(self) -> list[int]:
+        return sorted(self._active)
+
+    @cached_property
+    def _arcs(self) -> list[list[tuple[int, int]]]:
+        return _pair_arcs(self.graph, self.edge_list, *self._pm)
 
     @property
     def mandatory(self) -> frozenset[int]:
@@ -373,15 +472,81 @@ class PairAnalysis:
         pm, match_r, edges = self.matching.edge_ids, self.matching.match_r, self.graph.edges
         return pm - {match_r[edges[e][0]] for e in self.allowed - pm}
 
+    def mandatory_at(self, rs: Iterable[int]) -> list[int]:
+        """The matching's edges at the R nodes ``rs`` that have no other allowed edge."""
+        match_r, allowed_at = self._pm[0], self._allowed_at
+        return [match_r[r] for r in rs if len(allowed_at[r]) == 1]
+
     def same_part(self, r: int, t: int) -> bool:
         """Whether R node r and T node t lie in one part."""
-        mate = self.matching.match_t[t]
+        mate = self._pm[1][t]
         return mate != -1 and self._scc[r] == self._scc[self.graph.edges[mate][0]]
 
     def n_parts(self) -> int:
         """The number of parts, each unmatched node counted as one."""
         scc = self._scc
-        return len(set(scc) - {-1}) + scc.count(-1) + self.matching.match_t.count(-1)
+        return len(set(scc) - {-1}) + scc.count(-1) + self._pm[1].count(-1)
+
+    def without(self, e: int) -> PairAnalysis | None:
+        """The analysis of this set less edge e; None when that has no perfect matching.
+
+        This analysis' matching must be perfect (GraphError otherwise). A
+        perfect matching of the set is one of each part, so removing e can
+        only split e's part P: every other part keeps its pairs, matching
+        edges and allowed edges. An e outside ``allowed`` changes nothing,
+        and the result shares every fact of this analysis. An e in the
+        matching is swapped out along an alternating cycle through its pair
+        inside P. P stays one part when e's tail pair still reaches its head
+        pair; otherwise P's pairs alone are re-analysed, over P's allowed
+        edges less e. The R nodes whose allowed edges changed are the
+        result's ``changed``.
+        """
+        g, (match_r, match_t) = self.graph, self._pm
+        if not g.balanced or -1 in match_r:
+            raise GraphError("without needs a perfect matching")
+        edges, scc, old = g.edges, self._scc, self._allowed_at
+        r, t = edges[e]
+        if e not in old[r]:
+            return self._child(e, self._pm, scc, old, ())
+        if match_r[r] == e:
+            cycle = _pair_path(old, edges, match_t, r, r)
+            if cycle is None:
+                return None
+            match_r, match_t = list(match_r), list(match_t)
+            for f in cycle:
+                v, u = edges[f]
+                match_r[v] = match_t[u] = f
+        allowed_at = list(old)
+        allowed_at[r] = [f for f in old[r] if f != e]
+        head = edges[match_t[t]][0]
+        if head == r or _pair_path(allowed_at, edges, match_t, r, head) is not None:
+            return self._child(e, (match_r, match_t), scc, allowed_at, (r,))
+        label = scc[r]
+        part = [v for v, s in enumerate(scc) if s == label]
+        local = {v: i for i, v in enumerate(part)}
+        arcs = [[(f, local[edges[match_t[edges[f][1]]][0]]) for f in allowed_at[v]] for v in part]
+        sub = _scc_of_pairs(arcs, range(len(part)))
+        # P's first sub-part keeps its label, the others take unused ones
+        scc, fresh = list(scc), max(scc)
+        for i, v in enumerate(part):
+            scc[v] = label if sub[i] == 0 else fresh + sub[i]
+            allowed_at[v] = [f for f, h in arcs[i] if sub[h] == sub[i]]
+        changed = [v for v in part if len(allowed_at[v]) < len(old[v])]
+        return self._child(e, (match_r, match_t), scc, allowed_at, changed)
+
+    def _child(
+        self,
+        e: int,
+        pm: tuple[Sequence[int], Sequence[int]],
+        scc: list[int],
+        allowed_at: list[list[int]],
+        changed: Sequence[int],
+    ) -> PairAnalysis:
+        child = object.__new__(PairAnalysis)
+        child.graph, child._parent, child._removed = self.graph, self, e
+        child._pm, child._scc, child._allowed_at = pm, scc, allowed_at
+        child.changed = changed
+        return child
 
     def edges_at(self, r: int) -> list[int]:
         """The set's edges at R node r, in ascending id."""

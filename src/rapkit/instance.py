@@ -16,7 +16,6 @@ from rapkit.graph_core import (
     BipartiteMultigraph,
     GraphError,
     PairAnalysis,
-    Start,
     max_matching,
 )
 
@@ -181,29 +180,41 @@ def check_feasible(inst: RapInstance) -> bool:
     return first_failing_scenario(inst) is None
 
 
-def _scan(
-    inst: RapInstance, active: Iterable[int] | None, start: Start | None = None
-) -> tuple[PairAnalysis, int | None]:
+def _scan(inst: RapInstance, active: Iterable[int] | None) -> tuple[PairAnalysis, int | None]:
     """Pair analysis of ``active`` and its lowest failing scenario.
 
-    ``first_failing_scenario`` states the rule. ``start``, a matching
-    within ``active`` given by its ``match_r``, is grown into the analysis'
-    matching (see ``PairAnalysis``). Given a perfect matching, the verdict,
-    ``allowed`` and the components do not depend on which one is found, so
-    callers that read only these may start warm; the exact search scans
-    its whole edge set cold once, then starts each exclusion from its
-    parent's perfect matching less the excluded edge, one augmenting
-    search from done. The others stay cold and keep the cold scan order:
-    the verifier, to stay independent of the solvers; the rounding loop,
-    which reads the analysis' parts on selections that are not yet
-    perfect; and ``prune_to_minimal``, through ``first_failing_scenario``,
-    which takes no start. Birkhoff peeling calls ``max_matching`` cold as
+    ``first_failing_scenario`` states the rule. The analysis is built cold,
+    from an empty matching, for every caller: the verifier, to stay
+    independent of the solvers; the rounding loop, which reads the
+    analysis' parts on selections that are not yet perfect;
+    ``prune_to_minimal``, through ``first_failing_scenario``; and the exact
+    search, for its whole edge set only, since it tests each exclusion
+    with ``_scan_without``. Birkhoff peeling calls ``max_matching`` cold as
     well, since its terms are the matchings.
     """
-    pairs = PairAnalysis(inst.graph, active, start)
+    pairs = PairAnalysis(inst.graph, active)
     if not pairs.matching.perfect:
         return pairs, min(inst.vulnerable, default=NOMINAL_SCENARIO)
     return pairs, min(pairs.mandatory & inst.vulnerable, default=None)
+
+
+def _scan_without(
+    inst: RapInstance, pairs: PairAnalysis, e: int
+) -> tuple[PairAnalysis | None, int | None]:
+    """``_scan`` of Y less e, from ``pairs``, the analysis of a robust edge set Y.
+
+    Y must have no failing scenario. ``PairAnalysis.without`` re-analyses
+    e's part alone, and the rule is applied to the R nodes whose allowed
+    edges it changed (``changed``) alone: Y has no failing mandatory edge,
+    and an R node with the same allowed edges keeps its mandatory edge,
+    since a node's only allowed edge lies in every perfect matching. The
+    analysis is None when Y less e has no perfect matching.
+    """
+    child = pairs.without(e)
+    if child is None:
+        return None, min(inst.vulnerable, default=NOMINAL_SCENARIO)
+    mandatory = child.mandatory_at(child.changed)
+    return child, min(inst.vulnerable.intersection(mandatory), default=None)
 
 
 def first_failing_scenario(

@@ -20,7 +20,7 @@ import pytest
 import rapkit.cli
 import rapkit.exact
 import rapkit.lp
-from rapkit.cli import main
+from rapkit.cli import _num, main
 from rapkit.ear import solve_ear
 from rapkit.exact import solve_exact
 from rapkit.instance import (
@@ -345,6 +345,17 @@ class TestSolve:
         for algo in ("exact", "ear", "lp-round"):
             assert main(["solve", "--algo", algo, "--in", path]) == 0
             assert " feasible=yes " in capsys.readouterr().out
+
+    def test_huge_integral_costs_print_short(self, tmp_path, capsys):
+        # 8e307 and its bound are integral floats past 2**53: no 308-digit integers
+        text = "rap 1\ngraph 1 1\nedge 0 0 4e307 v\nedge 0 0 4e307 v\n"
+        path = write(tmp_path / "big.txt", text)
+        assert main(["solve", "--algo", "exact", "--in", path]) == 0
+        out = capsys.readouterr().out
+        assert " cost=8e+307 " in out and " lb=8e+307 " in out
+        assert [_num(x) for x in (2.0**53 - 1, 2.0**53, 0.5)] == [
+            "9007199254740991", "9007199254740992.0", "0.5"
+        ]
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         rc = main(["solve", "--algo", "exact", "--in", str(tmp_path / "none.txt")])

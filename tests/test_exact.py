@@ -74,6 +74,18 @@ def test_zero_cost_padding_is_dropped():
     assert sol.cost == 2.0
 
 
+@pytest.mark.parametrize("tiny", [1.0, 8.0])
+def test_absorbed_cost_keeps_its_include_branch(tiny):
+    # edge 0 lies in no perfect matching; its cost 1 vanishes in the sum
+    # 2e16 + 1, so the set holding it ties and wins on ids, while 8 does not
+    edges = [(0, 1), (0, 0), (1, 1)]
+    costs = [tiny, 1e16, 1e16]
+    cost, ids = brute_exact(2, 2, edges, set(), costs)
+    sol = solve_exact(make_instance(2, 2, edges, [], costs))
+    assert (sol.cost, sol.edge_ids) == (cost, ids)
+    assert (0 in ids) == (tiny == 1.0)
+
+
 def test_unbalanced_duplicates_the_column():
     inst = uniform_instance(2, 1, [(0, 0), (1, 0)])
     sol = solve_exact(inst)
@@ -132,23 +144,22 @@ def test_optimum_beyond_26_edges(n, p, seed, optimum):
 
 
 @pytest.mark.parametrize(
-    "inst, scans",
-    [(gk_family(4), 90), (random_instance(10, 10, 0.3, 0.5, (1, 10), seed=1), 252)],
+    "inst, exclusions",
+    [(gk_family(4), 89), (random_instance(10, 10, 0.3, 0.5, (1, 10), seed=1), 229)],
     ids=["gk4", "10x10"],
 )
-def test_oracle_calls_pinned(monkeypatch, inst, scans):
-    # one oracle scan for the whole edge set, then one per exclusion tested,
-    # so this pins the visit order
+def test_oracle_calls_pinned(monkeypatch, inst, exclusions):
+    # one child analysis per exclusion tested, so this pins the visit order
     calls = []
-    real_scan = rapkit.exact._scan
+    real_scan_without = rapkit.exact._scan_without
 
-    def counting_scan(*args):
+    def counting_scan_without(*args):
         calls.append(args)
-        return real_scan(*args)
+        return real_scan_without(*args)
 
-    monkeypatch.setattr(rapkit.exact, "_scan", counting_scan)
+    monkeypatch.setattr(rapkit.exact, "_scan_without", counting_scan_without)
     solve_exact(inst)
-    assert len(calls) == scans
+    assert len(calls) == exclusions
 
 
 def test_determinism():

@@ -13,12 +13,13 @@ import oracles
 from strategies import small_instance
 
 import rapkit.instance
-from rapkit.graph_core import GraphError, matching_covered_components
+from rapkit.graph_core import GraphError, PairAnalysis, matching_covered_components
 from rapkit.instance import (
     NOMINAL_SCENARIO,
     InfeasibleSolutionError,
     InstanceError,
     _scan,
+    _scan_without,
     balanced_completion,
     check_feasible,
     first_failing_scenario,
@@ -245,6 +246,13 @@ def _scc_partition(pairs):
     }
 
 
+def _verdict(inst, pairs):
+    """``_scan``'s rule read from an analysis built elsewhere."""
+    if not pairs.matching.perfect:
+        return min(inst.vulnerable, default=NOMINAL_SCENARIO)
+    return min(pairs.mandatory & inst.vulnerable, default=None)
+
+
 class TestWarmStart:
     @settings(max_examples=200, deadline=None)
     @given(small_instance(max_edges=12), st.data())
@@ -261,7 +269,7 @@ class TestWarmStart:
                 match_r[r] = e
                 used_t.add(t)
         cold, cold_failing = _scan(inst, x)
-        warm, warm_failing = _scan(inst, x, match_r)
+        warm = PairAnalysis(inst.graph, x, match_r)
         if vulnerable:
             failing = [
                 f
@@ -272,11 +280,83 @@ class TestWarmStart:
         else:
             perfect = oracles.max_matching_size(n_r, n_t, edges, x) == n_r
             expected = None if perfect else NOMINAL_SCENARIO
-        assert warm_failing == cold_failing == expected
+        assert _verdict(inst, warm) == cold_failing == expected
         assert len(warm.matching) == len(cold.matching)
         if cold.matching.perfect:
             assert warm.allowed == cold.allowed
             assert _scc_partition(warm) == _scc_partition(cold)
+
+
+def _children_agree_with_cold(inst, y):
+    """Check ``_scan_without`` against a cold ``_scan`` on y less one or two edges.
+
+    y must have no failing scenario. Each edge e of y is removed from y's
+    analysis, and each further edge from the child's when y less e has no
+    failing scenario either. Returns the cases met among the first
+    removals: "matched", "not allowed" and "split".
+    """
+    pairs, failing = _scan(inst, y)
+    assert failing is None
+    cases = set()
+    for e in sorted(y):
+        child, child_failing = _scan_without(inst, pairs, e)
+        cold, cold_failing = _scan(inst, y - {e})
+        assert child_failing == cold_failing
+        assert (child is None) == (not cold.matching.perfect)
+        if e in pairs.matching.edge_ids:
+            cases.add("matched")
+        if e not in pairs.allowed:
+            cases.add("not allowed")
+        if child is None:
+            continue
+        assert child.allowed == cold.allowed
+        assert child.n_parts() == cold.n_parts()
+        assert child.mandatory == cold.mandatory
+        assert child.edge_list == cold.edge_list
+        assert sorted(map(sorted, child.allowed_components())) == sorted(
+            map(sorted, cold.allowed_components())
+        )
+        assert child.matching.perfect and child.matching.edge_ids <= y - {e}
+        if child.n_parts() > pairs.n_parts():
+            cases.add("split")
+        if child_failing is not None:
+            continue
+        for e2 in sorted(y - {e}):
+            grandchild, grandchild_failing = _scan_without(inst, child, e2)
+            cold, cold_failing = _scan(inst, y - {e, e2})
+            assert grandchild_failing == cold_failing
+            if grandchild is not None:
+                assert grandchild.allowed == cold.allowed
+                assert grandchild.n_parts() == cold.n_parts()
+                assert grandchild.edge_list == cold.edge_list
+    return cases
+
+
+class TestScanWithout:
+    def test_cases_agree_with_cold(self):
+        # a 4-cycle, a doubled edge, and edge 6 joining them in no perfect matching
+        edges = [(0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (2, 2), (0, 2)]
+        inst = uniform_instance(3, 3, edges)
+        cases = _children_agree_with_cold(inst, frozenset(range(len(edges))))
+        assert cases == {"matched", "not allowed", "split"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_instance(max_edges=10, balanced=False), st.data())
+    def test_child_agrees_with_cold(self, data, picks):
+        # a robust y between the completion's edge set and a minimal one:
+        # the listed edges are dropped in turn while the rest stays robust
+        work = balanced_completion(make_instance(*data)).instance
+        y = set(work.graph.edge_ids())
+        assume(_scan(work, y)[1] is None)
+        for e in picks.draw(st.lists(st.sampled_from(sorted(y)), unique=True)):
+            if _scan(work, y - {e})[1] is None:
+                y.discard(e)
+        _children_agree_with_cold(work, frozenset(y))
+
+    def test_without_needs_a_perfect_matching(self):
+        pairs = PairAnalysis(uniform_instance(2, 2, [(0, 0), (1, 0)]).graph)
+        with pytest.raises(GraphError, match="perfect matching"):
+            pairs.without(0)
 
 
 class TestPruneToMinimal:
