@@ -1,7 +1,8 @@
 """Command-line front end: generate, solve, verify, and benchmark.
 
 Exit codes: 0 success (for solve: the output re-verified as feasible),
-1 usage or IO problem, or a solver that gave up (``ExactError``,
+1 usage or IO problem (a reader that closes standard output early
+included), or a solver that gave up (``ExactError``,
 ``LpError``), 2 infeasible instance, 3 solution rejected by the
 verifier.  Reports never trust a solver's own feasibility claim; every
 solution is re-checked before being announced.  Instances go to the
@@ -15,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import io
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -241,9 +243,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except InfeasibleSolutionError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_REJECTED
-    for f in sorted(cert.matchings):
+    # scenarios come in ascending id, and each witness is built as it is printed
+    for f, witness in cert.matchings.items():
         name = "nominal" if f == NOMINAL_SCENARIO else f"e{f}"
-        matched = ",".join(f"e{e}" for e in sorted(cert.matchings[f]))
+        matched = ",".join(f"e{e}" for e in sorted(witness))
         print(f"scenario {name}: matching {matched}")
     return EXIT_OK
 
@@ -471,7 +474,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # the reader closed standard output (`rap verify ... | head`): stop
+        # quietly, with stdout on devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -132,35 +132,39 @@ def _match_arrays(
         match_r, match_t = list(start), _check_start(g, active, start)
     # a path re-matches only matched R nodes and its root, so a root matched
     # before its turn was matched by the start
-    for root in range(g.n_r):
-        if match_r[root] != -1:
-            continue
-        seen: set[int] = set()
-        # one frame per R node on the search path:
-        # [node, next adjacency position, edge taken from the node]
-        path = [[root, 0, -1]]
+    roots = [r for r, e in enumerate(match_r) if e == -1]
+    if not roots:
+        return match_r, match_t
+    # out[r]: r's active edges as (edge id, T node) in ascending id, read on
+    # r's first visit; reached[t] == root: t was reached in root's search
+    out: list[list[tuple[int, int]] | None] = [None] * g.n_r
+    reached = [-1] * g.n_t
+    for root in roots:
+        # one frame per R node on the search path: [node, iterator over its
+        # active edges, edge taken from the node]; no search has visited the
+        # root, since searches visit matched R nodes only
+        out[root] = [(e, edges[e][1]) for e in adj_r[root] if e in active]
+        path = [[root, iter(out[root]), -1]]
         while path:
-            frame = path[-1]
-            adj = adj_r[frame[0]]
-            while frame[1] < len(adj):
-                eid = adj[frame[1]]
-                frame[1] += 1
-                t = edges[eid][1]
-                if eid not in active or t in seen:
-                    continue
-                seen.add(t)
-                frame[2] = eid
-                other = match_t[t]
-                if other == -1:
-                    for r, _, e in path:
-                        match_r[r] = e
-                        match_t[edges[e][1]] = e
-                    path.clear()
-                else:
-                    path.append([edges[other][0], 0, -1])
-                break
+            top = path[-1]
+            for eid, t in top[1]:
+                if reached[t] != root:
+                    break
             else:
                 path.pop()
+                continue
+            reached[t] = root
+            top[2] = eid
+            other = match_t[t]
+            if other == -1:
+                for r, _, e in path:
+                    match_r[r] = e
+                    match_t[edges[e][1]] = e
+                break
+            r = edges[other][0]
+            if out[r] is None:
+                out[r] = [(e, edges[e][1]) for e in adj_r[r] if e in active]
+            path.append([r, iter(out[r]), -1])
     return match_r, match_t
 
 
@@ -476,6 +480,10 @@ class PairAnalysis:
         """The matching's edges at the R nodes ``rs`` that have no other allowed edge."""
         match_r, allowed_at = self._pm[0], self._allowed_at
         return [match_r[r] for r in rs if len(allowed_at[r]) == 1]
+
+    def part_labels(self) -> Sequence[int]:
+        """A label at each R node, shared by the pairs of one part; -1 at an unmatched node."""
+        return self._scc
 
     def same_part(self, r: int, t: int) -> bool:
         """Whether R node r and T node t lie in one part."""

@@ -9,8 +9,8 @@ perfect matching (and X itself contains one when no edge is vulnerable).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from rapkit.graph_core import (
     BipartiteMultigraph,
@@ -125,7 +125,10 @@ class Certificate:
     """One perfect matching per vulnerable edge, avoiding that edge.
 
     When the instance has no vulnerable edges the single required matching
-    is stored under ``NOMINAL_SCENARIO``.
+    is stored under ``NOMINAL_SCENARIO``. From ``verify_solution``,
+    ``matchings`` is keyed by the instance's ``scenarios`` and lazy: its
+    length and keys cost nothing, and reading a key builds that scenario's
+    witness, checks it directly and returns it, anew on every read.
     """
 
     matchings: Mapping[int, frozenset[int]]
@@ -244,16 +247,116 @@ def _cycle_swap(pairs: PairAnalysis, f: int) -> frozenset[int] | None:
     return (pm.edge_ids - {pm.match_r[edges[e][0]] for e in cycle}) | set(cycle)
 
 
-def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
-    """Check robust feasibility of ``x`` and return per-scenario witnesses.
+def _perfect(g: BipartiteMultigraph, w: frozenset[int]) -> bool:
+    """Whether the edges ``w`` cover every node of ``g`` once."""
+    ends = [g.edges[e] for e in w]
+    return len({r for r, _ in ends}) == len({t for _, t in ends}) == len(ends) == g.n_r
 
-    A scenario outside the oracle's perfect matching M is witnessed by M,
+
+def _reaches_all(arcs: list[list[int]], roots: Iterable[int]) -> bool:
+    """Whether searches along ``arcs`` from ``roots`` reach every node."""
+    seen = [False] * len(arcs)
+    stack = list(roots)
+    for v in stack:
+        seen[v] = True
+    while stack:
+        for w in arcs[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return all(seen)
+
+
+def _check_certificate(
+    g: BipartiteMultigraph, x: frozenset[int], pairs: PairAnalysis, vulnerable: frozenset[int]
+) -> None:
+    """Confirm that the analysis of X = ``x`` proves X robust, in O(n + m).
+
+    The analysis' matching M must be perfect inside X; each of its parts,
+    as labelled by ``part_labels``, strongly connected in X's pair digraph
+    under M, built here from X and M alone; and every vulnerable f in M
+    must have another edge of X at its R node whose head pair lies in its
+    part. Then M and a path back through that part, an alternating cycle
+    through f, give a perfect matching of X less f for every scenario
+    (Lovasz-Plummer, *Matching Theory*). A label that merges two parts
+    fails here; one that splits a part can only fail a robust X.
+    """
+    pm = pairs.matching.edge_ids
+    if not pm <= x or not _perfect(g, pm):
+        raise AssertionError("no valid witness: the matching is not perfect inside the solution")
+    edges, label = g.edges, pairs.part_labels()
+    head = [0] * g.n_t  # head[t]: the pair matched at t, named by its R node
+    for e in pm:
+        r, t = edges[e]
+        head[t] = r
+    # the pair digraph's arcs that stay inside one labelled part, and the same reversed
+    inside: list[list[int]] = [[] for _ in range(g.n_r)]
+    reverse: list[list[int]] = [[] for _ in range(g.n_r)]
+    for e in x:
+        r, t = edges[e]
+        h = head[t]
+        if label[h] == label[r]:
+            inside[r].append(h)
+            reverse[h].append(r)
+    roots = {label[r]: r for r in range(g.n_r)}.values()  # one pair of each part
+    if not (_reaches_all(inside, roots) and _reaches_all(reverse, roots)):
+        raise AssertionError("a labelled part is not strongly connected")
+    for f in vulnerable & pm:
+        r = edges[f][0]
+        if not any(e != f and e in x and label[head[edges[e][1]]] == label[r] for e in g.adj_r[r]):
+            raise AssertionError(f"scenario {f} has no other edge inside its part")
+
+
+class _Witnesses(Mapping[int, frozenset[int]]):
+    """Per-scenario witnesses of a robust set X, each built when read.
+
+    A scenario outside the analysis' perfect matching M is witnessed by M,
     one inside M by M swapped along an alternating cycle through it. Each
-    witness is checked directly, and a failing scenario is confirmed by a
-    direct matching on ``x`` minus that edge, before either is reported.
-    An unbalanced instance is checked on its balanced completion, with
-    every dummy edge added to ``x``; the witnesses are returned in
-    ``inst``'s edge ids, and scenario ids are the same in both.
+    witness is checked directly (it avoids f, lies in X and is perfect)
+    and is returned in the original instance's edge ids.
+    """
+
+    def __init__(
+        self,
+        scenarios: Iterable[int],
+        completion: InstanceMapping,
+        pairs: PairAnalysis,
+        x: frozenset[int],
+    ):
+        self._keys = dict.fromkeys(scenarios)
+        self._completion, self._pairs, self._x = completion, pairs, x
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._keys)
+
+    def __contains__(self, f: object) -> bool:
+        return f in self._keys
+
+    def __getitem__(self, f: int) -> frozenset[int]:
+        if f not in self._keys:
+            raise KeyError(f)
+        pm = self._pairs.matching.edge_ids
+        w = _cycle_swap(self._pairs, f) if f in pm else pm
+        g = self._completion.instance.graph
+        if w is None or f in w or not w <= self._x or not _perfect(g, w):
+            raise AssertionError(f"no valid witness for scenario {f}")
+        return self._completion.decode(w)
+
+
+def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
+    """Check robust feasibility of ``x`` and return its certificate.
+
+    The verdict is the oracle's (``_scan``). A failing scenario is
+    confirmed by a direct matching on ``x`` minus that edge before it is
+    reported; a pass, by ``_check_certificate``, in O(n + m) and without
+    the oracle's strongly-connected-components code. The certificate's
+    witnesses are built and checked directly only when read (see
+    ``Certificate``). An unbalanced instance is checked on its balanced
+    completion, with every dummy edge added to ``x``; the witnesses are
+    returned in ``inst``'s edge ids, and scenario ids are the same in both.
     """
     for e in x.edge_ids:
         if not (0 <= e < inst.graph.n_edges):
@@ -270,18 +373,8 @@ def verify_solution(inst: RapInstance, x: Solution) -> Certificate:
                 "infeasible: no perfect matching in solution", NOMINAL_SCENARIO
             )
         raise InfeasibleSolutionError(f"infeasible at scenario e{failing}", failing)
-    pm = pairs.matching.edge_ids
-    matchings = {f: _cycle_swap(pairs, f) if f in pm else pm for f in inst.scenarios}
-    for f, w in matchings.items():
-        if w is None or f in w:
-            raise AssertionError(f"no valid witness for scenario {f}")
-    # M witnesses every scenario outside it, so each distinct witness is checked once
-    for w, f in {w: f for f, w in matchings.items()}.items():
-        ends = [g.edges[e] for e in w]
-        perfect = len({r for r, _ in ends}) == len({t for _, t in ends}) == len(ends) == g.n_r
-        if not w <= ids or not perfect:
-            raise AssertionError(f"no valid witness for scenario {f}")
-    return Certificate({f: completion.decode(w) for f, w in matchings.items()})
+    _check_certificate(g, ids, pairs, inst.vulnerable)
+    return Certificate(_Witnesses(inst.scenarios, completion, pairs, ids))
 
 
 def is_feasible_set(inst: RapInstance, edge_ids: Iterable[int]) -> bool:

@@ -4,7 +4,9 @@ Everything here is deliberately written by enumeration, independent of the
 library's algorithms, so the two can disagree when one of them is wrong.
 Only small inputs are ever passed in. The exceptions are the paper's
 k-block relaxation, written from its definition as input for the library's
-simplex and HiGHS, and an exact MILP on it that reaches 20 x 20 instances.
+simplex and HiGHS, an exact MILP on it that reaches 20 x 20 instances, and
+``kuhn_match_arrays``, the library's earlier Kuhn routine kept as written,
+which pins the scan order of ``graph_core._match_arrays``.
 """
 
 from __future__ import annotations
@@ -67,6 +69,52 @@ def max_matching_size(
         return top
 
     return best(0, 0)
+
+
+def kuhn_match_arrays(g, active: frozenset[int], start=None) -> tuple[list[int], list[int]]:
+    """``graph_core._match_arrays`` as it was before its adjacency lists were
+    read once per node: a set test of ``active`` on every adjacency entry
+    and a fresh ``seen`` set per root. The matching it finds is the one the
+    library must keep finding."""
+    from rapkit.graph_core import _check_start
+
+    edges, adj_r = g.edges, g.adj_r
+    if start is None:
+        match_r, match_t = [-1] * g.n_r, [-1] * g.n_t
+    else:
+        match_r, match_t = list(start), _check_start(g, active, start)
+    # a path re-matches only matched R nodes and its root, so a root matched
+    # before its turn was matched by the start
+    for root in range(g.n_r):
+        if match_r[root] != -1:
+            continue
+        seen: set[int] = set()
+        # one frame per R node on the search path:
+        # [node, next adjacency position, edge taken from the node]
+        path = [[root, 0, -1]]
+        while path:
+            frame = path[-1]
+            adj = adj_r[frame[0]]
+            while frame[1] < len(adj):
+                eid = adj[frame[1]]
+                frame[1] += 1
+                t = edges[eid][1]
+                if eid not in active or t in seen:
+                    continue
+                seen.add(t)
+                frame[2] = eid
+                other = match_t[t]
+                if other == -1:
+                    for r, _, e in path:
+                        match_r[r] = e
+                        match_t[edges[e][1]] = e
+                    path.clear()
+                else:
+                    path.append([edges[other][0], 0, -1])
+                break
+            else:
+                path.pop()
+    return match_r, match_t
 
 
 def brute_has_pm_avoiding(

@@ -16,6 +16,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from test_instance import regular_instance
 
 import rapkit.cli
 import rapkit.exact
@@ -511,6 +512,24 @@ class TestVerify:
         assert main(["verify", path, sol]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_DIGESTS[name]
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # `rap verify ... | head -n 1`: the reader leaves after one line of
+        # about 1 MB of output; no traceback, nothing on stderr
+        inst = regular_instance(200)
+        path = write(tmp_path / "reg.txt", format_instance(inst))
+        sol = write(tmp_path / "reg.sol", format_solution(range(inst.graph.n_edges)))
+        src = str(Path(rapkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys\nfrom rapkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "verify", path, sol],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"scenario e0: matching e")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
     def test_unbalanced_non_edge_ids_exit_1(self, tmp_path, capsys):
         inst = make_instance(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)], [], [2, 1, 1, 0, 0])

@@ -13,6 +13,7 @@ from rapkit.graph_core import (
     BipartiteMultigraph,
     GraphError,
     PairAnalysis,
+    _match_arrays,
     allowed_edges,
     components,
     matching_covered_components,
@@ -115,6 +116,20 @@ class TestMaxMatching:
         assert len(max_matching(g)) == oracles.max_matching_size(n_r, n_t, edges)
         x = picks.draw(st.sets(st.sampled_from(range(len(edges)))) if edges else st.just(set()))
         assert len(max_matching(g, x)) == oracles.max_matching_size(n_r, n_t, edges, x)
+
+    @settings(max_examples=150)
+    @given(small_graph(max_side=7, max_edges=24), st.data())
+    def test_same_matching_as_reference_kuhn(self, data, picks):
+        # the scan order is pinned: cold, and warm from a matching of part of
+        # the set, the routine finds the reference copy's matching
+        n_r, n_t, edges = data
+        g = BipartiteMultigraph(n_r, n_t, edges)
+        every = frozenset(range(len(edges)))
+        x = frozenset(picks.draw(st.sets(st.sampled_from(sorted(every)))) if edges else ())
+        part = frozenset(picks.draw(st.sets(st.sampled_from(sorted(x)))) if x else ())
+        start = oracles.kuhn_match_arrays(g, part)[0]
+        for act, begin in [(every, None), (x, None), (x, start)]:
+            assert _match_arrays(g, act, begin) == oracles.kuhn_match_arrays(g, act, begin)
 
 
 class TestHasPmAvoiding:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 
 import pytest
@@ -41,6 +42,19 @@ C4_EDGES = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 def c4_uniform():
     return uniform_instance(2, 2, C4_EDGES)
+
+
+def regular_instance(n: int, seed: int = 1):
+    """The union of three seeded random permutations: 3-regular, every edge
+    vulnerable, unit costs. Its edges split into three perfect matchings,
+    so the whole edge set is robust."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges += enumerate(perm)
+    return uniform_instance(n, n, edges)
 
 
 class TestCheckFeasible:
@@ -127,14 +141,78 @@ class TestVerifySolution:
             return pairs, failing
 
         if fault == "m_short":
-            # nothing vulnerable: M is the one witness, and it misses a node
+            # nothing vulnerable: M is the one witness, and it misses a node;
+            # the certificate check refuses it before any witness is read
             inst = make_instance(2, 2, C4_EDGES, [], [1.0] * 4)
             x = solution_for(inst, range(4))
             monkeypatch.setattr(rapkit.instance, "_scan", bad_scan)
-        else:
-            monkeypatch.setattr(rapkit.instance, "_cycle_swap", bad_swap)
+            with pytest.raises(AssertionError, match="no valid witness"):
+                verify_solution(inst, x)
+            return
+        monkeypatch.setattr(rapkit.instance, "_cycle_swap", bad_swap)
+        # a witness is built, and checked, when it is read
+        cert = verify_solution(inst, x)
         with pytest.raises(AssertionError, match="no valid witness"):
+            cert.matchings[1]
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("merged_labels", "not strongly connected"),
+            ("arc_outside_x", "not strongly connected"),
+            ("split_labels", "no other edge inside its part"),
+        ],
+    )
+    def test_bad_analysis_raises(self, monkeypatch, fault, message):
+        # two disjoint C4s, robust; e8 = (r0, t2) and e9 = (r2, t0) join them
+        # into one part of the analysis only when both are in the set
+        edges = [*C4_EDGES, *[(r + 2, t + 2) for r, t in C4_EDGES], (0, 2), (2, 0)]
+        inst = uniform_instance(4, 4, edges)
+        x = solution_for(inst, [*range(8), 9] if fault == "arc_outside_x" else range(8))
+        verify_solution(inst, x)
+        real_scan = rapkit.instance._scan
+
+        def bad_scan(work, active):
+            if fault == "arc_outside_x":
+                # the analysis of x plus e8: one part, whose arc r0 -> r3 x lacks
+                pairs, failing = real_scan(work, set(active) | {8})
+                assert len(set(pairs.part_labels())) == 1
+                return pairs, failing
+            pairs, failing = real_scan(work, active)
+            labels = list(pairs.part_labels())
+            if fault == "merged_labels":
+                pairs._scc = [labels[0]] * 4
+            else:
+                # r1 in a part of its own: it holds no edge back to r0's C4
+                pairs._scc = [labels[0], max(labels) + 1, labels[2], labels[3]]
+            return pairs, failing
+
+        monkeypatch.setattr(rapkit.instance, "_scan", bad_scan)
+        with pytest.raises(AssertionError, match=message):
             verify_solution(inst, x)
+
+    def test_witnesses_are_built_when_read(self, monkeypatch):
+        inst = regular_instance(2000)
+        searches = []
+        real_path = PairAnalysis.alternating_path
+
+        def counted(pairs, *args):
+            searches.append(args)
+            return real_path(pairs, *args)
+
+        monkeypatch.setattr(PairAnalysis, "alternating_path", counted)
+        cert = verify_solution(inst, solution_for(inst, range(6000)))
+        assert searches == [] and len(cert.matchings) == 6000
+        assert list(cert.matchings) == list(range(6000)) and 5999 in cert.matchings
+        assert 6000 not in cert.matchings and searches == []
+        m = _scan(inst, None)[0].matching.edge_ids
+        inside, outside = min(m), min(set(range(6000)) - m)
+        # one read, one witness: a cycle search for a scenario in M, none outside it
+        assert cert.matchings[outside] == m and searches == []
+        w = cert.matchings[inside]
+        assert len(searches) == 1 and inside not in w and len(w) == 2000
+        with pytest.raises(KeyError):
+            cert.matchings[6000]
 
     @settings(max_examples=100)
     @given(small_instance())
