@@ -25,7 +25,7 @@ from .lp import LpError, relax
 
 __all__ = ["ExactError", "lower_bounds", "solve_exact"]
 
-# nodes visited x completed edges; 0.2-0.5 us each (2-core host), so a refusal takes seconds
+# nodes visited x completed edges; 0.08-0.2 us each (2-core host), so a refusal takes up to 2 s
 _WORK_BUDGET = 10_000_000
 
 
@@ -39,28 +39,50 @@ class _Degrees:
     A robust set holds at each node one invulnerable edge or two edges (one
     edge when nothing is vulnerable), so an invulnerable edge weighs 2, a
     vulnerable one 1, and a node needs 2.  A node's undecided edges are a
-    suffix of its list in search order, cheapest last.  ``needs[v]`` is the
-    cheapest completion at v, None when v cannot be completed.
+    suffix of its list in search order, cheapest last, so its need (the
+    cheapest completion, None when there is none) is a lookup computed once,
+    ``table[v][min(held, 2)][seen]``.  The table counts in units of
+    ``1 / scale``, the finest power of two among the needs, so each side's
+    running sum is exact and ``bound`` rounds it once, as ``math.fsum`` over
+    the needs would.  An unmet node adds ``unmet``, more than any side's sum
+    of met needs.
     """
 
     def __init__(self, inst: RapInstance, order: list[int], fixed: frozenset[int]):
         g = inst.graph
         nodes = range(g.n_r + g.n_t)
-        self.n_r, self.costs = g.n_r, inst.costs
+        self.costs = inst.costs
         self.ends = [(r, g.n_r + t) for r, t in g.edges]
         self.weight = [1 if e in inst.vulnerable else 2 for e in range(g.n_edges)]
-        self.lists = [[e for e in order if v in self.ends[e]] for v in nodes]
+        self.lists: list[list[int]] = [[] for _ in nodes]
+        self.seen, self.held = [0] * len(nodes), [0] * len(nodes)
+        for e in order:
+            for v in self.ends[e]:
+                self.lists[v].append(e)
+        for e in fixed:
+            for v in self.ends[e]:
+                self.held[v] += self.weight[e]
         # position of each node's last (cheapest) invulnerable edge, -1 if none
         self.heavy = [
             max((i for i, e in enumerate(lst) if self.weight[e] == 2), default=-1)
             for lst in self.lists
         ]
-        self.seen = [0] * len(nodes)
-        self.held = [sum(self.weight[e] for e in fixed if v in self.ends[e]) for v in nodes]
-        self.needs = [self._need(v) for v in nodes]
+        floats = [
+            [[self._need(v, held, seen) for seen in range(len(lst) + 1)] for held in range(3)]
+            for v, lst in enumerate(self.lists)
+        ]
+        ratios = {
+            x: x.as_integer_ratio() for rows in floats for row in rows for x in row if x is not None
+        }
+        self.scale = max((den for _, den in ratios.values()), default=1)
+        whole = {x: num * (self.scale // den) for x, (num, den) in ratios.items()}
+        whole[None] = self.unmet = 1 + len(nodes) * max(whole.values(), default=0)
+        self.table = [[[whole[x] for x in row] for row in rows] for rows in floats]
+        self.needs = [self.table[v][min(self.held[v], 2)][0] for v in nodes]
+        self.side = [0] * g.n_r + [1] * g.n_t
+        self.sums = [sum(self.needs[: g.n_r]), sum(self.needs[g.n_r :])]
 
-    def _need(self, v: int) -> Optional[float]:
-        held, seen = self.held[v], self.seen[v]
+    def _need(self, v: int, held: int, seen: int) -> Optional[float]:
         if held >= 2:
             return 0.0
         edges, costs = self.lists[v], self.costs
@@ -74,17 +96,20 @@ class _Degrees:
         return two if one is None else min(one, two)
 
     def move(self, e: int, seen: int, held: int) -> None:
-        """Shift e's decided and held counts and rework its two ends' needs."""
+        """Shift e's decided and held counts and update its two ends' needs."""
+        held *= self.weight[e]
+        sums, needs, side = self.sums, self.needs, self.side
         for v in self.ends[e]:
-            self.seen[v] += seen
-            self.held[v] += held * self.weight[e]
-            self.needs[v] = self._need(v)
+            s = self.seen[v] = self.seen[v] + seen
+            h = self.held[v] = self.held[v] + held
+            need = self.table[v][h if h < 2 else 2][s]
+            sums[side[v]] += need - needs[v]
+            needs[v] = need
 
     def bound(self) -> Optional[float]:
         """The larger side's sum of needs, None when a node cannot be met."""
-        if None in self.needs:
-            return None
-        return max(math.fsum(self.needs[: self.n_r]), math.fsum(self.needs[self.n_r :]))
+        most = max(self.sums)
+        return None if most >= self.unmet else most / self.scale
 
 
 def solve_exact(inst: RapInstance) -> Solution:
@@ -110,10 +135,12 @@ def solve_exact(inst: RapInstance) -> Solution:
 
     all_ids = frozenset(range(m))
     fixed = completion.always_include
-    order = sorted(all_ids - fixed, key=lambda e: (-work.costs[e], e))
+    costs, edges = work.costs, work.graph.edges
+    order = sorted(all_ids - fixed, key=lambda e: (-costs[e], e))
     degrees = _Degrees(work, order, fixed)
 
     best: Optional[tuple[float, tuple[int, ...]]] = None
+    limit = math.inf  # the best cost found plus a relative 1e-9
     excluded: set[int] = set()
 
     # an edge outside a frame's allowed set lies in no perfect matching of
@@ -121,11 +148,11 @@ def solve_exact(inst: RapInstance) -> Solution:
     # its cost exceeds the spacing of floats at the cost total, no sum can
     # absorb it, the smaller set costs strictly less, and the include
     # branch holds no optimum (a zero-cost edge can tie and win on ids)
-    spacing = math.ulp(math.fsum(work.costs))
+    spacing = math.ulp(math.fsum(costs))
 
     def pruned(cost: float) -> bool:
         bound = degrees.bound()
-        return bound is None or (best is not None and cost + bound > best[0] * (1 + 1e-9))
+        return bound is None or cost + bound > limit
 
     # (depth, cost, stage, pairs) frames, pairs the analysis of the frame's
     # edge set; a child's subtree ends before its parent's next stage
@@ -140,6 +167,7 @@ def solve_exact(inst: RapInstance) -> Solution:
             if depth == len(order):
                 ids = tuple(sorted(all_ids - fixed - excluded))
                 best = min(best or (math.inf, ()), (work.cost_of(ids), ids))
+                limit = best[0] * (1 + 1e-9)
                 continue
             e = order[depth]
             degrees.move(e, 1, 0)
@@ -154,10 +182,10 @@ def solve_exact(inst: RapInstance) -> Solution:
             excluded.remove(e)
             degrees.move(e, 0, 1)
             stack.append((depth, cost, 2, pairs))
-            if work.costs[e] > spacing and not pairs.same_part(*work.graph.edges[e]):
+            if costs[e] > spacing and not pairs.same_part(*edges[e]):
                 continue
-            if not pruned(cost + work.costs[e]):
-                stack.append((depth + 1, cost + work.costs[e], 0, pairs))
+            if not pruned(cost + costs[e]):
+                stack.append((depth + 1, cost + costs[e], 0, pairs))
         else:
             degrees.move(order[depth], -1, -1)
     assert best is not None

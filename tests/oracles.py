@@ -213,6 +213,42 @@ def brute_exact(
     return best[0], frozenset(best[1])
 
 
+def degree_bound(
+    n_r: int,
+    n_t: int,
+    edges: list[tuple[int, int]],
+    vulnerable: set[int],
+    costs: list[float],
+    kept: set[int],
+    undecided: set[int],
+) -> float | None:
+    """The larger side's ``math.fsum`` of per-node needs, None if one is unmet.
+
+    A node is met by one invulnerable edge or by two edges. A node met by
+    the ``kept`` edges needs 0; otherwise its need is the cheapest one or
+    two ``undecided`` edges at it that meet it together with the kept ones
+    (two costs summed with ``+``), or None when none do.
+    """
+
+    def met(at: list[int]) -> bool:
+        return len(at) >= 2 or any(e not in vulnerable for e in at)
+
+    needs = []
+    for v in range(n_r + n_t):
+        at = [e for e, (r, t) in enumerate(edges) if v in (r, n_r + t)]
+        held = [e for e in at if e in kept]
+        free = [e for e in at if e in undecided]
+        if met(held):
+            needs.append(0.0)
+            continue
+        options = [costs[e] for e in free if met(held + [e])]
+        options += [costs[a] + costs[b] for a, b in combinations(free, 2)]
+        needs.append(min(options, default=None))
+    if None in needs:
+        return None
+    return max(math.fsum(needs[:n_r]), math.fsum(needs[n_r:]))
+
+
 def brute_exact_unbalanced(
     n_r: int,
     n_t: int,

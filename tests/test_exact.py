@@ -18,7 +18,13 @@ from rapkit.instance import (
 )
 from rapkit.lp import LpError, relax, solve_lp
 
-from oracles import brute_exact, brute_exact_unbalanced, k_block_lp, min_cost_pm_value
+from oracles import (
+    brute_exact,
+    brute_exact_unbalanced,
+    degree_bound,
+    k_block_lp,
+    min_cost_pm_value,
+)
 from strategies import small_graph, small_instance
 from test_graph_core import C4_EDGES, gk_graph
 
@@ -353,3 +359,39 @@ def test_degree_bound_and_optimum_on_fractional_costs(data):
     sol = solve_exact(inst)
     assert sol.edge_ids == oracle[1]
     assert sol.cost == pytest.approx(oracle[0], rel=1e-12, abs=1e-12)
+
+
+# costs whose binary exponents lie far apart, so that a float running sum
+# of the needs loses digits that a correctly rounded sum keeps
+SPREAD_COST = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 7.0, 1e-300, 3e-5, 1e16, 4e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instance(max_edges=12, cost=SPREAD_COST), st.data())
+def test_degree_bound_equals_the_reference_along_a_search_walk(data, walk):
+    # a random depth-first walk of the search's moves: exclude an edge,
+    # then include it, then undo it; the bound must equal the reference's
+    # to the bit after every move
+    n_r, n_t, edges, vulnerable, costs = data
+    inst = make_instance(n_r, n_t, edges, vulnerable=vulnerable, costs=costs)
+    ids = range(len(edges))
+    fixed = frozenset(walk.draw(st.sets(st.sampled_from(ids)) if edges else st.just(set())))
+    order = sorted(set(ids) - fixed, key=lambda e: (-costs[e], e))
+    degrees = _Degrees(inst, order, fixed)
+    included: list[bool] = []  # per decided edge, in order
+    for deeper in walk.draw(st.lists(st.booleans(), max_size=40)):
+        depth = len(included)
+        if deeper and depth < len(order):
+            degrees.move(order[depth], 1, 0)
+            included.append(False)
+        elif included and not included[-1]:
+            degrees.move(order[depth - 1], 0, 1)
+            included[-1] = True
+        elif included:
+            degrees.move(order[depth - 1], -1, -1)
+            included.pop()
+        kept = fixed | {e for e, inc in zip(order, included) if inc}
+        undecided = set(order[len(included) :])
+        assert degrees.bound() == degree_bound(
+            n_r, n_t, edges, vulnerable, costs, kept, undecided
+        )
