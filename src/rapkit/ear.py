@@ -83,14 +83,15 @@ def _lex_min_pm(pairs: PairAnalysis) -> tuple[list[int], list[int]]:
     set leaves a node uncovered.
 
     The analysis' matching M must be perfect on the nodes the edge set
-    touches. Edges are tried in ascending id, and an edge is fixed when
-    some perfect matching holds it together with every pair fixed so far.
-    M is kept up to date: an edge e = (r, t) outside M qualifies exactly
-    when an alternating cycle through e avoids the fixed pairs
-    (Lovasz-Plummer, *Matching Theory*), that is when e is parallel to r's
-    matching edge or a path leads from the pair at t back to r, and M is
-    then swapped along it. A skipped edge stays skipped, since fixing pairs
-    only removes matchings.
+    touches, and its pairs must form one part (see
+    ``PairAnalysis.alternating_path``). Edges are tried in ascending id,
+    and an edge is fixed when some perfect matching holds it together with
+    every pair fixed so far. M is kept up to date: an edge e = (r, t)
+    outside M qualifies exactly when an alternating cycle through e avoids
+    the fixed pairs (Lovasz-Plummer, *Matching Theory*), that is when e is
+    parallel to r's matching edge or a path leads from the pair at t back
+    to r, and M is then swapped along it. A skipped edge stays skipped,
+    since fixing pairs only removes matchings.
     """
     edges = pairs.graph.edges
     match_r, match_t = list(pairs.matching.match_r), list(pairs.matching.match_t)
@@ -137,9 +138,9 @@ def ear_decomposition(
         r, t = g.edges[e]
         if match_r[r] != e:
             arcs.append((e, g.edges[match_t[t]][0], r))
-    out_arcs: list[list[int]] = [[] for _ in match_r]
+    leaving: list[list[int]] = [[] for _ in match_r]
     for idx, (_, tail, _) in enumerate(arcs):
-        out_arcs[tail].append(idx)
+        leaving[tail].append(idx)
 
     def ordered(items: list[int]) -> list[int]:
         if rng is None or len(items) < 2:
@@ -159,7 +160,7 @@ def ear_decomposition(
         closing: dict[int, list[int]] = {}
 
         def classify(v: int) -> None:
-            heads = [(arcs[i][2], i) for i in out_arcs[v]]
+            heads = [(arcs[i][2], i) for i in leaving[v]]
             fresh[v] = ordered([i for h, i in heads if h not in visited and h not in goals])
             closing[v] = ordered([i for h, i in heads if h in goals])
 
@@ -218,7 +219,7 @@ def ear_decomposition(
             for pair in arcs[idx][1:]:
                 if pair not in in_h:
                     in_h.add(pair)
-                    for j in out_arcs[pair]:
+                    for j in leaving[pair]:
                         if not used[j]:
                             insort(frontier, j)
 

@@ -320,37 +320,21 @@ def _active_ids(g: BipartiteMultigraph, active: Iterable[int] | None) -> frozens
     return act
 
 
-def _pair_arcs(
-    g: BipartiteMultigraph, edge_list: list[int], match_r: Sequence[int], match_t: Sequence[int]
-) -> list[list[tuple[int, int]]]:
-    """The pair digraph of ``edge_list`` under a matching, as ``PairAnalysis`` reads it.
-
-    Entry r lists every edge at R node r whose two ends are matched, in
-    ascending id, as (edge id, head pair); pairs are named by their r
-    node, and r's matching edge and its parallels are self-loops.
-    """
-    edges = g.edges
-    arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
-    for eid in edge_list:
-        r, t = edges[eid]
-        if match_r[r] != -1 and match_t[t] != -1:
-            arcs[r].append((eid, edges[match_t[t]][0]))
-    return arcs
-
-
 def _pair_path(
     out: Sequence[Sequence[int]],
     edges: Sequence[tuple[int, int]],
     match_t: Sequence[int],
     source: int,
     goal: int,
+    fixed: Collection[int] = (),
 ) -> list[int] | None:
     """Non-matching edges of a shortest path from pair ``source`` to ``goal``.
 
     Breadth-first over ``out[v]``, the edges pair v may leave by, with
     heads read from ``match_t``; each pair's own matching edge is skipped,
-    so with ``source == goal`` the path is an alternating cycle. Edges are
-    listed from the goal back to the source; None when there is no path.
+    and so is every pair in ``fixed`` (the goal excepted), so with
+    ``source == goal`` the path is an alternating cycle. Edges are listed
+    from the goal back to the source; None when there is no path.
     """
     reached_by = {source: -1}  # pair -> edge that reached it
     queue = deque([source])
@@ -367,7 +351,7 @@ def _pair_path(
                     path.append(reached_by[u])
                     u = edges[path[-1]][0]
                 return path
-            if head not in reached_by:
+            if head not in reached_by and head not in fixed:
                 reached_by[head] = f
                 queue.append(head)
     return None
@@ -378,7 +362,7 @@ class PairAnalysis:
 
     The edge set is ``active`` (every edge by default; an id that is not
     an edge raises GraphError from ``max_matching``) on the full node set,
-    kept in ascending order as ``edge_list``. Its ``matching`` is maximum,
+    read in ascending order as ``edge_list``. Its ``matching`` is maximum,
     not necessarily perfect.
 
     The analysis reads a digraph on the matched (r, t) pairs: an edge
@@ -401,6 +385,15 @@ class PairAnalysis:
     whichever perfect matching is found; ``matching`` is not. A start
     therefore serves readers of the former only. ``without`` derives the
     analysis of the set less one edge from a perfect analysis.
+
+    Built either way, an analysis holds the same four fields: ``_pm``, the
+    matching as its ``match_r`` and ``match_t``; ``_scc``, a part label at
+    each R node (-1 where unmatched); ``_allowed_at``, the allowed edges at
+    each R node in ascending id; and ``changed``. Every other answer is
+    read from them. A cold analysis also keeps the ``matching`` that
+    ``max_matching`` returned and its edge set; a derived one, whose
+    matching is perfect, builds the former from ``_pm`` and the latter
+    from its parent's less the removed edge.
     """
 
     def __init__(
@@ -410,38 +403,22 @@ class PairAnalysis:
         start: Start | None = None,
     ):
         act = frozenset(g.edge_ids() if active is None else active)
-        self.graph = g
-        self.matching = max_matching(g, act, start)
-        self.edge_list = sorted(act)
-        self._active = act
-        match_r = self.matching.match_r
-        # _scc[r]: the strongly connected class of pair r, -1 for unmatched r
-        self._arcs = _pair_arcs(g, self.edge_list, match_r, self.matching.match_t)
-        self._scc = scc = _scc_of_pairs(self._arcs, [r for r, e in enumerate(match_r) if e != -1])
-        self.allowed = frozenset(
-            [e for r, out in enumerate(self._arcs) for e, h in out if scc[r] == scc[h]]
-        )
-
-    # An analysis from ``without`` is given _pm, _scc, _allowed_at and
-    # changed, and builds the whole-graph fields (matching, allowed,
-    # edge_list, _active, _arcs) when first read; the constructor above
-    # builds those and derives the former when first read.
-
-    @cached_property
-    def _pm(self) -> tuple[Sequence[int], Sequence[int]]:
-        """The matching's ``match_r`` and ``match_t``."""
-        return self.matching.match_r, self.matching.match_t
-
-    @cached_property
-    def _allowed_at(self) -> list[list[int]]:
-        """The allowed edges at each R node, in ascending id."""
-        scc = self._scc
-        return [[e for e, h in out if scc[h] == scc[r]] for r, out in enumerate(self._arcs)]
-
-    @cached_property
-    def changed(self) -> Sequence[int]:
-        """The R nodes whose allowed edges ``without`` changed; every R node of a cold analysis."""
-        return range(self.graph.n_r)
+        matching = max_matching(g, act, start)
+        edges, match_r, match_t = g.edges, matching.match_r, matching.match_t
+        # arcs[r]: the set's edges at pair r whose T end is matched, in
+        # ascending id, as (edge id, head pair); pairs are named by their r
+        # node, and r's matching edge and its parallels are self-loops
+        arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.n_r)]
+        for e in sorted(act):
+            r, t = edges[e]
+            if match_r[r] != -1 and match_t[t] != -1:
+                arcs[r].append((e, edges[match_t[t]][0]))
+        scc = _scc_of_pairs(arcs, [r for r, e in enumerate(match_r) if e != -1])
+        self.graph, self.matching, self._active = g, matching, act
+        self._pm, self._scc = (match_r, match_t), scc
+        self._allowed_at = [[e for e, h in out if scc[h] == s] for out, s in zip(arcs, scc)]
+        # the R nodes whose allowed edges ``without`` changed; all of them here
+        self.changed: Sequence[int] = range(g.n_r)
 
     @cached_property
     def matching(self) -> Matching:
@@ -466,15 +443,10 @@ class PairAnalysis:
     def edge_list(self) -> list[int]:
         return sorted(self._active)
 
-    @cached_property
-    def _arcs(self) -> list[list[tuple[int, int]]]:
-        return _pair_arcs(self.graph, self.edge_list, *self._pm)
-
     @property
     def mandatory(self) -> frozenset[int]:
         """The matching's edges at R nodes with no other allowed edge."""
-        pm, match_r, edges = self.matching.edge_ids, self.matching.match_r, self.graph.edges
-        return pm - {match_r[edges[e][0]] for e in self.allowed - pm}
+        return frozenset(self.mandatory_at(range(self.graph.n_r)))
 
     def mandatory_at(self, rs: Iterable[int]) -> list[int]:
         """The matching's edges at the R nodes ``rs`` that have no other allowed edge."""
@@ -562,11 +534,10 @@ class PairAnalysis:
 
     def allowed_components(self) -> list[frozenset[int]]:
         """The allowed edges of each part that holds a pair, ordered by lowest r node."""
-        groups: dict[int, set[int]] = {}
-        for r, out in enumerate(self._arcs):
-            if self._scc[r] != -1:
-                group = groups.setdefault(self._scc[r], set())
-                group.update(e for e, head in out if self._scc[head] == self._scc[r])
+        groups: dict[int, list[int]] = {}
+        for s, allowed in zip(self._scc, self._allowed_at):
+            if s != -1:
+                groups.setdefault(s, []).extend(allowed)
         return [frozenset(group) for group in groups.values()]
 
     def alternating_path(
@@ -574,34 +545,20 @@ class PairAnalysis:
     ) -> list[int] | None:
         """Non-matching edges of a shortest path from pair ``source`` to ``goal``.
 
-        Breadth-first over the pair digraph, scanning each pair's edges in
-        ascending id. Heads are read from ``match_t``, the current matching,
-        so the search stays valid after the matching is swapped along
-        earlier paths. Each pair's own matching edge is skipped, and so is
-        every pair in ``fixed``. With ``source == goal`` the path is an
-        alternating cycle through that pair. Edges are listed from the goal
-        back to the source; None when there is no path.
+        ``source`` and ``goal`` must lie in one part, and ``match_t`` must
+        be a perfect matching of the set's pairs there. Breadth-first over
+        each pair's allowed edges in ascending id (see ``_pair_path``): an
+        arc between two pairs of one part lies on a cycle, so it is
+        allowed, and a pair reached by any other arc never leads back into
+        the part, so the search over every arc of the pair digraph returns
+        the same path. Heads are read from ``match_t``, the current
+        matching, so the search stays valid after the matching is swapped
+        along earlier paths. Each pair's own matching edge is skipped, and
+        so is every pair in ``fixed``. With ``source == goal`` the path is
+        an alternating cycle through that pair. Edges are listed from the
+        goal back to the source; None when there is no path.
         """
-        edges, arcs = self.graph.edges, self._arcs
-        reached_by = {source: -1}  # pair -> edge that reached it
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for e, _ in arcs[u]:
-                mate = match_t[edges[e][1]]
-                if mate == e:
-                    continue
-                head = edges[mate][0]
-                if head == goal:
-                    path = [e]
-                    while u != source:
-                        path.append(reached_by[u])
-                        u = edges[path[-1]][0]
-                    return path
-                if head not in reached_by and head not in fixed:
-                    reached_by[head] = e
-                    queue.append(head)
-        return None
+        return _pair_path(self._allowed_at, self.graph.edges, match_t, source, goal, fixed)
 
 
 def allowed_edges(

@@ -186,19 +186,22 @@ def check_feasible(inst: RapInstance) -> bool:
 def _scan(inst: RapInstance, active: Iterable[int] | None) -> tuple[PairAnalysis, int | None]:
     """Pair analysis of ``active`` and its lowest failing scenario.
 
-    ``first_failing_scenario`` states the rule. The analysis is built cold,
-    from an empty matching, for every caller: the verifier, to stay
-    independent of the solvers; the rounding loop, which reads the
-    analysis' parts on selections that are not yet perfect;
-    ``prune_to_minimal``, through ``first_failing_scenario``; and the exact
-    search, for its whole edge set only, since it tests each exclusion
-    with ``_scan_without``. Birkhoff peeling calls ``max_matching`` cold as
-    well, since its terms are the matchings.
+    ``first_failing_scenario`` states the rule, and this and
+    ``_scan_without`` apply it alike: the lowest vulnerable mandatory edge
+    at the analysis' ``changed`` R nodes, every R node of a cold analysis.
+    The analysis is built cold, from an empty matching, for every caller:
+    the verifier, to stay independent of the solvers; the rounding loop,
+    which reads the analysis' parts on selections that are not yet
+    perfect; ``prune_to_minimal``, through ``first_failing_scenario``; and
+    the exact search, for its whole edge set only, since it tests each
+    exclusion with ``_scan_without``. Birkhoff peeling calls
+    ``max_matching`` cold as well, since its terms are the matchings.
     """
     pairs = PairAnalysis(inst.graph, active)
     if not pairs.matching.perfect:
         return pairs, min(inst.vulnerable, default=NOMINAL_SCENARIO)
-    return pairs, min(pairs.mandatory & inst.vulnerable, default=None)
+    mandatory = pairs.mandatory_at(pairs.changed)
+    return pairs, min(inst.vulnerable.intersection(mandatory), default=None)
 
 
 def _scan_without(

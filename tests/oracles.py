@@ -6,12 +6,15 @@ Only small inputs are ever passed in. The exceptions are the paper's
 k-block relaxation, written from its definition as input for the library's
 simplex and HiGHS, an exact MILP on it that reaches 20 x 20 instances, and
 ``kuhn_match_arrays``, the library's earlier Kuhn routine kept as written,
-which pins the scan order of ``graph_core._match_arrays``.
+which pins the scan order of ``graph_core._match_arrays``, and
+``pair_digraph_path``, the earlier ``PairAnalysis.alternating_path``, which
+pins the path its search over allowed edges returns.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations
 
 
@@ -115,6 +118,43 @@ def kuhn_match_arrays(g, active: frozenset[int], start=None) -> tuple[list[int],
             else:
                 path.pop()
     return match_r, match_t
+
+
+def pair_digraph_path(pairs, match_t, source: int, goal: int, fixed=()) -> list[int] | None:
+    """``PairAnalysis.alternating_path``'s reference: a search over every arc of the pair digraph.
+
+    The arcs at pair r are the analysed set's edges at R node r whose two
+    ends the analysis' own matching covers, in ascending id, allowed or
+    not. Breadth-first from ``source``, with heads read from ``match_t``;
+    each pair's own matching edge and every pair in ``fixed`` are skipped.
+    Edges are listed from the goal back to the source; None when there is
+    no path.
+    """
+    edges, matching = pairs.graph.edges, pairs.matching
+    arcs: list[list[int]] = [[] for _ in range(pairs.graph.n_r)]
+    for e in pairs.edge_list:
+        r, t = edges[e]
+        if matching.match_r[r] != -1 and matching.match_t[t] != -1:
+            arcs[r].append(e)
+    reached_by = {source: -1}  # pair -> edge that reached it
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for e in arcs[u]:
+            mate = match_t[edges[e][1]]
+            if mate == e:
+                continue
+            head = edges[mate][0]
+            if head == goal:
+                path = [e]
+                while u != source:
+                    path.append(reached_by[u])
+                    u = edges[path[-1]][0]
+                return path
+            if head not in reached_by and head not in fixed:
+                reached_by[head] = e
+                queue.append(head)
+    return None
 
 
 def brute_has_pm_avoiding(

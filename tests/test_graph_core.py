@@ -20,7 +20,7 @@ from rapkit.graph_core import (
     max_flow_min_cut,
     max_matching,
 )
-from rapkit.instance import make_instance, uniformize
+from rapkit.instance import _cycle_swap, make_instance, uniformize
 
 # 4-cycle r0-t0-r1-t1-r0, edge ids in cycle order
 C4_EDGES = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -302,6 +302,34 @@ class TestPairAnswers:
         g = BipartiteMultigraph(2, 2, [(0, 0), (1, 0), (0, 1), (0, 0)])
         pairs = PairAnalysis(g, {0, 1, 3})
         assert pairs.edges_at(0) == [0, 3] and pairs.edges_at(1) == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graph(balanced=True, max_edges=10), st.data())
+    def test_path_within_a_part_as_over_the_whole_digraph(self, data, picks):
+        # a random perfect matching added to the drawn edges makes the
+        # analysis perfect; every same-part query must return the path of
+        # the search over every arc, under the analysis' own matching, one
+        # swapped along an alternating cycle, and random fixed pairs
+        n_r, n_t, edges = data
+        perm = picks.draw(st.permutations(range(n_t)))
+        g = BipartiteMultigraph(n_r, n_t, [*edges, *enumerate(perm)])
+        pairs = PairAnalysis(g)
+        assert pairs.matching.perfect
+        swapped = [w for f in sorted(pairs.matching.edge_ids) if (w := _cycle_swap(pairs, f))]
+        matchings = [pairs.matching.match_t]
+        for w in swapped[:2]:
+            match_t = [-1] * n_t
+            for e in w:
+                match_t[g.edges[e][1]] = e
+            matchings.append(match_t)
+        labels = pairs.part_labels()
+        same_part = [(s, t) for s in range(n_r) for t in range(n_r) if labels[s] == labels[t]]
+        for match_t in matchings:
+            for source, goal in same_part:
+                fixed = picks.draw(st.sets(st.integers(0, n_r - 1), max_size=n_r))
+                for f in ((), fixed):
+                    expected = oracles.pair_digraph_path(pairs, match_t, source, goal, f)
+                    assert pairs.alternating_path(match_t, source, goal, f) == expected
 
 
 def _relabel(g: BipartiteMultigraph, comp) -> list[tuple[int, int]]:

@@ -365,6 +365,28 @@ class TestWarmStart:
             assert _scc_partition(warm) == _scc_partition(cold)
 
 
+def _label_partition(pairs):
+    """The pairs, named by their R node, grouped by ``part_labels``."""
+    groups = {}
+    for r, label in enumerate(pairs.part_labels()):
+        groups.setdefault(label, set()).add(r)
+    return {frozenset(group) for group in groups.values()}
+
+
+def _answers_alike(child, cold):
+    """Assert that a derived and a cold analysis of one edge set answer alike."""
+    assert child.allowed == cold.allowed
+    assert child.n_parts() == cold.n_parts()
+    assert child.edge_list == cold.edge_list
+    assert _label_partition(child) == _label_partition(cold)
+    # a cycle through each pair, under each analysis' own matching
+    own, cold_own = child.matching.match_t, cold.matching.match_t
+    for r in range(child.graph.n_r):
+        assert (child.alternating_path(own, r, r) is None) == (
+            cold.alternating_path(cold_own, r, r) is None
+        )
+
+
 def _children_agree_with_cold(inst, y):
     """Check ``_scan_without`` against a cold ``_scan`` on y less one or two edges.
 
@@ -387,10 +409,8 @@ def _children_agree_with_cold(inst, y):
             cases.add("not allowed")
         if child is None:
             continue
-        assert child.allowed == cold.allowed
-        assert child.n_parts() == cold.n_parts()
+        _answers_alike(child, cold)
         assert child.mandatory == cold.mandatory
-        assert child.edge_list == cold.edge_list
         assert sorted(map(sorted, child.allowed_components())) == sorted(
             map(sorted, cold.allowed_components())
         )
@@ -404,9 +424,7 @@ def _children_agree_with_cold(inst, y):
             cold, cold_failing = _scan(inst, y - {e, e2})
             assert grandchild_failing == cold_failing
             if grandchild is not None:
-                assert grandchild.allowed == cold.allowed
-                assert grandchild.n_parts() == cold.n_parts()
-                assert grandchild.edge_list == cold.edge_list
+                _answers_alike(grandchild, cold)
     return cases
 
 
