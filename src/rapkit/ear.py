@@ -10,13 +10,14 @@ matching, which is exactly the structure a robust solution needs.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import GraphError, PairAnalysis
+from .graph_core import GraphError, PairAnalysis, greedy_start
 from .instance import (
     InstanceError,
     RapInstance,
@@ -55,25 +56,31 @@ class Ear:
 
 @dataclass(frozen=True)
 class EarDecomposition:
-    """Ears in construction order; ears[0] is the starting edge."""
+    """Ears in construction order; ears[0] is the starting edge.
 
-    ears: tuple[Ear, ...]
+    ``paths`` holds an ear as its edge ids, a trivial one as its edge id
+    alone; ``ears`` builds the ``Ear`` objects when first read.
+    """
+
+    paths: tuple[tuple[int, ...] | int, ...]
+
+    @cached_property
+    def ears(self) -> tuple[Ear, ...]:
+        return tuple(Ear((p,), True) if isinstance(p, int) else Ear(p, False) for p in self.paths)
 
     def edge_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for ear in self.ears:
-            out.update(ear.edge_ids)
-        return frozenset(out)
+        return frozenset(e for ear in self.ears for e in ear.edge_ids)
 
     def nontrivial(self) -> tuple[Ear, ...]:
         return tuple(ear for ear in self.ears[1:] if not ear.trivial)
 
 
-def _pick(items: Sequence[int], rng: Optional[np.random.Generator]) -> int:
-    # items is ascending; lowest wins unless a generator is supplied
+def _pop(heap: list[int], rng: Optional[np.random.Generator]) -> int:
+    # the lowest item, unless a generator picks a rank; a sorted list is a heap
     if rng is None:
-        return items[0]
-    return items[int(rng.integers(len(items)))]
+        return heappop(heap)
+    heap.sort()
+    return heap.pop(int(rng.integers(len(heap))))
 
 
 def _lex_min_pm(pairs: PairAnalysis) -> tuple[list[int], list[int]]:
@@ -121,26 +128,27 @@ def ear_decomposition(
     so ears come out long and few.  Choices follow ascending edge ids
     unless rng is given, which shuffles them instead.  The ears do not
     depend on the analysis' matching, since they are read off the least
-    perfect matching, so the analysis may have been started warm.
+    perfect matching, so the analysis may have been started warm, or be
+    one of a larger analysis' ``parts``.
     """
     # matching-covered: every edge allowed (so every node it touches is
     # matched) and the pairs in one part
-    g, active = pairs.graph, pairs.edge_list
-    if not pairs.allowed.issuperset(active) or len(pairs.allowed_components()) != 1:
+    edges, active = pairs.graph.edges, pairs.edge_list
+    if not pairs.allowed.issuperset(active) or len(set(pairs.part_labels()) - {-1}) != 1:
         raise GraphError("component not matching-covered")
 
     match_r, match_t = _lex_min_pm(pairs)
 
     # Contract matched pairs; each non-matching edge (r, t) becomes an arc
-    # from t's pair to r's pair.  Pairs are named by their r node.
-    arcs: list[tuple[int, int, int]] = []  # (edge id, tail pair, head pair)
-    for e in pairs.edge_list:
-        r, t = g.edges[e]
-        if match_r[r] != e:
-            arcs.append((e, g.edges[match_t[t]][0], r))
-    leaving: list[list[int]] = [[] for _ in match_r]
-    for idx, (_, tail, _) in enumerate(arcs):
-        leaving[tail].append(idx)
+    # from t's pair to r's pair.  Pairs are named by their r node, and an
+    # arc by its index: its edge, tail pair and head pair are arc_edge,
+    # tail_of and head_of at that index.
+    arc_edge = [e for e in active if match_r[edges[e][0]] != e]
+    tail_of = [edges[match_t[edges[e][1]]][0] for e in arc_edge]
+    head_of = [edges[e][0] for e in arc_edge]
+    leaving: dict[int, list[int]] = {}
+    for idx, tail in enumerate(tail_of):
+        leaving.setdefault(tail, []).append(idx)
 
     def ordered(items: list[int]) -> list[int]:
         if rng is None or len(items) < 2:
@@ -156,37 +164,35 @@ def ear_decomposition(
         """
         visited = {start}
         entered: dict[int, int] = {}
+        # per pair: arcs still to try into fresh pairs, last first, and into goals
         fresh: dict[int, list[int]] = {}
         closing: dict[int, list[int]] = {}
 
         def classify(v: int) -> None:
-            heads = [(arcs[i][2], i) for i in leaving[v]]
-            fresh[v] = ordered([i for h, i in heads if h not in visited and h not in goals])
+            heads = [(head_of[i], i) for i in leaving[v]]
+            fresh[v] = ordered([i for h, i in heads if h not in visited and h not in goals])[::-1]
             closing[v] = ordered([i for h, i in heads if h in goals])
 
         classify(start)
         stack = [start]
         while stack:
             v = stack[-1]
-            advanced = False
-            while fresh[v]:
-                idx = fresh[v].pop(0)
-                head = arcs[idx][2]
-                if head in visited:
-                    continue
+            ahead = fresh[v]
+            while ahead and head_of[ahead[-1]] in visited:
+                ahead.pop()
+            if ahead:
+                idx = ahead.pop()
+                head = head_of[idx]
                 visited.add(head)
                 entered[head] = idx
                 classify(head)
                 stack.append(head)
-                advanced = True
-                break
-            if advanced:
                 continue
             if closing[v]:
                 path = [closing[v][0]]
                 while v != start:
                     path.append(entered[v])
-                    v = arcs[entered[v]][1]
+                    v = tail_of[entered[v]]
                 path.reverse()
                 return path
             stack.pop()
@@ -194,38 +200,38 @@ def ear_decomposition(
 
     def expand(arc_path: Sequence[int]) -> tuple[int, ...]:
         """Interleave arc edges with the matched edges of interior pairs."""
-        edge_path = [arcs[arc_path[0]][0]]
+        edge_path = [arc_edge[arc_path[0]]]
         for idx in arc_path[1:]:
-            edge_path.append(match_r[arcs[idx][1]])
-            edge_path.append(arcs[idx][0])
+            edge_path.append(match_r[tail_of[idx]])
+            edge_path.append(arc_edge[idx])
         if len(edge_path) > 1 and edge_path[0] > edge_path[-1]:
             edge_path.reverse()
         return tuple(edge_path)
 
     start_edge = min(active)
-    start_pair = g.edges[start_edge][0]
-    ears: list[Ear] = [Ear((start_edge,), trivial=False)]
-    if not arcs:
-        return EarDecomposition(ears=tuple(ears))
+    start_pair = edges[start_edge][0]
+    paths: list[tuple[int, ...] | int] = [(start_edge,)]
+    if not arc_edge:
+        return EarDecomposition(tuple(paths))
 
-    used = [False] * len(arcs)
+    used = [False] * len(arc_edge)
     in_h: set[int] = set()
-    frontier: list[int] = []  # unused arcs whose tail is in in_h, ascending
+    frontier: list[int] = []  # a heap of the unused arcs whose tail is in in_h
 
     def attach(path: Sequence[int]) -> None:
         for idx in path:
             used[idx] = True
         for idx in path:
-            for pair in arcs[idx][1:]:
+            for pair in (tail_of[idx], head_of[idx]):
                 if pair not in in_h:
                     in_h.add(pair)
                     for j in leaving[pair]:
                         if not used[j]:
-                            insort(frontier, j)
+                            heappush(frontier, j)
 
-    incident = [i for i in range(len(arcs)) if start_pair in (arcs[i][1], arcs[i][2])]
-    first = _pick(incident, rng)
-    tail, head = arcs[first][1], arcs[first][2]
+    incident = [i for i, (t, h) in enumerate(zip(tail_of, head_of)) if start_pair in (t, h)]
+    first = _pop(incident, rng)
+    tail, head = tail_of[first], head_of[first]
     if tail == head:
         cycle = [first]
     elif tail == start_pair:
@@ -233,23 +239,21 @@ def ear_decomposition(
     else:
         cycle = deep_path(start_pair, {tail}) + [first]
     attach(cycle)
-    ears.append(Ear(expand(cycle), trivial=len(cycle) == 1))
+    paths.append(arc_edge[first] if len(cycle) == 1 else expand(cycle))
 
     while frontier:
-        idx = _pick(frontier, rng)
-        del frontier[bisect_left(frontier, idx)]
-        head = arcs[idx][2]
-        if head in in_h:
+        idx = heappop(frontier) if rng is None else _pop(frontier, rng)
+        if head_of[idx] in in_h:
             used[idx] = True
-            ears.append(Ear((arcs[idx][0],), trivial=True))
+            paths.append(arc_edge[idx])
             continue
-        path = [idx] + deep_path(head, in_h)
+        path = [idx] + deep_path(head_of[idx], in_h)
         attach(path)
-        ears.append(Ear(expand(path), trivial=False))
+        paths.append(expand(path))
     if not all(used):
         raise GraphError("component not matching-covered")
 
-    return EarDecomposition(ears=tuple(ears))
+    return EarDecomposition(tuple(paths))
 
 
 def parse_ear_order(order: str) -> Optional[np.random.Generator]:
@@ -283,28 +287,21 @@ def solve_ear(
     rng = parse_ear_order(ear_order)
     completion = balanced_completion(inst)
     work = completion.instance
-    pairs, failing = _scan(work, None)
+    # no output depends on the scan's matching, since the ears are read off
+    # each part's least perfect matching, so the scan starts greedy
+    pairs, failing = _scan(work, None, greedy_start(work.graph))
     if failing is not None:
         raise InstanceError("infeasible instance")
-    # the components of the allowed subgraph, each matching-covered and
-    # perfectly matched by the whole graph's matching, whose edges inside
-    # it start its analysis; the rest of the whole-graph analysis is
-    # dropped first
-    comps = pairs.allowed_components()
-    pm = pairs.matching.match_r
-    del pairs
 
     chosen: set[int] = set()
-    for comp_edges in comps:
-        start = [e if e in comp_edges else -1 for e in pm]
-        dec = ear_decomposition(PairAnalysis(work.graph, comp_edges, start), rng)
+    for part in pairs.parts():  # the matching-covered components of the allowed subgraph
+        dec = ear_decomposition(part, rng)
         if trace is not None:
             trace.append(dec)
-        kept: set[int] = set(dec.ears[0].edge_ids)
-        for ear in dec.nontrivial():
-            kept.update(ear.edge_ids)
+        # the starting edge and every non-trivial ear
+        kept = {e for path in dec.paths if not isinstance(path, int) for e in path}
         if len(kept) == 1 and next(iter(kept)) in work.vulnerable:
-            spares = sorted(comp_edges - kept)
+            spares = [e for e in part.edge_list if e not in kept]
             if spares:
                 kept.add(spares[0])
         chosen.update(kept)

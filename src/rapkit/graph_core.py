@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -101,7 +101,7 @@ def _check_start(g: BipartiteMultigraph, active: frozenset[int], start: Start) -
         if e == -1:
             continue
         if e not in active:
-            raise GraphError(f"start edge {e} is not allowed")
+            raise GraphError(f"start edge {e} is outside the edge set")
         if edges[e][0] != r:
             raise GraphError(f"start edge {e} does not meet R node {r}")
         t = edges[e][1]
@@ -109,6 +109,18 @@ def _check_start(g: BipartiteMultigraph, active: frozenset[int], start: Start) -
             raise GraphError(f"start edges {match_t[t]} and {e} share a T node")
         match_t[t] = e
     return match_t
+
+
+def greedy_start(g: BipartiteMultigraph, active: Iterable[int] | None = None) -> list[int]:
+    """A ``Start`` within ``active`` (every edge by default): each R node, in
+    ascending order, takes its lowest-id edge to a T node still free."""
+    act, edges, free, start = _active_ids(g, active), g.edges, [True] * g.n_t, [-1] * g.n_r
+    for r, adj in enumerate(g.adj_r):
+        for e in adj:
+            if free[edges[e][1]] and e in act:
+                free[edges[e][1]], start[r] = False, e
+                break
+    return start
 
 
 def _match_arrays(
@@ -391,9 +403,9 @@ class PairAnalysis:
     each R node (-1 where unmatched); ``_allowed_at``, the allowed edges at
     each R node in ascending id; and ``changed``. Every other answer is
     read from them. A cold analysis also keeps the ``matching`` that
-    ``max_matching`` returned and its edge set; a derived one, whose
-    matching is perfect, builds the former from ``_pm`` and the latter
-    from its parent's less the removed edge.
+    ``max_matching`` returned and its edge set; a derived one builds the
+    former from ``_pm`` and, for ``without``, the latter from its parent's
+    less the removed edge. ``parts`` derives one analysis per part.
     """
 
     def __init__(
@@ -422,8 +434,9 @@ class PairAnalysis:
 
     @cached_property
     def matching(self) -> Matching:
-        match_r, match_t = self._pm
-        return Matching(frozenset(match_r), True, tuple(match_r), tuple(match_t))
+        (match_r, match_t), g = self._pm, self.graph
+        ids = frozenset(match_r) - {-1}
+        return Matching(ids, g.balanced and len(ids) == g.n_r, tuple(match_r), tuple(match_t))
 
     @cached_property
     def allowed(self) -> frozenset[int]:
@@ -527,6 +540,29 @@ class PairAnalysis:
         child._pm, child._scc, child._allowed_at = pm, scc, allowed_at
         child.changed = changed
         return child
+
+    def parts(self) -> Iterator[PairAnalysis]:
+        """This analysis restricted to each part that holds a pair, ordered by lowest r node.
+
+        A part's edge set is its allowed edges, and it holds this analysis'
+        four fields at the part's pairs alone: what a cold analysis of that
+        set holds, up to which perfect matching and which label.
+        """
+        g, match_r, allowed_at = self.graph, self._pm[0], self._allowed_at
+        members: dict[int, list[int]] = {}
+        for r, s in enumerate(self._scc):
+            if s != -1:
+                members.setdefault(s, []).append(r)
+        for s, rs in members.items():
+            pm_r, pm_t, scc, at = [-1] * g.n_r, [-1] * g.n_t, [-1] * g.n_r, [()] * g.n_r
+            for r in rs:
+                e = pm_r[r] = match_r[r]
+                pm_t[g.edges[e][1]], scc[r], at[r] = e, s, allowed_at[r]
+            part = object.__new__(PairAnalysis)
+            part.graph, part._pm, part._scc, part._allowed_at = g, (pm_r, pm_t), scc, at
+            part.changed = rs
+            part._active = part.allowed = frozenset(chain.from_iterable(allowed_at[r] for r in rs))
+            yield part
 
     def edges_at(self, r: int) -> list[int]:
         """The set's edges at R node r, in ascending id."""

@@ -16,6 +16,7 @@ from rapkit.graph_core import (
     BipartiteMultigraph,
     GraphError,
     PairAnalysis,
+    Start,
     max_matching,
 )
 
@@ -183,21 +184,27 @@ def check_feasible(inst: RapInstance) -> bool:
     return first_failing_scenario(inst) is None
 
 
-def _scan(inst: RapInstance, active: Iterable[int] | None) -> tuple[PairAnalysis, int | None]:
+def _scan(
+    inst: RapInstance, active: Iterable[int] | None, start: Start | None = None
+) -> tuple[PairAnalysis, int | None]:
     """Pair analysis of ``active`` and its lowest failing scenario.
 
     ``first_failing_scenario`` states the rule, and this and
     ``_scan_without`` apply it alike: the lowest vulnerable mandatory edge
     at the analysis' ``changed`` R nodes, every R node of a cold analysis.
-    The analysis is built cold, from an empty matching, for every caller:
-    the verifier, to stay independent of the solvers; the rounding loop,
-    which reads the analysis' parts on selections that are not yet
-    perfect; ``prune_to_minimal``, through ``first_failing_scenario``; and
-    the exact search, for its whole edge set only, since it tests each
+    ``start`` is grown into the analysis' matching. Its one caller is
+    ``solve_ear``, from ``greedy_start``: given a perfect matching, the
+    verdict, ``allowed`` and the parts are the same whichever one is found,
+    and ear reads its ears off each part's least perfect matching, which
+    is unique. Every other caller scans cold, in the cold scan order: the
+    verifier, to stay independent of the solvers; the rounding loop, which
+    reads the analysis' parts on selections that are not yet perfect;
+    ``prune_to_minimal``, through ``first_failing_scenario``; and the
+    exact search, for its whole edge set only, since it tests each
     exclusion with ``_scan_without``. Birkhoff peeling calls
     ``max_matching`` cold as well, since its terms are the matchings.
     """
-    pairs = PairAnalysis(inst.graph, active)
+    pairs = PairAnalysis(inst.graph, active, start)
     if not pairs.matching.perfect:
         return pairs, min(inst.vulnerable, default=NOMINAL_SCENARIO)
     mandatory = pairs.mandatory_at(pairs.changed)

@@ -8,14 +8,18 @@ simplex and HiGHS, an exact MILP on it that reaches 20 x 20 instances, and
 ``kuhn_match_arrays``, the library's earlier Kuhn routine kept as written,
 which pins the scan order of ``graph_core._match_arrays``, and
 ``pair_digraph_path``, the earlier ``PairAnalysis.alternating_path``, which
-pins the path its search over allowed edges returns.
+pins the path its search over allowed edges returns, and ``reference_ears``
+and ``reference_solve_ear``, the earlier ear decomposition and ear solver,
+which pin the ears and the solution.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from itertools import combinations
+from types import SimpleNamespace
 
 
 def enumerate_perfect_matchings(
@@ -497,3 +501,184 @@ def shortest_nice_path(
 
     dfs(start, {start})
     return best
+
+
+def _pick(items, rng) -> int:
+    # items is ascending; lowest wins unless a generator is supplied
+    if rng is None:
+        return items[0]
+    return items[int(rng.integers(len(items)))]
+
+
+def reference_ears(pairs, rng=None) -> tuple:
+    """``rapkit.ear.ear_decomposition`` as it was before its frontier became a
+    heap and its trivial ears plain edge ids, returning the ears alone; the
+    ears it finds are the ones the library must keep finding.
+
+    Decompose the analysed edge set, one matching-covered component, into ears.
+
+    The starting edge is the lowest-numbered edge of the set; each ear is
+    grown depth-first, preferring edges that reach pairs not yet covered,
+    so ears come out long and few.  Choices follow ascending edge ids
+    unless rng is given, which shuffles them instead.  The ears do not
+    depend on the analysis' matching, since they are read off the least
+    perfect matching, so the analysis may have been started warm.
+    """
+    from rapkit.ear import Ear, _lex_min_pm
+    from rapkit.graph_core import GraphError
+
+    # matching-covered: every edge allowed (so every node it touches is
+    # matched) and the pairs in one part
+    g, active = pairs.graph, pairs.edge_list
+    if not pairs.allowed.issuperset(active) or len(pairs.allowed_components()) != 1:
+        raise GraphError("component not matching-covered")
+
+    match_r, match_t = _lex_min_pm(pairs)
+
+    # Contract matched pairs; each non-matching edge (r, t) becomes an arc
+    # from t's pair to r's pair.  Pairs are named by their r node.
+    arcs: list[tuple[int, int, int]] = []  # (edge id, tail pair, head pair)
+    for e in pairs.edge_list:
+        r, t = g.edges[e]
+        if match_r[r] != e:
+            arcs.append((e, g.edges[match_t[t]][0], r))
+    leaving: list[list[int]] = [[] for _ in match_r]
+    for idx, (_, tail, _) in enumerate(arcs):
+        leaving[tail].append(idx)
+
+    def ordered(items: list[int]) -> list[int]:
+        if rng is None or len(items) < 2:
+            return items
+        return [items[i] for i in rng.permutation(len(items))]
+
+    def deep_path(start: int, goals: set[int]) -> list[int]:
+        """Arc indices of a start -> goals walk hugging uncovered pairs.
+
+        Depth-first, diving into pairs outside goals for as long as
+        possible and closing into goals only when stuck.  Interior pairs
+        are distinct and lie outside goals.
+        """
+        visited = {start}
+        entered: dict[int, int] = {}
+        fresh: dict[int, list[int]] = {}
+        closing: dict[int, list[int]] = {}
+
+        def classify(v: int) -> None:
+            heads = [(arcs[i][2], i) for i in leaving[v]]
+            fresh[v] = ordered([i for h, i in heads if h not in visited and h not in goals])
+            closing[v] = ordered([i for h, i in heads if h in goals])
+
+        classify(start)
+        stack = [start]
+        while stack:
+            v = stack[-1]
+            advanced = False
+            while fresh[v]:
+                idx = fresh[v].pop(0)
+                head = arcs[idx][2]
+                if head in visited:
+                    continue
+                visited.add(head)
+                entered[head] = idx
+                classify(head)
+                stack.append(head)
+                advanced = True
+                break
+            if advanced:
+                continue
+            if closing[v]:
+                path = [closing[v][0]]
+                while v != start:
+                    path.append(entered[v])
+                    v = arcs[entered[v]][1]
+                path.reverse()
+                return path
+            stack.pop()
+        raise GraphError("component not matching-covered")
+
+    def expand(arc_path: Sequence[int]) -> tuple[int, ...]:
+        """Interleave arc edges with the matched edges of interior pairs."""
+        edge_path = [arcs[arc_path[0]][0]]
+        for idx in arc_path[1:]:
+            edge_path.append(match_r[arcs[idx][1]])
+            edge_path.append(arcs[idx][0])
+        if len(edge_path) > 1 and edge_path[0] > edge_path[-1]:
+            edge_path.reverse()
+        return tuple(edge_path)
+
+    start_edge = min(active)
+    start_pair = g.edges[start_edge][0]
+    ears: list[Ear] = [Ear((start_edge,), trivial=False)]
+    if not arcs:
+        return tuple(ears)
+
+    used = [False] * len(arcs)
+    in_h: set[int] = set()
+    frontier: list[int] = []  # unused arcs whose tail is in in_h, ascending
+
+    def attach(path: Sequence[int]) -> None:
+        for idx in path:
+            used[idx] = True
+        for idx in path:
+            for pair in arcs[idx][1:]:
+                if pair not in in_h:
+                    in_h.add(pair)
+                    for j in leaving[pair]:
+                        if not used[j]:
+                            insort(frontier, j)
+
+    incident = [i for i in range(len(arcs)) if start_pair in (arcs[i][1], arcs[i][2])]
+    first = _pick(incident, rng)
+    tail, head = arcs[first][1], arcs[first][2]
+    if tail == head:
+        cycle = [first]
+    elif tail == start_pair:
+        cycle = [first] + deep_path(head, {start_pair})
+    else:
+        cycle = deep_path(start_pair, {tail}) + [first]
+    attach(cycle)
+    ears.append(Ear(expand(cycle), trivial=len(cycle) == 1))
+
+    while frontier:
+        idx = _pick(frontier, rng)
+        del frontier[bisect_left(frontier, idx)]
+        head = arcs[idx][2]
+        if head in in_h:
+            used[idx] = True
+            ears.append(Ear((arcs[idx][0],), trivial=True))
+            continue
+        path = [idx] + deep_path(head, in_h)
+        attach(path)
+        ears.append(Ear(expand(path), trivial=False))
+    if not all(used):
+        raise GraphError("component not matching-covered")
+
+    return tuple(ears)
+
+def reference_solve_ear(inst, ear_order: str = "lowest") -> tuple[frozenset[int], str]:
+    """``rapkit.ear.solve_ear``'s edge set and ``format_ears`` trace, built as
+    it was built before its parts were read off one analysis: a cold
+    ``PairAnalysis`` of the whole completion, then a cold one of each
+    allowed component, decomposed by ``reference_ears``."""
+    from rapkit.ear import format_ears, parse_ear_order
+    from rapkit.graph_core import PairAnalysis
+    from rapkit.instance import balanced_completion, first_failing_scenario
+
+    rng = parse_ear_order(ear_order)
+    completion = balanced_completion(inst)
+    work = completion.instance
+    assert first_failing_scenario(work) is None
+    g, chosen, texts = work.graph, set(), []
+    for comp in PairAnalysis(g).allowed_components():
+        ears = reference_ears(PairAnalysis(g, comp), rng)
+        texts.append(format_ears(SimpleNamespace(ears=ears)))
+        kept = set(ears[0].edge_ids)
+        for ear in ears[1:]:
+            if not ear.trivial:
+                kept.update(ear.edge_ids)
+        if len(kept) == 1 and next(iter(kept)) in work.vulnerable:
+            spares = sorted(comp - kept)
+            if spares:
+                kept.add(spares[0])
+        chosen.update(kept)
+    return frozenset(completion.decode(chosen)), "\n".join(texts)

@@ -5,7 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rapkit.graph_core
 from rapkit.ear import (
     Ear,
     _lex_min_pm,
@@ -19,19 +21,28 @@ from rapkit.graph_core import (
     GraphError,
     PairAnalysis,
     allowed_edges,
+    greedy_start,
     matching_covered_components,
     max_matching,
 )
 from rapkit.instance import (
     InstanceError,
     _cycle_swap,
+    balanced_completion,
+    first_failing_scenario,
     make_instance,
     uniform_instance,
     verify_solution,
 )
 from rapkit.reductions import gk_family, random_instance
 
-from oracles import brute_feasible, enumerate_perfect_matchings, max_matching_size
+from oracles import (
+    brute_feasible,
+    enumerate_perfect_matchings,
+    max_matching_size,
+    reference_ears,
+    reference_solve_ear,
+)
 from strategies import small_instance
 from test_graph_core import C4_EDGES, gk_graph
 
@@ -371,10 +382,11 @@ def _start_from(g, ids):
 @pytest.mark.parametrize("order", ["lowest", "random:1"])
 @pytest.mark.parametrize("name", ["gk10", "rand40"])
 def test_decomposition_ignores_the_start(name, order):
-    # solve_ear starts each component's analysis from the whole graph's
-    # matching M; the ears must be those of a cold start, and so they are
-    # from M swapped along an alternating cycle, a different perfect
-    # matching, and from M's edges at odd R nodes alone
+    # the ears must not depend on the matching an analysis holds: a
+    # component's analysis started from the whole graph's matching M, from
+    # M swapped along an alternating cycle (a different perfect matching)
+    # and from M's edges at odd R nodes alone, and the part solve_ear reads
+    # off a greedy-started whole-graph analysis, all give a cold start's ears
     inst = _pinned_case(name)
     g = inst.graph
     pairs = PairAnalysis(g)
@@ -382,11 +394,14 @@ def test_decomposition_ignores_the_start(name, order):
     swapped = _cycle_swap(pairs, min(pm))
     assert swapped is not None and swapped != pm
     odd = {e for e in pm if g.edges[e][0] % 2 == 1}
-    for comp in pairs.allowed_components():
+    parts = list(PairAnalysis(g, None, greedy_start(g)).parts())
+    assert [part.allowed for part in parts] == pairs.allowed_components()
+    for comp, part in zip(pairs.allowed_components(), parts):
         cold = ear_decomposition(PairAnalysis(g, comp), parse_ear_order(order))
         for ids in (pm, swapped, odd):
             warm = PairAnalysis(g, comp, _start_from(g, ids & comp))
             assert ear_decomposition(warm, parse_ear_order(order)) == cold
+        assert ear_decomposition(part, parse_ear_order(order)) == cold
     ids = ",".join(map(str, sorted(solve_ear(inst, ear_order=order).edge_ids)))
     assert hashlib.sha256(ids.encode()).hexdigest() == PINNED_EAR_DIGESTS[name, order][0]
 
@@ -410,3 +425,93 @@ def test_long_cycle_needs_full_swap():
     dec = ear_decomposition(PairAnalysis(g))
     assert len(dec.ears) == 2 and len(dec.ears[1]) == 2 * n - 1
     check_decomposition(g, matching_covered_components(g)[0], dec)
+
+
+ORDERS = ("lowest", "random:0", "random:1", "random:7")
+
+
+@st.composite
+def covered_union(draw, max_parts: int = 3, max_side: int = 4):
+    """(n, edges): a disjoint union of graphs with a perfect matching each,
+    plus random extra edges and parallel copies, with edge ids shuffled."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(min_value=1, max_value=max_parts))):
+        k = draw(st.integers(min_value=1, max_value=max_side))
+        local = list(enumerate(draw(st.permutations(range(k)))))
+        pick = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+        local += draw(st.lists(pick, max_size=2 * k))
+        local += draw(st.lists(st.sampled_from(local), max_size=3))
+        edges += [(r + n, t + n) for r, t in local]
+        n += k
+    order = draw(st.permutations(range(len(edges))))
+    return n, [edges[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(covered_union())
+def test_decomposition_equals_the_reference(data):
+    # on each matching-covered component, cold and as a part read off one
+    # greedy-started analysis of the graph, under several orders
+    n, edges = data
+    g = BipartiteMultigraph(n, n, edges)
+    comps = PairAnalysis(g).allowed_components()
+    covered = matching_covered_components(g, allowed_edges(g))
+    assert set(comps) == {c.edge_ids for c in covered if c.edge_ids}
+    parts = list(PairAnalysis(g, None, greedy_start(g)).parts())
+    assert [part.allowed for part in parts] == comps
+    for comp, part in zip(comps, parts):
+        for order in ORDERS:
+            want = reference_ears(PairAnalysis(g, comp), parse_ear_order(order))
+            assert ear_decomposition(PairAnalysis(g, comp), parse_ear_order(order)).ears == want
+            dec = ear_decomposition(part, parse_ear_order(order))
+            assert dec.ears == want
+            assert dec.edge_set() == comp
+            assert dec.nontrivial() == tuple(ear for ear in want[1:] if not ear.trivial)
+
+
+@st.composite
+def ear_instance(draw):
+    """A small instance, balanced or not, or a disjoint union of covered
+    graphs whose vulnerable edges are none, all or a few."""
+    if draw(st.booleans()):
+        n_r, n_t, edges, vulnerable, costs = draw(small_instance(balanced=False))
+    else:
+        n_r, edges = draw(covered_union(max_parts=4))
+        n_t, costs = n_r, [1.0] * len(edges)
+        ids = range(len(edges))
+        vulnerable = draw(st.sampled_from([set(), set(ids), None])) if edges else set()
+        if vulnerable is None:
+            vulnerable = draw(st.sets(st.sampled_from(ids), max_size=2))
+    return make_instance(n_r, n_t, edges, vulnerable, costs)
+
+
+@settings(max_examples=250, deadline=None)
+@given(ear_instance())
+def test_solve_ear_equals_the_reference(inst):
+    # edge set and trace against the solver built from a cold analysis of
+    # each allowed component, under several orders
+    if first_failing_scenario(balanced_completion(inst).instance) is not None:
+        with pytest.raises(InstanceError, match="infeasible instance"):
+            solve_ear(inst)
+        return
+    for order in ORDERS:
+        decs = []
+        sol = solve_ear(inst, ear_order=order, trace=decs)
+        assert (sol.edge_ids, "\n".join(map(format_ears, decs))) == reference_solve_ear(inst, order)
+
+
+def test_one_matching_for_many_components(monkeypatch):
+    # 200 disjoint 4-cycles: the greedy-started whole-graph scan and the
+    # verifier's cold one match; no part matches again
+    edges = [(2 * i + r, 2 * i + t) for i in range(200) for r, t in C4_EDGES]
+    inst = uniform_instance(400, 400, edges)
+    calls = []
+    real = rapkit.graph_core.max_matching
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rapkit.graph_core, "max_matching", counted)
+    assert solve_ear(inst).edge_ids == frozenset(range(800))
+    assert len(calls) == 2

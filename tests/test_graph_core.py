@@ -382,17 +382,17 @@ class TestStart:
         assert grown.perfect and grown.edge_ids == frozenset({0, 2})
 
     @pytest.mark.parametrize(
-        "active,start",
+        "active,start,message",
         [
-            ({1, 2, 3}, C4_PM_02),  # a start edge outside active
-            (None, [1, -1]),  # edge 1 is at R node 1, not 0
-            (None, [0, 2, -1]),  # one entry too many
+            ({1, 2, 3}, C4_PM_02, "start edge 0 is outside the edge set"),
+            (None, [1, -1], "start edge 1 does not meet R node 0"),
+            (None, [0, 2, -1], "start needs one entry per R node"),
         ],
         ids=["forbidden", "wrong-r-node", "length"],
     )
     @pytest.mark.parametrize("routine", [max_matching, PairAnalysis], ids=lambda f: f.__name__)
-    def test_invalid_start_raises(self, routine, active, start):
-        with pytest.raises(GraphError, match="start"):
+    def test_invalid_start_raises(self, routine, active, start, message):
+        with pytest.raises(GraphError, match=message):
             routine(c4(), active, start)
 
     def test_two_start_edges_at_one_t_node(self):

@@ -14,7 +14,7 @@ import oracles
 from strategies import small_instance
 
 import rapkit.instance
-from rapkit.graph_core import GraphError, PairAnalysis, matching_covered_components
+from rapkit.graph_core import GraphError, PairAnalysis, greedy_start, matching_covered_components
 from rapkit.instance import (
     NOMINAL_SCENARIO,
     InfeasibleSolutionError,
@@ -363,6 +363,42 @@ class TestWarmStart:
         if cold.matching.perfect:
             assert warm.allowed == cold.allowed
             assert _scc_partition(warm) == _scc_partition(cold)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_instance(max_edges=12), st.data())
+    def test_greedy_scan_agrees_with_cold(self, data, picks):
+        n_r, n_t, edges, vulnerable, costs = data
+        inst = make_instance(n_r, n_t, edges, vulnerable, costs)
+        g = inst.graph
+        # within any x, each R node in turn holds its lowest edge in x to a
+        # T node that no earlier R node holds, or none
+        x = picks.draw(st.sets(st.sampled_from(range(len(edges)))) if edges else st.just(set()))
+        held = set()
+        for r, e in enumerate(greedy_start(g, x)):
+            free = [f for f in g.adj_r[r] if f in x and edges[f][1] not in held]
+            assert e == (free[0] if free else -1)
+            if e != -1:
+                held.add(edges[e][1])
+        assert greedy_start(g) == greedy_start(g, range(len(edges)))
+        cold, cold_failing = _scan(inst, None)
+        warm, warm_failing = _scan(inst, None, greedy_start(g))
+        assert warm_failing == cold_failing
+        assert warm.matching.perfect == cold.matching.perfect
+        if not cold.matching.perfect:
+            return
+        assert warm.allowed == cold.allowed
+        assert warm.mandatory == cold.mandatory
+        assert warm.allowed_components() == cold.allowed_components()
+        # each part read off the warm analysis answers as a cold analysis
+        # of its allowed edges
+        parts = list(warm.parts())
+        assert [part.allowed for part in parts] == cold.allowed_components()
+        for part in parts:
+            alone = PairAnalysis(g, part.allowed)
+            _answers_alike(part, alone)
+            assert part.mandatory == alone.mandatory
+            assert part.matching.perfect == alone.matching.perfect
 
 
 def _label_partition(pairs):
